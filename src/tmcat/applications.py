@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 from .propagation import FiberSpec
 from .states import (
     HBAR,
@@ -24,15 +24,16 @@ from .states import (
     OverlapAngle,
     QubitParams,
     SuperpositionState,
+    _gram,
     cat_coefficients,
     coherent_overlap,
-    inner_product,
     make_qubit_state,
     make_typical_state,
 )
 from .wigner import (
-    PhaseSpaceGrid,
     WignerMap,
+    _auto_window,
+    _validate_map,
     marginal_position,
     quadrature_moments,
     wigner_of_state,
@@ -106,12 +107,15 @@ class BasisSet:
     @cached_property
     def gram(self) -> np.ndarray:
         """Hermitian matrix of pairwise inner products <b_i|b_j>."""
-        m = len(self.states)
-        out = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = inner_product(self.states[i], self.states[j])
-        return out
+        # one overlap matrix over every term of the basis, summed per state:
+        # blocks[i, t] is the coefficient of term t in b_i, 0 for other states
+        terms = [(i, t) for i, s in enumerate(self.states) for t in s.terms]
+        blocks = np.zeros((len(self.states), len(terms)), dtype=complex)
+        blocks[[i for i, _ in terms], range(len(terms))] = [t.coeff for _, t in terms]
+        ax = np.array([t.alpha_x for _, t in terms])
+        ay = np.array([t.alpha_y for _, t in terms])
+        # _gram[p, q] = <t_q|t_p>, so <b_i|b_j> = sum_pq conj(B[i, q]) G[p, q] B[j, p]
+        return np.conj(blocks) @ _gram(ax, ay, ax, ay).T @ blocks.T
 
     def overlap_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """(U, V) with <b_i| R(delta) |b_j> = U[i,j] + V[i,j] e^{-i delta}.
@@ -448,57 +452,20 @@ class DephasedMixture:
 
     def wigner_values(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """SI-unit Wigner values (weighted component sum, no cross term)."""
-        out = None
-        for weight, state in self.components:
-            vals = weight * wigner_of_state(state, x, p)
-            out = vals if out is None else out + vals
-        return out
+        return sum(w * wigner_of_state(state, x, p) for w, state in self.components)
 
     def position_intensity(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        w0 = self.frame.w0
-        norm = math.sqrt(2.0 / math.pi) / w0
-        return 0.5 * norm * (
-            np.exp(-2.0 * x**2 / w0**2) + np.exp(-2.0 * (x - self.d) ** 2 / w0**2)
-        )
+        return sum(w * state.position_intensity(x) for w, state in self.components)
 
     def wigner_map(self, n: int = 256) -> WignerMap:
         """Auto-sized nondimensional map of the mixture (integrates to 1)."""
         alpha = self.angle.alpha
-        mean_x = alpha  # midpoint of component centers 0 and 2 alpha
-        var_x = 0.5 + alpha**2
-        half_x = 4.0 * math.sqrt(var_x)
-        half_p = 4.0 * math.sqrt(0.5)
-        frame = self.frame
-        for _ in range(12):
-            xs = np.linspace(mean_x - half_x, mean_x + half_x, n)
-            ps = np.linspace(-half_p, half_p, n)
-            vals = HBAR * self.wigner_values(frame.x_scale * xs, frame.p_scale * ps)
-            peak = np.abs(vals).max()
-            edge = max(
-                np.abs(vals[0, :]).max(),
-                np.abs(vals[-1, :]).max(),
-                np.abs(vals[:, 0]).max(),
-                np.abs(vals[:, -1]).max(),
-            )
-            if edge <= 1e-8 * peak:
-                grid = PhaseSpaceGrid(
-                    x_min=mean_x - half_x,
-                    x_max=mean_x + half_x,
-                    nx=n,
-                    p_min=-half_p,
-                    p_max=half_p,
-                    np_=n,
-                    si_units=False,
-                )
-                m = WignerMap(grid=grid, values=vals)
-                total = m.integral()
-                if abs(total - 1.0) > 1e-6:
-                    raise NumericsError(f"mixture map integrates to {total!r}, not 1")
-                return m
-            half_x *= 1.5
-            half_p *= 1.5
-        raise NumericsError("mixture window did not localize after 12 expansions")
+        # components centered at X = 0 and 2 alpha: mean alpha, variance 1/2 + alpha^2
+        moments = ((alpha, 0.5 + alpha**2), (0.0, 0.5))
+        grid, values = _auto_window(self.frame, self.wigner_values, moments, n, False)
+        out = WignerMap(grid=grid, values=values)
+        _validate_map(out, auto=True)
+        return out
 
 
 def dephased_mixture(d: float, frame: ModeFrame) -> DephasedMixture:

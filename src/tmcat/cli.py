@@ -69,39 +69,50 @@ class _Parser(argparse.ArgumentParser):
 _LENGTH_SUFFIXES = (("nm", 1e-9), ("um", 1e-6), ("mm", 1e-3), ("cm", 1e-2), ("m", 1.0))
 
 
+def _finite(value: float, text: str, what: str) -> float:
+    if not math.isfinite(value):
+        raise _UsageError(f"{what} {text!r} is not a finite number")
+    return value
+
+
 def parse_length(text: str) -> float:
     """Meters from '145mm', '780nm', '6.5um', or a bare number."""
     t = text.strip().lower()
-    for suffix, scale in _LENGTH_SUFFIXES:
-        if t.endswith(suffix):
-            try:
-                return float(t[: -len(suffix)]) * scale
-            except ValueError:
-                break
+    matches = [(s, f) for s, f in _LENGTH_SUFFIXES if t.endswith(s)]
+    suffix, scale = matches[0] if matches else ("", 1.0)
     try:
-        return float(t)
+        value = float(t[: len(t) - len(suffix)]) * scale
     except ValueError:
         raise _UsageError(
             f"cannot parse length {text!r}; use meters or a suffix (nm, um, mm, cm, m)"
         )
+    return _finite(value, text, "length")
 
 
 def parse_angle(text: str) -> float:
     """Radians from '0.98pi', '-pi', 'pi', or a bare number."""
     t = text.strip().lower()
+    head, scale = (t[:-2].strip(), math.pi) if t.endswith("pi") else (t, 1.0)
+    if t.endswith("pi") and head in ("", "+", "-"):
+        head += "1"
     try:
-        if t.endswith("pi"):
-            head = t[: -2].strip()
-            if head in ("", "+"):
-                return math.pi
-            if head == "-":
-                return -math.pi
-            return float(head) * math.pi
-        return float(t)
+        value = float(head) * scale
     except ValueError:
         raise _UsageError(
             f"cannot parse angle {text!r}; use radians or multiples of pi like 0.98pi"
         )
+    return _finite(value, text, "angle")
+
+
+def _point_count(text: str) -> int:
+    """Sample count along an axis: an integer of at least 2."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise _UsageError(f"cannot parse point count {text!r}; expected an integer")
+    if n < 2:
+        raise _UsageError(f"an axis needs at least 2 points, got {n}")
+    return n
 
 
 def _read_config_tokens(path: str) -> list[str]:
@@ -379,8 +390,11 @@ def _cmd_ccd(args) -> None:
 
 
 def _image_from_files(path: Path) -> tuple[CcdImage, dict]:
-    counts, max_value = read_pgm(path)
-    sidecar = read_json(Path(str(path) + ".json"))
+    try:
+        counts, max_value = read_pgm(path)
+        sidecar = read_json(Path(str(path) + ".json"))
+    except OSError as exc:
+        raise _UsageError(f"cannot read image: {exc}")
     config = CcdConfig(
         nx=int(sidecar["nx"]),
         ny=int(sidecar["ny"]),
@@ -594,7 +608,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_angle_flags(p)
     _add_state_flags(p)
-    p.add_argument("--points", type=int, default=481)
+    p.add_argument("--points", type=_point_count, default=481)
     p.add_argument("--prefix", default="marginal")
     p.set_defaults(handler=_cmd_marginals)
 
@@ -602,7 +616,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--z-max", type=parse_length, default=None,
                    help="table end (default 3 z_R)")
-    p.add_argument("--points", type=int, default=61)
+    p.add_argument("--points", type=_point_count, default=61)
     p.add_argument("--out", default="beam.csv")
     p.set_defaults(handler=_cmd_beam)
 

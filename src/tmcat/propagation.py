@@ -25,6 +25,7 @@ from .states import (
     CoherentTerm,
     ModeFrame,
     SuperpositionState,
+    _d_kappa,
     coherent_overlap,
 )
 
@@ -189,35 +190,24 @@ class PropagatedField:
         out = np.einsum("...j,...k,jk->...", fields, np.conj(fields), self.y_weights)
         return out.real
 
+    def _pair_moments(self) -> tuple[float, float, float]:
+        """Exact integrals of 1, x and x^2 against the intensity."""
+        s = self.a[:, None] + np.conj(self.a)[None, :]
+        m = self.b[:, None] + np.conj(self.b)[None, :]
+        c = self.c[:, None] + np.conj(self.c)[None, :]
+        base = np.sqrt(np.pi / s) * np.exp(m**2 / (4.0 * s) + c) * self.y_weights
+        mean = m / (2.0 * s)
+        return tuple(
+            float(np.sum(base * f).real) for f in (1.0, mean, 1.0 / (2.0 * s) + mean**2)
+        )
+
     def power(self) -> float:
         """Exact integral of the intensity over the whole axis."""
-        aj = self.a[:, None]
-        ak = np.conj(self.a[None, :])
-        bj = self.b[:, None]
-        bk = np.conj(self.b[None, :])
-        cj = self.c[:, None]
-        ck = np.conj(self.c[None, :])
-        pair = np.sqrt(np.pi / (aj + ak)) * np.exp(
-            (bj + bk) ** 2 / (4.0 * (aj + ak)) + cj + ck
-        )
-        return float(np.sum(pair * self.y_weights).real)
+        return self._pair_moments()[0]
 
     def _moments(self) -> tuple[float, float]:
         """Intensity-weighted mean and variance of x, exactly."""
-        aj = self.a[:, None]
-        ak = np.conj(self.a[None, :])
-        bj = self.b[:, None]
-        bk = np.conj(self.b[None, :])
-        cj = self.c[:, None]
-        ck = np.conj(self.c[None, :])
-        s = aj + ak
-        m = bj + bk
-        base = np.sqrt(np.pi / s) * np.exp(m**2 / (4.0 * s) + cj + ck)
-        mom0 = float(np.sum(base * self.y_weights).real)
-        mom1 = float(np.sum(base * (m / (2.0 * s)) * self.y_weights).real)
-        mom2 = float(
-            np.sum(base * (1.0 / (2.0 * s) + (m / (2.0 * s)) ** 2) * self.y_weights).real
-        )
+        mom0, mom1, mom2 = self._pair_moments()
         mean = mom1 / mom0
         return mean, mom2 / mom0 - mean**2
 
@@ -236,27 +226,12 @@ def _waist_exponents(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, c) per term so the waist x-field is sum exp(-a x^2 + b x + c)."""
     w0 = state.frame.w0
-    alphas = state.alphas_x()
-    coeffs = state.coeffs()
-    d = math.sqrt(2.0) * w0 * alphas.real
-    kappa = 2.0 * math.sqrt(2.0) * alphas.imag / w0
-    a = np.full(alphas.shape, 1.0 / w0**2, dtype=complex)
+    d, kappa = _d_kappa(state.alphas_x(), w0)
+    a = np.full(d.shape, 1.0 / w0**2, dtype=complex)
     b = 2.0 * d / w0**2 + 1j * kappa
-    log_n0 = np.array(
-        [cmath.log(c0 * (2.0 / (math.pi * w0**2)) ** 0.25) for c0 in coeffs]
-    )
+    log_n0 = np.log(state.coeffs() * (2.0 / (math.pi * w0**2)) ** 0.25)
     c = -(d**2) / w0**2 - 1j * kappa * d / 2.0 + log_n0
     return a, b, c
-
-
-def _y_weight_matrix(state: SuperpositionState) -> np.ndarray:
-    ay = state.alphas_y()
-    n = ay.size
-    out = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            out[j, k] = coherent_overlap(ay[j], ay[k])
-    return out
 
 
 def propagate_analytic(state: SuperpositionState, z: float) -> PropagatedField:
@@ -274,7 +249,8 @@ def propagate_analytic(state: SuperpositionState, z: float) -> PropagatedField:
     if z < 0.0:
         raise ValidationError(f"propagation distance must be >= 0, got {z}")
     a, b, c = _waist_exponents(state)
-    weights = _y_weight_matrix(state)
+    ay = state.alphas_y()
+    weights = coherent_overlap(ay[:, None], ay[None, :])
     if z == 0.0:
         return PropagatedField(
             frame=state.frame, z=0.0, a=a, b=b, c=c, y_weights=weights

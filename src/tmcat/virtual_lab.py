@@ -25,6 +25,7 @@ from .states import (
     OverlapAngle,
     QubitParams,
     SuperpositionState,
+    gaussian_mode_1d,
     make_qubit_state,
     make_typical_state,
     signed_phase,
@@ -138,17 +139,9 @@ def _intensity_2d(
 ) -> np.ndarray:
     """|Psi(x, y)|^2 with the interference (cross) part scaled by visibility."""
     w0 = state.frame.w0
-    norm = (2.0 / (math.pi * w0**2)) ** 0.25
-    fields = []
-    for term in state.terms:
-        ax = complex(term.alpha_x)
-        ay = complex(term.alpha_y)
-        dx_, kx = math.sqrt(2.0) * w0 * ax.real, 2.0 * math.sqrt(2.0) * ax.imag / w0
-        dy_, ky = math.sqrt(2.0) * w0 * ay.real, 2.0 * math.sqrt(2.0) * ay.imag / w0
-        fx = norm * np.exp(-((x - dx_) ** 2) / w0**2 + 1j * (kx * x - kx * dx_ / 2.0))
-        fy = norm * np.exp(-((y - dy_) ** 2) / w0**2 + 1j * (ky * y - ky * dy_ / 2.0))
-        fields.append(term.coeff * np.outer(fy, fx))
-    stack = np.array(fields)
+    fx = gaussian_mode_1d(state.alphas_x()[:, None], w0, x)
+    fy = gaussian_mode_1d(state.alphas_y()[:, None], w0, y)
+    stack = state.coeffs()[:, None, None] * (fy[:, :, None] * fx[:, None, :])
     full = np.abs(np.sum(stack, axis=0)) ** 2
     diag = np.sum(np.abs(stack) ** 2, axis=0)
     return diag + visibility * (full - diag)

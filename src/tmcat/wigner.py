@@ -26,7 +26,12 @@ from .states import (
     ModeFrame,
     QubitParams,
     SuperpositionState,
-    coherent_overlap,
+    _d_kappa,
+    _n_arb,
+    _pair_overlaps,
+    _pair_sum,
+    _pair_weights,
+    gaussian_mode_1d,
 )
 
 
@@ -79,12 +84,6 @@ def _floor(si_units: bool) -> float:
     return -1.0 / (math.pi * HBAR) if si_units else -1.0 / math.pi
 
 
-def _term_exponents(term, w0: float) -> tuple[float, float]:
-    """(center d, tilt kappa) of one displaced-Gaussian term."""
-    a = complex(term.alpha_x)
-    return math.sqrt(2.0) * w0 * a.real, 2.0 * math.sqrt(2.0) * a.imag / w0
-
-
 def wigner_of_state(
     state: SuperpositionState, x: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
@@ -93,32 +92,26 @@ def wigner_of_state(
     Each term pair (j, k) contributes a Gaussian centered at the midpoint of
     the two term centers in x and at hbar times the mean tilt in p, carrying
     the interference phase (kappa_j - kappa_k) x - (d_j - d_k) p / hbar +
-    (kappa_k d_j - kappa_j d_k)/2, all weighted by the y-mode overlap.
-    Returns shape (len(x), len(p)).
+    (kappa_k d_j - kappa_j d_k)/2, all weighted by the y-mode overlap.  The
+    pair term factors into an x vector times a p vector, and pair (k, j) is
+    the conjugate of pair (j, k), so the map is one complex matrix product
+    over the pairs j <= k.  Returns shape (len(x), len(p)).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    x = np.asarray(x, dtype=float).ravel()[:, None]
+    p = np.asarray(p, dtype=float).ravel()[None, :]
     w0 = state.frame.w0
-    xg, pg = np.meshgrid(x, p, indexing="ij")
-    out = np.zeros(xg.shape, dtype=float)
-    pref = 1.0 / (math.pi * HBAR)
-    for j, tj in enumerate(state.terms):
-        dj, kj = _term_exponents(tj, w0)
-        for k, tk in enumerate(state.terms):
-            dk, kk = _term_exponents(tk, w0)
-            weight = tj.coeff * np.conj(tk.coeff) * coherent_overlap(
-                tj.alpha_y, tk.alpha_y
-            )
-            if weight == 0.0:
-                continue
-            xm = 0.5 * (dj + dk)
-            km = 0.5 * (kj + kk)
-            gauss = np.exp(
-                -2.0 * (xg - xm) ** 2 / w0**2 - w0**2 * (pg / HBAR - km) ** 2 / 2.0
-            )
-            phase = (kj - kk) * xg - (dj - dk) * pg / HBAR + (kk * dj - kj * dk) / 2.0
-            out += pref * (weight * gauss * np.exp(1j * phase)).real
-    return out
+    d, kappa = _d_kappa(state.alphas_x(), w0)
+    j, k = np.triu_indices(d.size)
+    weight = _pair_weights(state)[j, k] * np.where(j == k, 1.0, 2.0)
+    weight = weight * np.exp(1j * (kappa[k] * d[j] - kappa[j] * d[k]) / 2.0)
+    x_part = np.exp(
+        -2.0 * (x - 0.5 * (d[j] + d[k])) ** 2 / w0**2 + 1j * (kappa[j] - kappa[k]) * x
+    )
+    p_part = np.exp(
+        -(w0**2) * (p / HBAR - 0.5 * (kappa[j] + kappa[k])[:, None]) ** 2 / 2.0
+        - 1j * (d[j] - d[k])[:, None] * p / HBAR
+    )
+    return (x_part @ (weight[:, None] * p_part)).real / (math.pi * HBAR)
 
 
 def wigner_closed_form(
@@ -136,12 +129,8 @@ def wigner_closed_form(
     p = np.asarray(p_x, dtype=float)
     w0 = frame.w0
     d = params.d
-    alpha = params.alpha(w0)
-    cos_theta = math.exp(-(alpha**2))
     root = math.sqrt(params.T * (1.0 - params.T))
-    n_arb = 1.0 + 2.0 * root * cos_theta * math.cos(params.phi)
-    if n_arb <= 1e-15:
-        raise ValidationError("normalization factor vanishes for these parameters")
+    n_arb = _n_arb(params.T, params.phi, math.exp(-(params.alpha(w0) ** 2)))
 
     def w_vac(xc):
         return np.exp(-2.0 * (x - xc) ** 2 / w0**2 - w0**2 * p**2 / (2.0 * HBAR**2)) / (
@@ -163,9 +152,7 @@ def marginal_position(params: QubitParams, frame: ModeFrame, x: np.ndarray) -> n
     d = params.d
     cos_theta = math.exp(-(params.alpha(w0) ** 2))
     root = math.sqrt(params.T * (1.0 - params.T))
-    n_arb = 1.0 + 2.0 * root * cos_theta * math.cos(params.phi)
-    if n_arb <= 1e-15:
-        raise ValidationError("normalization factor vanishes for these parameters")
+    n_arb = _n_arb(params.T, params.phi, cos_theta)
     norm = math.sqrt(2.0 / math.pi) / w0
 
     def i_vac(xc):
@@ -185,11 +172,8 @@ def marginal_momentum(params: QubitParams, frame: ModeFrame, p_x: np.ndarray) ->
     p = np.asarray(p_x, dtype=float)
     w0 = frame.w0
     d = params.d
-    cos_theta = math.exp(-(params.alpha(w0) ** 2))
     root = math.sqrt(params.T * (1.0 - params.T))
-    n_arb = 1.0 + 2.0 * root * cos_theta * math.cos(params.phi)
-    if n_arb <= 1e-15:
-        raise ValidationError("normalization factor vanishes for these parameters")
+    n_arb = _n_arb(params.T, params.phi, math.exp(-(params.alpha(w0) ** 2)))
     envelope = w0 / (HBAR * math.sqrt(2.0 * math.pi)) * np.exp(
         -(w0**2) * p**2 / (2.0 * HBAR**2)
     )
@@ -208,19 +192,12 @@ def quadrature_moments(
     """
     e_m = complex(math.cos(theta_l), -math.sin(theta_l))
     e_p = np.conj(e_m)
-    first = 0.0 + 0.0j
-    second = 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    for tj in state.terms:
-        for tk in state.terms:
-            ov = coherent_overlap(tj.alpha_x, tk.alpha_x) * coherent_overlap(
-                tj.alpha_y, tk.alpha_y
-            )
-            w = np.conj(tk.coeff) * tj.coeff * ov
-            amp = tj.alpha_x * e_m + np.conj(tk.alpha_x) * e_p
-            total += w
-            first += w * amp
-            second += w * (amp * amp + 0.5)
+    ax = state.alphas_x()
+    w = _pair_overlaps(state.coeffs(), ax, state.alphas_y())
+    amp = ax[:, None] * e_m + np.conj(ax)[None, :] * e_p
+    total = w.sum()
+    first = (w * amp).sum()
+    second = (w * (amp * amp + 0.5)).sum()
     if abs(total - 1.0) > 1e-9:
         raise NumericsError(f"state norm drifted to {total!r} in moment evaluation")
     mean = first.real
@@ -228,52 +205,36 @@ def quadrature_moments(
     return mean, var
 
 
-def _auto_grid(
-    state: SuperpositionState, n: int, si_units: bool
-) -> PhaseSpaceGrid:
-    """Window centered on the state covering its support.
+def _auto_window(
+    frame: ModeFrame, evaluate, moments, n: int, si_units: bool
+) -> tuple[PhaseSpaceGrid, np.ndarray]:
+    """Window centered on a map's centroid covering its support.
 
-    Starts at +-4 sqrt(Var) (at least 4 vacuum widths) about the centroid and
-    grows by x1.5 while any boundary cell exceeds 1e-8 of the map peak.
+    moments holds the (mean, variance) pairs of X and of P.  Starts at
+    +-4 sqrt(Var) (at least 4 vacuum widths) about the centroid and grows by
+    x1.5 while any boundary cell exceeds 1e-8 of the map peak.
+    ``evaluate(x, p)`` gives SI Wigner values on SI axes; returns the grid and
+    the values already evaluated on it, in the grid's units.
     """
-    mean_x, var_x = quadrature_moments(state, 0.0)
-    mean_p, var_p = quadrature_moments(state, math.pi / 2.0)
+    (mean_x, var_x), (mean_p, var_p) = moments
     half_x = 4.0 * max(math.sqrt(var_x), math.sqrt(0.5))
     half_p = 4.0 * max(math.sqrt(var_p), math.sqrt(0.5))
-    frame = state.frame
+    sx, sp = (frame.x_scale, frame.p_scale) if si_units else (1.0, 1.0)
     for _ in range(12):
-        xs = np.linspace(mean_x - half_x, mean_x + half_x, n)
-        ps = np.linspace(mean_p - half_p, mean_p + half_p, n)
-        vals = wigner_of_state(
-            state, frame.x_scale * xs, frame.p_scale * ps
+        grid = PhaseSpaceGrid(
+            x_min=sx * (mean_x - half_x),
+            x_max=sx * (mean_x + half_x),
+            nx=n,
+            p_min=sp * (mean_p - half_p),
+            p_max=sp * (mean_p + half_p),
+            np_=n,
+            si_units=si_units,
         )
-        peak = np.abs(vals).max()
-        edge = max(
-            np.abs(vals[0, :]).max(),
-            np.abs(vals[-1, :]).max(),
-            np.abs(vals[:, 0]).max(),
-            np.abs(vals[:, -1]).max(),
-        )
-        if edge <= 1e-8 * peak:
-            if si_units:
-                return PhaseSpaceGrid(
-                    x_min=frame.x_scale * (mean_x - half_x),
-                    x_max=frame.x_scale * (mean_x + half_x),
-                    nx=n,
-                    p_min=frame.p_scale * (mean_p - half_p),
-                    p_max=frame.p_scale * (mean_p + half_p),
-                    np_=n,
-                    si_units=True,
-                )
-            return PhaseSpaceGrid(
-                x_min=mean_x - half_x,
-                x_max=mean_x + half_x,
-                nx=n,
-                p_min=mean_p - half_p,
-                p_max=mean_p + half_p,
-                np_=n,
-                si_units=False,
-            )
+        x, p, scale = _grid_si_axes(grid, frame)
+        vals = evaluate(x, p)
+        mag = np.abs(vals)
+        if max(mag[[0, -1], :].max(), mag[:, [0, -1]].max()) <= 1e-8 * mag.max():
+            return grid, scale * vals
         half_x *= 1.5
         half_p *= 1.5
     raise NumericsError("auto grid did not localize the state after 12 expansions")
@@ -298,9 +259,13 @@ def wigner_map(
     """Closed-form Wigner map; auto-sizes and validates when grid is None."""
     auto = grid is None
     if auto:
-        grid = _auto_grid(state, n, si_units)
-    x, p, scale = _grid_si_axes(grid, state.frame)
-    values = scale * wigner_of_state(state, x, p)
+        moments = [quadrature_moments(state, t) for t in (0.0, math.pi / 2.0)]
+        grid, values = _auto_window(
+            state.frame, lambda x, p: wigner_of_state(state, x, p), moments, n, si_units
+        )
+    else:
+        x, p, scale = _grid_si_axes(grid, state.frame)
+        values = scale * wigner_of_state(state, x, p)
     out = WignerMap(grid=grid, values=values)
     _validate_map(out, auto=auto)
     return out
@@ -336,27 +301,21 @@ def wigner_numeric(
     xs = x_si / w0
     ps = p_si * w0 / HBAR
 
-    coeffs = state.coeffs()
     ax = state.alphas_x()
-    ay = state.alphas_y()
-    centers = np.sqrt(2.0) * ax.real
-    span = (
-        float(np.max(centers) - np.min(centers)) if centers.size > 1 else 0.0
-    )
+    weights = _pair_weights(state)
+    centers, _ = _d_kappa(ax, 1.0)
+    span = float(np.max(centers) - np.min(centers))
     # the chord correlation of term pair (j, k) is a Gaussian in u centered
     # at d_j - d_k, so the window must cover every pairwise separation
     half_window = span + 8.0
+    modes = ax[:, None, None]
 
     def evaluate(n_u: int) -> np.ndarray:
         u = np.linspace(-half_window, half_window, n_u)
         du = u[1] - u[0]
-        corr = np.zeros((xs.size, u.size), dtype=complex)
-        for j in range(coeffs.size):
-            fj = _mode_unit(ax[j], xs[:, None] + u[None, :] / 2.0)
-            for k in range(coeffs.size):
-                fk = _mode_unit(ax[k], xs[:, None] - u[None, :] / 2.0)
-                oy = coherent_overlap(ay[j], ay[k])
-                corr += (coeffs[j] * np.conj(coeffs[k]) * oy) * fj * np.conj(fk)
+        ahead = gaussian_mode_1d(modes, 1.0, xs[:, None] + u[None, :] / 2.0)
+        behind = gaussian_mode_1d(modes, 1.0, xs[:, None] - u[None, :] / 2.0)
+        corr = _pair_sum(weights, ahead, behind)
         kernel = np.exp(-1j * np.outer(u, ps))
         vals = (corr @ kernel).real * du / (2.0 * math.pi)
         # endpoint halving completes the trapezoid rule
@@ -379,18 +338,6 @@ def wigner_numeric(
             return out
         prev = cur
     raise NumericsError("Wigner quadrature did not converge after 3 refinements")
-
-
-def _mode_unit(alpha: complex, xn: np.ndarray) -> np.ndarray:
-    """Displaced-tilted Gaussian in w0 = 1 units (normalized over xn)."""
-    a = complex(alpha)
-    d = math.sqrt(2.0) * a.real
-    kappa = 2.0 * math.sqrt(2.0) * a.imag
-    norm = (2.0 / math.pi) ** 0.25
-    out = norm * np.exp(-((xn - d) ** 2))
-    if kappa == 0.0:
-        return out.astype(complex)
-    return out * np.exp(1j * (kappa * xn - kappa * d / 2.0))
 
 
 def negativity_scan(

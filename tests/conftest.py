@@ -1,8 +1,16 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from tmcat import ModeFrame, OverlapAngle
+
+# Property tests draw from a fixed seed and a bounded example budget, so a
+# tier-1 run is deterministic and stays fast on a small host.
+settings.register_profile(
+    "tier1", derandomize=True, deadline=None, max_examples=25, database=None
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tmcat.cli import main, parse_angle, parse_length
+from tmcat.cli import _UsageError, main, parse_angle, parse_length
 from tmcat.fileio import read_json, read_pgm
 
 
@@ -21,6 +21,9 @@ def test_parse_angle():
     assert parse_angle("-pi") == pytest.approx(-math.pi)
     assert parse_angle("1.5") == pytest.approx(1.5)
     assert parse_angle(" 0.5PI ") == pytest.approx(0.5 * math.pi)
+    for bad in ("inf", "-inf", "nan", "infpi", "nanpi", "1e400"):
+        with pytest.raises(_UsageError):
+            parse_angle(bad)
 
 
 def test_parse_length():
@@ -30,6 +33,9 @@ def test_parse_length():
     assert parse_length("14.5cm") == pytest.approx(0.145)
     assert parse_length("2m") == pytest.approx(2.0)
     assert parse_length("0.001") == pytest.approx(0.001)
+    for bad in ("inf", "nan", "-inf", "infmm", "nanum", "1e400m"):
+        with pytest.raises(_UsageError):
+            parse_length(bad)
 
 
 def test_state_bloch_example(tmp_path, capsys):
@@ -55,6 +61,23 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # conflicting separation flags
     assert run("state", "--T", "0.5", "--phi", "0", "--alpha", "1", "--d-over-w0", "2") == 1
     assert "E_USAGE:" in capsys.readouterr().err
+    out = str(tmp_path)
+    for argv in (
+        # non-finite angles and lengths
+        ("state", "--alpha", "1", "--T", "0.5", "--phi", "inf"),
+        ("sweep", "--alpha", "1", "--path", "0.5:nan"),
+        ("beam", "--z-max", "inf"),
+        # degenerate sample counts
+        ("marginals", "--state", "vac", "--alpha", "1", "--points", "1"),
+        ("beam", "--points", "0"),
+        ("beam", "--points", "many"),
+        # missing image, missing sidecar
+        ("fit", "--image", str(tmp_path / "absent.pgm")),
+    ):
+        assert run(*argv, "--outdir", out) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("E_USAGE:") and err.count("\n") == 1, argv
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):
@@ -66,6 +89,13 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("E_VALIDATION:")
     assert err.count("\n") == 1  # single-line message
+    for grid in ("0", "-3"):
+        assert run(
+            "wigner", "--T", "0.5", "--phi", "pi", "--d-over-w0", "1",
+            "--grid", grid, "--outdir", str(tmp_path),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_VALIDATION:") and err.count("\n") == 1
 
 
 def test_wigner_artifacts(tmp_path):
@@ -199,6 +229,22 @@ def test_fit_mode_requirements(tmp_path, capsys):
         "--T", "0.5", "--d", "0.12mm", "--outdir", str(tmp_path),
     ) == 1
     assert "E_USAGE:" in capsys.readouterr().err
+    image = tmp_path / "pos.pgm"
+    whole = image.read_bytes()
+    # an image without its sidecar is a usage error
+    lone = tmp_path / "lone.pgm"
+    lone.write_bytes(whole)
+    assert run("fit", "--image", str(lone), "--outdir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_USAGE:") and err.count("\n") == 1
+    # a truncated image is a validation error
+    header = b"P5\n720 480\n255\n"
+    assert whole.startswith(header)
+    for cut in (header, whole[:-1], b"P5\n720", b""):
+        image.write_bytes(cut)
+        assert run("fit", "--image", str(image), "--outdir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_VALIDATION:") and err.count("\n") == 1
 
 
 def test_sweep_command(tmp_path, capsys):

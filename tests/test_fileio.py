@@ -59,6 +59,20 @@ def test_pgm_validation(tmp_path):
         write_pgm(path, np.zeros((2, 2), dtype=np.uint16) + 300, 255)
     with pytest.raises(ValidationError):
         write_pgm(path, np.zeros(4, dtype=np.uint16), 255)
+    # truncated or malformed files read back as validation errors
+    for data in (
+        b"",
+        b"P5\n3 2",
+        b"P5\n3 2\n255\n",
+        b"P5\n3 2\n255\n" + bytes(5),
+        b"P5\n3 2\n4095\n" + bytes(11),
+        b"P5\nx 2\n255\n" + bytes(6),
+        b"P5\n0 2\n255\n",
+        b"P2\n3 2\n255\n" + bytes(6),
+    ):
+        path.write_bytes(data)
+        with pytest.raises(ValidationError):
+            read_pgm(path)
 
 
 def test_scaled_pgm_sidecar(tmp_path):

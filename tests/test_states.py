@@ -10,11 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from tmcat import (
+    HBAR,
     BlochVector,
     CoherentTerm,
     ModeFrame,
+    PhaseSpaceGrid,
     OverlapAngle,
     QubitParams,
     SuperpositionState,
@@ -30,8 +34,11 @@ from tmcat import (
     params_to_bloch,
     quadrature_moments,
     signed_phase,
+    wigner_numeric,
+    wigner_of_state,
     wrap_phase,
 )
+from tmcat.applications import BasisSet
 
 
 def test_frame_derived_quantities(frame):
@@ -316,3 +323,67 @@ def test_tilt_knob_adds_momentum(frame, angle_w0):
     state = make_qubit_state(params, frame, tilt_alpha=0.21)
     mean_p, _ = quadrature_moments(state, math.pi / 2.0)
     assert mean_p == pytest.approx(0.42, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Properties of the pair-array core on random 1-4 term states with complex
+# coefficients and complex amplitudes on both axes.
+
+BENCH_FRAME = ModeFrame(w0=0.12e-3, wavelength=780e-9)
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def superpositions(draw):
+    terms = [
+        CoherentTerm(
+            coeff=draw(st.floats(0.1, 1.0)) * np.exp(1j * math.pi * draw(_unit)),
+            alpha_x=complex(1.5 * draw(_unit), draw(_unit)),
+            alpha_y=complex(0.5 * draw(_unit), 0.5 * draw(_unit)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    try:
+        state = SuperpositionState.from_terms(BENCH_FRAME, terms)
+    except ValidationError:
+        assume(False)
+    # a norm far below sum |c|^2 comes from cancellation, which no pair sum
+    # evaluates to 1e-12; keep to well-conditioned superpositions
+    assume(state.norm >= 0.05 * sum(abs(t.coeff) ** 2 for t in terms))
+    return state
+
+
+@given(superpositions(), superpositions())
+def test_inner_product_is_hermitian_and_normalized(a, b):
+    assert abs(inner_product(a, b) - np.conj(inner_product(b, a))) < 1e-12
+    assert abs(inner_product(a, a) - 1.0) < 1e-12
+    assert abs(inner_product(b, b) - 1.0) < 1e-12
+
+
+@given(st.lists(superpositions(), min_size=1, max_size=4))
+def test_basis_gram_is_hermitian_with_unit_diagonal(states):
+    gram = BasisSet(name="random", states=tuple(states)).gram
+    assert np.max(np.abs(gram - gram.conj().T)) < 1e-12
+    assert np.max(np.abs(np.diag(gram) - 1.0)) < 1e-12
+    # entry (i, j) is <b_i|b_j>, not its transpose
+    direct = np.array([[inner_product(a, b) for b in states] for a in states])
+    assert np.max(np.abs(gram - direct)) < 1e-12
+
+
+@given(superpositions())
+def test_intensities_integrate_to_one(state):
+    w0 = state.frame.w0
+    x = np.linspace(-9.0 * w0, 9.0 * w0, 2001)
+    p = np.linspace(-16.0 * HBAR / w0, 16.0 * HBAR / w0, 2001)
+    assert np.trapezoid(state.position_intensity(x), x) == pytest.approx(1.0, abs=1e-9)
+    assert np.trapezoid(state.momentum_intensity(p), p) == pytest.approx(1.0, abs=1e-9)
+
+
+@given(superpositions())
+def test_wigner_matches_chord_quadrature(state):
+    grid = PhaseSpaceGrid(x_min=-4.5, x_max=4.5, nx=30, p_min=-4.0, p_max=4.0, np_=30)
+    frame = state.frame
+    closed = HBAR * wigner_of_state(
+        state, frame.x_scale * grid.x_axis(), frame.p_scale * grid.p_axis()
+    )
+    assert np.max(np.abs(closed - wigner_numeric(state, grid).values)) < 1e-8
