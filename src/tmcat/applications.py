@@ -246,8 +246,9 @@ class ChannelModel:
             "path_jitter_sigma",
             "additive_overlap_noise_sigma",
         ):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"{name} must be finite and >= 0")
         if self.rotation_jitter_sigma > 0.0 and self.path_jitter_sigma > 0.0:
             raise ValidationError("give rotation jitter or path jitter, not both")
         if self.path_jitter_sigma > 0.0 and self.fiber is None:
@@ -318,18 +319,23 @@ def psk_link_simulate(
     sent = rng.integers(0, m, size=n)
     deltas = rng.normal(0.0, sigma_theta, size=n) if sigma_theta > 0.0 else np.zeros(n)
     noise_sigma = channel.additive_overlap_noise_sigma
-    if noise_sigma > 0.0:
-        noise = noise_sigma * (
-            rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        )
-    else:
-        noise = 0.0
+    # One (m, n) real draw, then the imaginary parts one row at a time: the
+    # row draws continue the stream exactly as a second (m, n) draw would.
+    noise_re = rng.standard_normal((m, n)) if noise_sigma > 0.0 else None
     u, v = basis.overlap_matrices()
-    # |overlap| is invariant under the per-round global phase, so the
-    # statistic can be taken real before the additive perturbation
-    magnitudes = np.abs(u[:, sent] + v[:, sent] * np.exp(-1j * deltas)[None, :])
-    scores = np.abs(magnitudes + noise) ** 2
-    decoded = np.argmax(scores, axis=0)
+    rotation = np.exp(-1j * deltas)
+    best = np.full(n, -np.inf)
+    decoded = np.zeros(n, dtype=np.intp)
+    for k in range(m):
+        # |overlap| is invariant under the per-round global phase, so the
+        # statistic can be taken real before the additive perturbation
+        statistic = np.abs(u[k, sent] + v[k, sent] * rotation)
+        if noise_re is not None:
+            statistic = statistic + noise_sigma * (noise_re[k] + 1j * rng.standard_normal(n))
+        score = np.abs(statistic) ** 2
+        # strict > keeps ties at the lowest index, as argmax does
+        decoded[score > best] = k
+        np.maximum(best, score, out=best)
     errors = int(np.count_nonzero(decoded != sent))
     return ProtocolStats(rounds=n, sifted=n, errors=errors)
 

@@ -26,8 +26,16 @@ from .applications import (
     psk_link_simulate,
     qkd_simulate,
 )
-from .errors import SimulationError
-from .fileio import read_json, read_pgm, write_csv, write_json, write_pgm, write_scaled_pgm
+from .errors import SimulationError, ValidationError
+from .fileio import (
+    read_json,
+    read_pgm,
+    write_csv,
+    write_grid_csv,
+    write_json,
+    write_pgm,
+    write_scaled_pgm,
+)
 from .propagation import FiberSpec, beam_params_at
 from .states import (
     HBAR,
@@ -285,17 +293,10 @@ def _cmd_wigner(args) -> None:
     params = _resolve_params(args, frame, angle)
     state = make_qubit_state(params, frame)
     result = wigner_map(state, n=args.grid, si_units=args.si)
-    xs = result.grid.x_axis()
-    ps = result.grid.p_axis()
     headers = ["x", "p", "w"] if args.si else ["X", "P", "W"]
-    rows = (
-        (xs[i], ps[j], result.values[i, j])
-        for i in range(xs.size)
-        for j in range(ps.size)
-    )
     args.outdir.mkdir(parents=True, exist_ok=True)
     out = _out_path(args, args.out)
-    write_csv(out, headers, rows)
+    write_grid_csv(out, headers, result.grid.x_axis(), result.grid.p_axis(), result.values)
     if args.pgm:
         sidecar = write_scaled_pgm(out.with_suffix(".pgm"), result.values)
         sidecar.update(
@@ -390,37 +391,45 @@ def _cmd_ccd(args) -> None:
 
 
 def _image_from_files(path: Path) -> tuple[CcdImage, dict]:
+    sidecar_path = Path(str(path) + ".json")
     try:
         counts, max_value = read_pgm(path)
-        sidecar = read_json(Path(str(path) + ".json"))
+        sidecar = read_json(sidecar_path)
     except OSError as exc:
         raise _UsageError(f"cannot read image: {exc}")
-    config = CcdConfig(
-        nx=int(sidecar["nx"]),
-        ny=int(sidecar["ny"]),
-        pitch=float(sidecar["pitch"]),
-        bit_depth=int(sidecar["bit_depth"]),
-        background=int(sidecar["background"]),
-        exposure_scale=float(sidecar["exposure_scale"]),
-        visibility=float(sidecar["visibility"]),
-        seed=sidecar["seed"],
-    )
-    if max_value != config.max_count:
-        raise _UsageError(
-            f"PGM max value {max_value} disagrees with sidecar bit depth"
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"image sidecar {sidecar_path} is not JSON: {exc}")
+    try:
+        config = CcdConfig(
+            nx=int(sidecar["nx"]),
+            ny=int(sidecar["ny"]),
+            pitch=float(sidecar["pitch"]),
+            bit_depth=int(sidecar["bit_depth"]),
+            background=int(sidecar["background"]),
+            exposure_scale=float(sidecar["exposure_scale"]),
+            visibility=float(sidecar["visibility"]),
+            seed=sidecar["seed"],
         )
-    plane = (
-        PlaneTag(kind="position")
-        if sidecar["plane"] == "position"
-        else PlaneTag(kind="momentum", f=float(sidecar["f"]))
-    )
-    image = CcdImage(
-        config=config,
-        plane=plane,
-        counts=counts,
-        exposure_scale=float(sidecar["exposure_scale"]),
-        saturated=bool(sidecar["saturated"]),
-    )
+        if max_value != config.max_count:
+            raise _UsageError(
+                f"PGM max value {max_value} disagrees with sidecar bit depth"
+            )
+        plane = (
+            PlaneTag(kind="position")
+            if sidecar["plane"] == "position"
+            else PlaneTag(kind="momentum", f=float(sidecar["f"]))
+        )
+        image = CcdImage(
+            config=config,
+            plane=plane,
+            counts=counts,
+            exposure_scale=float(sidecar["exposure_scale"]),
+            saturated=bool(sidecar["saturated"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"image sidecar {sidecar_path} is malformed: {type(exc).__name__} {exc}"
+        )
     return image, sidecar
 
 
@@ -552,12 +561,7 @@ def _reproduce_fig2(args, outdir: Path) -> None:
     for kind in TYPICAL_KINDS:
         _, state = make_typical_state(kind, angle, frame)
         values = HBAR * wigner_of_state(state, x_si, p_si)
-        rows = (
-            (coords[i], coords[j], values[i, j])
-            for i in range(n)
-            for j in range(n)
-        )
-        write_csv(outdir / f"fig2_{kind}.csv", ["X", "P", "W"], rows)
+        write_grid_csv(outdir / f"fig2_{kind}.csv", ["X", "P", "W"], coords, coords, values)
         sidecar = write_scaled_pgm(outdir / f"fig2_{kind}.pgm", values)
         sidecar.update({"state": kind, "half_range": half, "n": n})
         write_json(outdir / f"fig2_{kind}.pgm.json", sidecar)

@@ -16,11 +16,19 @@ import numpy as np
 from .errors import ValidationError
 
 
+_CELL = "%.17g"
+
+
+def _unsigned_zero(values):
+    """Cell values as written: adding 0.0 turns -0.0 into 0.0, shown as 0."""
+    return values + 0.0
+
+
 def format_number(value) -> str:
     """Locale-independent cell formatting; floats keep full precision."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value) + 0.0, ".17g")
+    return _CELL % _unsigned_zero(float(value))
 
 
 def write_csv(path, headers: list[str], rows) -> None:
@@ -31,6 +39,21 @@ def write_csv(path, headers: list[str], rows) -> None:
             ",".join(v if isinstance(v, str) else format_number(v) for v in row)
         )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_grid_csv(path, headers: list[str], xs, ps, values) -> None:
+    """Write the rows (xs[i], ps[j], values[i, j]), i-major, as write_csv would.
+
+    The file is streamed one block of len(ps) lines per x.  The p column and
+    the value slots form one template, so each block is a single %-format.
+    """
+    values = np.asarray(values, dtype=float)
+    # xs[i] is joined in front of every line; a formatted number holds no '%'
+    tails = [""] + [f",{format_number(p)},{_CELL}\n" for p in ps]
+    with Path(path).open("w") as fh:
+        fh.write(",".join(headers) + "\n")
+        for x, row in zip(xs, values):
+            fh.write(format_number(x).join(tails) % tuple(_unsigned_zero(row).tolist()))
 
 
 def write_json(path, payload: dict) -> None:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError, ValidationError
 from .propagation import rotate_phase_space
@@ -223,6 +222,10 @@ def fit_gaussian_profile(profile: np.ndarray, pitch: float) -> GaussianFit:
     Initialization is moment-based (r0 = twice the RMS width); the solver is
     bounded nonlinear least squares.  Needs at least 8 nonzero samples.
     """
+    # scipy.optimize costs more to import than every other module of the
+    # package together; only the two fits need it.
+    from scipy.optimize import least_squares
+
     profile = np.asarray(profile, dtype=float)
     if not (pitch > 0.0):
         raise ValidationError(f"pixel pitch must be positive, got {pitch}")
@@ -274,6 +277,8 @@ def estimate_relative_phase(
     with amplitude as the only nuisance parameter, scanning 16 starting
     phases before polishing.  Returns phi_hat in (-pi, pi].
     """
+    from scipy.optimize import least_squares
+
     if not 0.0 < T < 1.0:
         raise ValidationError(f"phase estimation needs T in (0, 1), got {T}")
     if not (d > 0.0):

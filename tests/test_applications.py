@@ -126,6 +126,37 @@ class TestKeying:
             assert stats.errors == 0, scheme
             assert stats.sifted == 4000
 
+    @staticmethod
+    def full_matrix_errors(n, basis, channel, seed):
+        """Reference decoder: every (m, n) draw and score held at once."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        m = len(basis)
+        sent = rng.integers(0, m, size=n)
+        sigma_theta = channel.theta_sigma
+        deltas = rng.normal(0.0, sigma_theta, size=n) if sigma_theta > 0.0 else np.zeros(n)
+        sigma = channel.additive_overlap_noise_sigma
+        if sigma > 0.0:
+            noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        else:
+            noise = 0.0
+        u, v = basis.overlap_matrices()
+        magnitudes = np.abs(u[:, sent] + v[:, sent] * np.exp(-1j * deltas)[None, :])
+        decoded = np.argmax(np.abs(magnitudes + noise) ** 2, axis=0)
+        return int(np.count_nonzero(decoded != sent))
+
+    def test_streamed_decoder_matches_full_matrix(self, frame, angle_bench):
+        basis = build_basis("twelve_state", angle_bench, frame)
+        channels = (
+            ChannelModel(rotation_jitter_sigma=0.05 * math.pi, additive_overlap_noise_sigma=0.1),
+            ChannelModel(additive_overlap_noise_sigma=0.3),  # sigma_theta == 0
+            ChannelModel(rotation_jitter_sigma=0.3 * math.pi),  # sigma_add == 0
+        )
+        for channel in channels:
+            for seed in (0, 5, 123):
+                stats = psk_link_simulate(3000, basis, channel, seed=seed)
+                want = self.full_matrix_errors(3000, basis, channel, seed)
+                assert stats.errors == want > 0, (channel, seed)
+
     def test_four_cat_rotation_immunity(self, frame, angle_far):
         # the headline property: cat encodings ignore the common-mode
         # phase-space rotation entirely, even at full-turn jitter
@@ -175,6 +206,13 @@ class TestKeying:
     def test_channel_validation(self):
         with pytest.raises(ValidationError):
             ChannelModel(rotation_jitter_sigma=-0.1)
+        fiber = FiberSpec(period_length=1e-3)
+        for field in (
+            "rotation_jitter_sigma", "path_jitter_sigma", "additive_overlap_noise_sigma"
+        ):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValidationError):
+                    ChannelModel(fiber=fiber, **{field: bad})
         with pytest.raises(ValidationError):
             ChannelModel(path_jitter_sigma=1e-6)  # needs a fiber
         with pytest.raises(ValidationError):

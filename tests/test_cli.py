@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tmcat
 from tmcat.cli import _UsageError, main, parse_angle, parse_length
 from tmcat.fileio import read_json, read_pgm
 
@@ -96,6 +101,13 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith("E_VALIDATION:") and err.count("\n") == 1
+    assert run(
+        "mdm", "--alpha", "1", "--n", "1000", "--sigma-add", "nan",
+        "--outdir", str(tmp_path),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_VALIDATION:") and err.count("\n") == 1
+    assert not (tmp_path / "mdm.json").exists()
 
 
 def test_wigner_artifacts(tmp_path):
@@ -245,6 +257,16 @@ def test_fit_mode_requirements(tmp_path, capsys):
         assert run("fit", "--image", str(image), "--outdir", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("E_VALIDATION:") and err.count("\n") == 1
+    # a corrupt sidecar is a validation error: malformed JSON, a missing field
+    image.write_bytes(whole)
+    sidecar = tmp_path / "pos.pgm.json"
+    fields = json.loads(sidecar.read_text())
+    del fields["ny"]
+    for text in ('{"nx": 720,', json.dumps(fields)):
+        sidecar.write_text(text)
+        assert run("fit", "--image", str(image), "--outdir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_VALIDATION:") and err.count("\n") == 1
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -320,3 +342,14 @@ def test_version_flag(capsys):
         run("--version")
     assert info.value.code == 0
     assert "tmcat" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the fits need scipy.optimize, whose import costs more than the
+    # rest of the package; every other command starts without it
+    code = "import sys, tmcat.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(tmcat.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,12 @@
 """Artifact writers: deterministic CSV/JSON/PGM round trips."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tmcat import ValidationError
 from tmcat.fileio import (
@@ -9,6 +14,7 @@ from tmcat.fileio import (
     read_json,
     read_pgm,
     write_csv,
+    write_grid_csv,
     write_json,
     write_pgm,
     write_scaled_pgm,
@@ -30,6 +36,46 @@ def test_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [(1, 2.5), (3, -0.0)])
     assert path.read_text() == "a,b\n1,2.5\n3,0\n"
+
+
+# Cells the grid writer must render exactly as format_number does: signed
+# zeros, infinities, NaN, subnormals and magnitudes near the double range.
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                     1e300, -1e-300, 0.1]),
+)
+
+
+def grid_case(n_x, n_p):
+    return st.tuples(
+        hnp.arrays(float, n_x, elements=CELLS),
+        hnp.arrays(float, n_p, elements=CELLS),
+        hnp.arrays(float, (n_x, n_p), elements=CELLS),
+        st.booleans(),
+    )
+
+
+SHAPES = st.sampled_from([(1, 1), (1, 5), (5, 1), (3, 4)]).flatmap(lambda s: grid_case(*s))
+
+
+@given(SHAPES)
+@example((np.array([-0.0]), np.array([-0.0, 1.0]), np.array([[-0.0, -1e-320]]), False))
+def test_grid_csv_matches_per_cell_rows(tmp_path_factory, case):
+    xs, ps, values, transposed = case
+    if transposed:
+        values = values.T.copy().T  # the same table, rows no longer contiguous
+    path = tmp_path_factory.mktemp("grid") / "g.csv"
+    write_grid_csv(path, ["X", "P", "W"], xs, ps, values)
+    rows = [
+        ",".join(format_number(v) for v in (xs[i], ps[j], values[i, j]))
+        for i in range(xs.size)
+        for j in range(ps.size)
+    ]
+    text = path.read_text()
+    assert text == "X,P,W\n" + "".join(row + "\n" for row in rows)
+    cells = text.replace("\n", ",").split(",")
+    assert "-0" not in cells  # signed zeros are written as 0
 
 
 def test_json_round_trip(tmp_path):
