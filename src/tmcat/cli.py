@@ -26,7 +26,7 @@ from .applications import (
     psk_link_simulate,
     qkd_simulate,
 )
-from .errors import SimulationError, ValidationError
+from .errors import NumericsError, SimulationError, ValidationError
 from .fileio import (
     read_json,
     read_pgm,
@@ -712,6 +712,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SimulationError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"{NumericsError.code}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

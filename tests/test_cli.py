@@ -176,6 +176,25 @@ def test_config_file_precedence(tmp_path):
     assert not (tmp_path / "wigner.pgm").exists()
 
 
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # an oversized request (marginals --points 1e11) must end in one E_NUMERIC
+    # line; the allocation failure is simulated, never made
+    for exc in (MemoryError("Unable to allocate 745. GiB for an array"), MemoryError()):
+
+        def exhausted(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(tmcat.cli, "_cmd_marginals", exhausted)
+        code = run(
+            "marginals", "--alpha", "1", "--T", "0.5", "--phi", "0.3",
+            "--points", "100000000000", "--outdir", str(tmp_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_NUMERIC: ") and err.count("\n") == 1
+        assert len(err) > len("E_NUMERIC: \n")
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_knob = 3\n")

@@ -99,6 +99,26 @@ def test_pgm_round_trip(tmp_path, maxval):
     assert np.array_equal(back, counts)
 
 
+def pgm_case(maxval):
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 700))
+    return shapes.flatmap(
+        lambda shape: hnp.arrays(np.uint16, shape, elements=st.integers(0, maxval))
+    ).map(lambda counts: (counts, maxval))
+
+
+@given(st.sampled_from([1, 255, 256, 65535]).flatmap(pgm_case))
+@example((np.array([[1]], dtype=np.uint16), 1))
+@example((np.arange(700, dtype=np.uint16).reshape(1, 700) % 256, 255))
+def test_pgm_round_trip_property(tmp_path_factory, case):
+    counts, maxval = case
+    path = tmp_path_factory.mktemp("pgm") / "t.pgm"
+    write_pgm(path, counts, maxval)
+    back, got_max = read_pgm(path)
+    assert got_max == maxval
+    assert back.shape == counts.shape
+    assert np.array_equal(back, counts)
+
+
 def test_pgm_validation(tmp_path):
     path = tmp_path / "t.pgm"
     with pytest.raises(ValidationError):

@@ -9,10 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from tmcat import (
+    CoherentTerm,
     FiberSpec,
     LensSystem,
+    ModeFrame,
     NumericsError,
     OverlapAngle,
     QubitParams,
@@ -33,6 +37,7 @@ from tmcat import (
     ray_lens,
     rotate_phase_space,
 )
+from tmcat.states import SuperpositionState
 
 
 class TestBeamParams:
@@ -264,6 +269,24 @@ class TestKernelPropagation:
         crooked[3] += 1e-6
         with pytest.raises(ValidationError):
             propagate_kernel(psi, crooked, x, 0.1, frame)
+        # both grids need at least 2 finite, increasing, evenly spaced points
+        for n in (0, 1):
+            with pytest.raises(ValidationError):
+                propagate_kernel(psi[:n], x[:n], x, 0.1, frame)
+        with pytest.raises(ValidationError):
+            propagate_kernel(psi, x, x[:0], 0.1, frame)
+        with pytest.raises(ValidationError):
+            propagate_kernel(psi, x, x[:1], 0.1, frame)
+        holed = x.copy()
+        holed[5] = np.nan
+        with pytest.raises(ValidationError):
+            propagate_kernel(psi, x, holed, 0.1, frame)
+        with pytest.raises(ValidationError):
+            propagate_kernel(psi[::-1], x[::-1], x, 0.1, frame)
+        with pytest.raises(ValidationError):
+            propagate_kernel(psi, x, x[::-1], 0.1, frame)
+        with pytest.raises(ValidationError):
+            propagate_kernel(psi, x, crooked, 0.1, frame)
 
     def test_diffraction_limit(self, frame, angle_w0):
         # sigma_x sigma_v = 1 / (2k) at the waist
@@ -332,3 +355,78 @@ class TestFiber:
         fiber = FiberSpec(period_length=1e-3)
         with pytest.raises(ValidationError):
             gi_fiber_evolve(None, -1e-6, fiber)
+
+
+# ----------------------------------------------------------------------
+# Properties on random 1-3 term states with complex coefficients and
+# complex amplitudes (Im(alpha) tilts the beam).
+
+BENCH_FRAME = ModeFrame(w0=0.12e-3, wavelength=780e-9)
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def superpositions(draw, shared_y=False):
+    terms = [
+        CoherentTerm(
+            coeff=draw(st.floats(0.1, 1.0)) * np.exp(1j * math.pi * draw(_unit)),
+            alpha_x=complex(1.5 * draw(_unit), draw(_unit)),
+            alpha_y=0j if shared_y else complex(0.5 * draw(_unit), 0.5 * draw(_unit)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    try:
+        state = SuperpositionState.from_terms(BENCH_FRAME, terms)
+    except ValidationError:
+        assume(False)
+    # keep to well-conditioned superpositions, as in test_states.py
+    assume(state.norm >= 0.05 * sum(abs(t.coeff) ** 2 for t in terms))
+    return state
+
+
+def dense_fresnel(psi, x_in, x_out, z, k):
+    """Reference: the trapezoid Fresnel sum over the full N_out x N_in chirp."""
+    chirp = np.exp(1j * k * (x_out[:, None] - x_in[None, :]) ** 2 / (2.0 * z))
+    return np.sqrt(k / (2.0j * math.pi * z)) * np.trapezoid(chirp * psi, x_in, axis=1)
+
+
+@given(
+    superpositions(shared_y=True),
+    st.floats(0.05, 3.0),
+    st.floats(0.0, 4.0),
+    st.floats(0.0, 4.0),
+    st.integers(200, 1500),
+)
+def test_kernel_matches_dense_fresnel_sum(state, zf, pad_lo, pad_hi, n_out):
+    frame = state.frame
+    w0, z = frame.w0, zf * frame.z_r
+    alphas = state.alphas_x()
+    # waist centres sqrt(2) w0 Re(alpha); a tilt Im(alpha) walks the centre
+    # by sqrt(2) w0 Im(alpha) z / z_R
+    at_waist = math.sqrt(2.0) * w0 * alphas.real
+    at_z = at_waist + math.sqrt(2.0) * w0 * alphas.imag * zf
+    width = beam_params_at(frame, z).width
+    in_lo, in_hi = at_waist.min() - 7.0 * w0, at_waist.max() + 7.0 * w0
+    # the output window is shifted and scaled at random around the beam
+    out_lo = at_z.min() - (6.0 + pad_lo) * width
+    out_hi = at_z.max() + (6.0 + pad_hi) * width
+    # 1% headroom: a step of exactly kernel_step can fail the aliasing guard
+    # by one rounding
+    span = 1.01 * max(out_hi - in_lo, in_hi - out_lo)
+    x_in = np.arange(in_lo, in_hi, kernel_step(frame, z, span))
+    x_out = np.linspace(out_lo, out_hi, n_out)
+    psi = state.x_wavefunction(x_in)
+    got = propagate_kernel(psi, x_in, x_out, z, frame)
+    ref = dense_fresnel(psi, x_in, x_out, z, frame.k)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@given(superpositions(), st.floats(-7.0, 7.0), st.floats(-7.0, 7.0))
+def test_rotations_compose(state, theta1, theta2):
+    once = rotate_phase_space(rotate_phase_space(state, theta1), theta2)
+    both = rotate_phase_space(state, theta1 + theta2)
+    assert abs(abs(inner_product(once, both)) - 1.0) <= 1e-12
+    w0 = state.frame.w0
+    x = np.linspace(-8.0 * w0, 8.0 * w0, 401)
+    i_once, i_both = once.position_intensity(x), both.position_intensity(x)
+    assert np.max(np.abs(i_once - i_both)) <= 1e-12 * np.max(i_both)
