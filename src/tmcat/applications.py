@@ -24,6 +24,7 @@ from .states import (
     OverlapAngle,
     QubitParams,
     SuperpositionState,
+    _check_seed,
     _gram,
     cat_coefficients,
     coherent_overlap,
@@ -253,6 +254,7 @@ class ChannelModel:
             raise ValidationError("give rotation jitter or path jitter, not both")
         if self.path_jitter_sigma > 0.0 and self.fiber is None:
             raise ValidationError("path jitter needs a FiberSpec to set the scale")
+        _check_seed(self.seed)
 
     @property
     def theta_sigma(self) -> float:
@@ -314,6 +316,7 @@ def psk_link_simulate(
         )
     if seed is None:
         seed = channel.seed if channel.seed is not None else 0
+    _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     m = len(basis)
     sent = rng.integers(0, m, size=n)
@@ -363,6 +366,7 @@ def qkd_simulate(
     if path_jitter_sigma < 0.0:
         raise ValidationError(f"path jitter must be >= 0, got {path_jitter_sigma}")
     _as_overlap_angle(theta_d)  # theta_d drops out; still validate the range
+    _check_seed(seed)
     sigma_theta = 2.0 * math.pi * path_jitter_sigma / fiber.period_length
     rng = np.random.Generator(np.random.Philox(0 if seed is None else seed))
     basis_s = rng.integers(0, 2, size=n)  # 0: x basis, 1: p basis

@@ -716,6 +716,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"{NumericsError.code}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        target = exc.filename or "output"
+        print(f"E_USAGE: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

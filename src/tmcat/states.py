@@ -35,10 +35,13 @@ W[j, k] = c_j conj(c_k) <y_k|y_j> (ket term j, bra term k), and the two-axis
 Gram of term arrays a and b is G[j, k] = <b_k|a_j> (ket a_j, bra b_k), so
 <psi|psi> = sum_jk W[j, k] <x_k|x_j>.  ``coherent_overlap`` broadcasts:
 ``coherent_overlap(a[:, None], b[None, :])`` is the matrix <b_k|a_j>.
+A momentum density is the position density of the quarter-turned state
+(alpha -> -i alpha), so one mode formula serves both pictures.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -79,6 +82,12 @@ def signed_phase(phi: float) -> float:
     if out > math.pi:
         out -= 2.0 * math.pi
     return out
+
+
+def _check_seed(seed: int | None) -> None:
+    """Reject a PRNG seed that is neither None nor a non-negative integer."""
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -251,6 +260,9 @@ class CoherentTerm:
         object.__setattr__(self, "coeff", complex(self.coeff))
         object.__setattr__(self, "alpha_x", complex(self.alpha_x))
         object.__setattr__(self, "alpha_y", complex(self.alpha_y))
+        # a NaN or an infinity in any of the three makes their sum non-finite
+        if not cmath.isfinite(self.coeff + self.alpha_x + self.alpha_y):
+            raise ValidationError(f"term values must be finite, got {self!r}")
 
 
 def coherent_overlap(alpha: complex | np.ndarray, beta: complex | np.ndarray):
@@ -303,21 +315,6 @@ def gaussian_mode_1d(alpha: complex, w0: float, x: np.ndarray) -> np.ndarray:
     return norm * np.exp(-((x - d) ** 2) / w0**2 + 1j * (kappa * x - kappa * d / 2.0))
 
 
-def gaussian_mode_momentum_1d(
-    alpha: complex, w0: float, p: np.ndarray
-) -> np.ndarray:
-    """Momentum-space wavefunction of ``gaussian_mode_1d``.
-
-    psi~(p) = (w0^2/(2 pi hbar^2))^{1/4} exp(-w0^2 (p/hbar - kappa)^2 / 4)
-              exp(-i (p d / hbar - kappa d / 2))
-    """
-    p = np.asarray(p, dtype=float)
-    d, kappa = _d_kappa(alpha, w0)
-    norm = (w0**2 / (2.0 * math.pi * HBAR**2)) ** 0.25
-    envelope = norm * np.exp(-(w0**2) * (p / HBAR - kappa) ** 2 / 4.0)
-    return envelope * np.exp(-1j * (p * d / HBAR - kappa * d / 2.0))
-
-
 @dataclass(frozen=True)
 class SuperpositionState:
     """Finite complex-weighted sum of displaced-Gaussian terms.
@@ -366,14 +363,6 @@ class SuperpositionState:
     def alphas_y(self) -> np.ndarray:
         return np.array([t.alpha_y for t in self.terms])
 
-    def field(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Complex amplitude on an (y, x) grid (rows y, columns x)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        fx = gaussian_mode_1d(self.alphas_x()[:, None], self.frame.w0, x)
-        fy = gaussian_mode_1d(self.alphas_y()[:, None], self.frame.w0, y)
-        return (self.coeffs()[:, None] * fy).T @ fx
-
     def x_wavefunction(self, x: np.ndarray) -> np.ndarray:
         """1D wavefunction along x when every term shares one y mode."""
         ay = self.alphas_y()
@@ -381,25 +370,29 @@ class SuperpositionState:
             raise ValidationError(
                 "state is not separable in x and y; terms carry different alpha_y"
             )
-        return np.tensordot(self.coeffs(), self._fields(gaussian_mode_1d, x), axes=1)
+        return np.tensordot(self.coeffs(), self._fields(self.alphas_x(), x), axes=1)
 
     def position_intensity(self, x: np.ndarray) -> np.ndarray:
         """y-reduced position density: integrates to 1 over x."""
-        return self._density(gaussian_mode_1d, x)
+        return self._density(self.alphas_x(), x)
 
     def momentum_intensity(self, p: np.ndarray) -> np.ndarray:
-        """y-reduced momentum density along p_x: integrates to 1 over p."""
-        return self._density(gaussian_mode_momentum_1d, p)
+        """y-reduced momentum density along p_x: integrates to 1 over p.
 
-    def _fields(self, mode, x) -> np.ndarray:
-        """x-mode fields mode(alpha_x, w0, x) of every term, stacked on axis 0."""
+        The quarter turn alpha -> -i alpha maps P onto X and leaves W unchanged,
+        so this is the turned position density at x = s p, s = w0^2 / (2 hbar).
+        """
+        s = self.frame.w0**2 / (2.0 * HBAR)
+        return s * self._density(-1j * self.alphas_x(), s * np.asarray(p, dtype=float))
+
+    def _fields(self, ax: np.ndarray, x) -> np.ndarray:
+        """x-mode fields of the amplitudes ax at x, stacked on axis 0."""
         x = np.asarray(x, dtype=float)
-        ax = self.alphas_x()
-        return mode(ax.reshape(ax.shape + (1,) * x.ndim), self.frame.w0, x)
+        return gaussian_mode_1d(ax.reshape(ax.shape + (1,) * x.ndim), self.frame.w0, x)
 
-    def _density(self, mode, x) -> np.ndarray:
+    def _density(self, ax: np.ndarray, x) -> np.ndarray:
         """y-reduced density sum_jk W[j, k] f_j conj(f_k) of the x-mode fields."""
-        fields = self._fields(mode, x)
+        fields = self._fields(ax, x)
         return _pair_sum(_pair_weights(self), fields, fields).real
 
 

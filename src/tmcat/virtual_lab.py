@@ -24,6 +24,7 @@ from .states import (
     OverlapAngle,
     QubitParams,
     SuperpositionState,
+    _check_seed,
     gaussian_mode_1d,
     make_qubit_state,
     make_typical_state,
@@ -76,6 +77,7 @@ class CcdConfig:
             raise ValidationError(
                 f"exposure scale must be positive, got {self.exposure_scale}"
             )
+        _check_seed(self.seed)
 
     @property
     def max_count(self) -> int:
@@ -95,7 +97,6 @@ class PlaneTag:
 
     kind: str
     f: float | None = None
-    theta_l: float = math.pi / 2.0
 
     def __post_init__(self):
         if self.kind not in ("position", "momentum"):
@@ -136,14 +137,19 @@ class CcdImage:
 def _intensity_2d(
     state: SuperpositionState, x: np.ndarray, y: np.ndarray, visibility: float
 ) -> np.ndarray:
-    """|Psi(x, y)|^2 with the interference (cross) part scaled by visibility."""
+    """|Psi(x, y)|^2 with the interference (cross) part scaled by visibility.
+
+    Pair (k, j) is the conjugate of pair (j, k), so the frame is the real part
+    of one product over the pairs j <= k, the cross pairs doubled.
+    """
     w0 = state.frame.w0
     fx = gaussian_mode_1d(state.alphas_x()[:, None], w0, x)
     fy = gaussian_mode_1d(state.alphas_y()[:, None], w0, y)
-    stack = state.coeffs()[:, None, None] * (fy[:, :, None] * fx[:, None, :])
-    full = np.abs(np.sum(stack, axis=0)) ** 2
-    diag = np.sum(np.abs(stack) ** 2, axis=0)
-    return diag + visibility * (full - diag)
+    c = state.coeffs()
+    j, k = np.triu_indices(c.size)
+    weight = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0 * visibility)
+    rows = np.ascontiguousarray((fy[j] * np.conj(fy[k])).T)
+    return (rows @ (weight[:, None] * fx[j] * np.conj(fx[k]))).real
 
 
 def render_ccd(
@@ -166,7 +172,7 @@ def render_ccd(
     if plane.kind == "position":
         intensity = _intensity_2d(state, x, y, config.visibility)
     else:
-        rotated = rotate_phase_space(state, plane.theta_l)
+        rotated = rotate_phase_space(state, math.pi / 2.0)
         s = state.frame.k * state.frame.w0**2 / (2.0 * plane.f)
         intensity = s**2 * _intensity_2d(rotated, s * x, s * y, config.visibility)
     peak = float(intensity.max())

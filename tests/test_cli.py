@@ -83,6 +83,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("E_USAGE:") and err.count("\n") == 1, argv
     assert not list(tmp_path.glob("*.csv"))
+    # unwritable outputs: an outdir under a regular file, a missing directory
+    (tmp_path / "afile").write_text("")
+    for argv in (
+        ("ccd", "--state", "vac", "--alpha", "1",
+         "--outdir", str(tmp_path / "afile" / "sub")),
+        ("wigner", "--state", "vac", "--alpha", "1",
+         "--outdir", out, "--out", str(tmp_path / "nodir" / "w.csv")),
+    ):
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("E_USAGE: cannot write") and err.count("\n") == 1, argv
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):
@@ -108,6 +119,18 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("E_VALIDATION:") and err.count("\n") == 1
     assert not (tmp_path / "mdm.json").exists()
+    for argv in (
+        # negative seeds
+        ("ccd", "--state", "vac", "--alpha", "1", "--seed", "-1"),
+        ("mdm", "--alpha", "1", "--n", "1000", "--seed", "-3"),
+        ("qkd", "--alpha", "1", "--n", "1000", "--seed", "-2"),
+        # a non-finite tilt
+        ("ccd", "--T", "0.5", "--phi", "0", "--alpha", "1", "--tilt-alpha", "nan"),
+    ):
+        assert run(*argv, "--outdir", str(tmp_path)) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("E_VALIDATION:") and err.count("\n") == 1, argv
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_wigner_artifacts(tmp_path):

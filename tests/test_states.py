@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from tmcat import (
@@ -39,6 +39,8 @@ from tmcat import (
     wrap_phase,
 )
 from tmcat.applications import BasisSet
+
+from strategies import superpositions
 
 
 def test_frame_derived_quantities(frame):
@@ -240,6 +242,19 @@ def test_duplicate_terms_merge(frame):
         )
     with pytest.raises(ValidationError):
         SuperpositionState.from_terms(frame, [])
+    # non-finite coefficients and amplitudes are refused before any arithmetic
+    for bad in (
+        {"coeff": math.nan},
+        {"coeff": complex(1.0, math.inf)},
+        {"alpha_x": math.nan},
+        {"alpha_x": -math.inf},
+        {"alpha_y": complex(0.0, math.nan)},
+    ):
+        with pytest.raises(ValidationError):
+            bad_term = CoherentTerm(**{"coeff": 1.0, "alpha_x": 0.3, **bad})
+            SuperpositionState.from_terms(
+                frame, [CoherentTerm(coeff=0.5, alpha_x=0.0), bad_term]
+            )
 
 
 def test_cat_coefficients_enumeration(angle_w0):
@@ -326,32 +341,7 @@ def test_tilt_knob_adds_momentum(frame, angle_w0):
 
 
 # ----------------------------------------------------------------------
-# Properties of the pair-array core on random 1-4 term states with complex
-# coefficients and complex amplitudes on both axes.
-
-BENCH_FRAME = ModeFrame(w0=0.12e-3, wavelength=780e-9)
-_unit = st.floats(-1.0, 1.0)
-
-
-@st.composite
-def superpositions(draw):
-    terms = [
-        CoherentTerm(
-            coeff=draw(st.floats(0.1, 1.0)) * np.exp(1j * math.pi * draw(_unit)),
-            alpha_x=complex(1.5 * draw(_unit), draw(_unit)),
-            alpha_y=complex(0.5 * draw(_unit), 0.5 * draw(_unit)),
-        )
-        for _ in range(draw(st.integers(1, 4)))
-    ]
-    try:
-        state = SuperpositionState.from_terms(BENCH_FRAME, terms)
-    except ValidationError:
-        assume(False)
-    # a norm far below sum |c|^2 comes from cancellation, which no pair sum
-    # evaluates to 1e-12; keep to well-conditioned superpositions
-    assume(state.norm >= 0.05 * sum(abs(t.coeff) ** 2 for t in terms))
-    return state
-
+# Properties of the pair-array core on random 1-4 term states
 
 @given(superpositions(), superpositions())
 def test_inner_product_is_hermitian_and_normalized(a, b):
@@ -387,3 +377,26 @@ def test_wigner_matches_chord_quadrature(state):
         state, frame.x_scale * grid.x_axis(), frame.p_scale * grid.p_axis()
     )
     assert np.max(np.abs(closed - wigner_numeric(state, grid).values)) < 1e-8
+
+
+def momentum_mode(alpha, w0, p):
+    """Reference: the momentum-space wavefunction of ``gaussian_mode_1d``,
+    (w0^2/(2 pi hbar^2))^{1/4} exp(-w0^2 (p/hbar - kappa)^2 / 4)
+    exp(-i (p d / hbar - kappa d / 2))."""
+    d = math.sqrt(2.0) * w0 * alpha.real
+    kappa = 2.0 * math.sqrt(2.0) * alpha.imag / w0
+    norm = (w0**2 / (2.0 * math.pi * HBAR**2)) ** 0.25
+    envelope = norm * np.exp(-(w0**2) * (p / HBAR - kappa) ** 2 / 4.0)
+    return envelope * np.exp(-1j * (p * d / HBAR - kappa * d / 2.0))
+
+
+@given(superpositions())
+def test_momentum_intensity_matches_momentum_mode_sum(state):
+    w0 = state.frame.w0
+    p = np.linspace(-16.0 * HBAR / w0, 16.0 * HBAR / w0, 801)
+    c, ay = state.coeffs(), state.alphas_y()
+    weights = c[:, None] * np.conj(c)[None, :] * coherent_overlap(ay[:, None], ay[None, :])
+    f = momentum_mode(state.alphas_x()[:, None], w0, p)
+    ref = np.einsum("jk,jp,kp->p", weights, f, np.conj(f)).real
+    got = state.momentum_intensity(p)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)

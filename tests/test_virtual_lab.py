@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tmcat import (
     CcdConfig,
@@ -22,8 +24,13 @@ from tmcat import (
     position_plane,
     profile_from_image,
     render_ccd,
+    rotate_phase_space,
     scenario_reports,
 )
+from tmcat.states import gaussian_mode_1d
+from tmcat.virtual_lab import _intensity_2d
+
+from strategies import superpositions
 
 PITCH = 6.5e-6
 
@@ -305,3 +312,29 @@ class TestScenarioReports:
         a1 = report["fig5"][0]
         mid = int(np.argmin(np.abs(a1.axis - a1.axis.mean())))
         assert a1.density[mid] < 0.02 * a1.sql[mid]
+
+
+def term_stack_intensity(state, x, y, visibility):
+    """Reference: |sum_j c_j fy_j fx_j|^2 over an (n, ny, nx) term stack,
+    the part beyond the diagonal sum_j |c_j fy_j fx_j|^2 scaled by visibility."""
+    w0 = state.frame.w0
+    fx = gaussian_mode_1d(state.alphas_x()[:, None], w0, x)
+    fy = gaussian_mode_1d(state.alphas_y()[:, None], w0, y)
+    stack = state.coeffs()[:, None, None] * (fy[:, :, None] * fx[:, None, :])
+    full = np.abs(np.sum(stack, axis=0)) ** 2
+    diag = np.sum(np.abs(stack) ** 2, axis=0)
+    return diag + visibility * (full - diag)
+
+
+@given(superpositions(), st.floats(0.0, 1.0))
+def test_ccd_frame_matches_term_stack(state, visibility):
+    config = small_config()
+    x, y = config.column_positions(), config.row_positions()
+    frame = state.frame
+    s = frame.k * frame.w0**2 / (2.0 * LAB_FOCAL_LENGTH)
+    turned = rotate_phase_space(state, math.pi / 2.0)
+    # the waist plane, then the focal plane as render_ccd samples it
+    for planar, xs, ys in ((state, x, y), (turned, s * x, s * y)):
+        got = _intensity_2d(planar, xs, ys, visibility)
+        ref = term_stack_intensity(planar, xs, ys, visibility)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
