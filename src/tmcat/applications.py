@@ -35,7 +35,6 @@ from .wigner import (
     WignerMap,
     _auto_window,
     _validate_map,
-    marginal_position,
     quadrature_moments,
     wigner_of_state,
 )
@@ -363,8 +362,10 @@ def qkd_simulate(
     """
     if n < 1:
         raise ValidationError(f"need at least one round, got {n}")
-    if path_jitter_sigma < 0.0:
-        raise ValidationError(f"path jitter must be >= 0, got {path_jitter_sigma}")
+    if not (0.0 <= path_jitter_sigma < math.inf):
+        raise ValidationError(
+            f"path jitter must be finite and >= 0, got {path_jitter_sigma}"
+        )
     _as_overlap_angle(theta_d)  # theta_d drops out; still validate the range
     _check_seed(seed)
     sigma_theta = 2.0 * math.pi * path_jitter_sigma / fiber.period_length
@@ -421,7 +422,7 @@ def profile_sweep(
         mean_p, _ = quadrature_moments(state, math.pi / 2.0)
         delta_x = frame.x_scale * math.sqrt(var_x)
         mean_vx = frame.p_scale * mean_p / (HBAR * frame.k)
-        center = float(marginal_position(params, frame, np.array([d / 2.0]))[0])
+        center = float(state.position_intensity(np.array([d / 2.0]))[0])
         out.append(
             SweepPoint(
                 T=t, phi=phi, delta_x=delta_x, mean_vx=mean_vx, center_intensity=center

@@ -152,19 +152,21 @@ def _read_config_tokens(path: str) -> list[str]:
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Strip --config FILE and splice its tokens in after the subcommand.
 
-    File-provided flags precede explicit ones, so the command line wins
-    whenever both set the same key.
+    The flag is found the way argparse finds it, so ``--config=FILE`` and
+    abbreviations such as ``--conf FILE`` count; giving it twice is a usage
+    error.  File-provided flags precede explicit ones, so the command line
+    wins whenever both set the same key.
     """
-    if "--config" not in argv:
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config", action="append")
+    found, rest = finder.parse_known_args(argv)
+    if found.config is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise _UsageError("--config needs a file path")
-    tokens = _read_config_tokens(argv[i + 1])
-    rest = argv[:i] + argv[i + 2 :]
+    if len(found.config) > 1:
+        raise _UsageError("--config given more than once")
     if not rest or rest[0].startswith("-"):
         raise _UsageError("--config requires a subcommand")
-    return [rest[0]] + tokens + rest[1:]
+    return [rest[0]] + _read_config_tokens(found.config[0]) + rest[1:]
 
 
 def _jsonable(value):
@@ -284,7 +286,6 @@ def _cmd_state(args) -> None:
     print(f"d = {params.d:.6g} m")
     print(f"bloch = ({bloch.xq:.6g}, {bloch.yq:.6g}, {bloch.zq:.6g})")
     args.outdir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(args.outdir, "state", args)
 
 
 def _cmd_wigner(args) -> None:
@@ -309,15 +310,13 @@ def _cmd_wigner(args) -> None:
             }
         )
         write_json(out.with_suffix(".pgm").with_name(out.stem + ".pgm.json"), sidecar)
-    _write_manifest(args.outdir, "wigner", args)
 
 
 def _cmd_marginals(args) -> None:
     frame = _frame(args)
     angle = _resolve_angle(args)
     params = _resolve_params(args, frame, angle)
-    from .wigner import marginal_momentum, marginal_position
-
+    state = make_qubit_state(params, frame)
     w0 = frame.w0
     x = np.linspace(-4.5 * w0, params.d + 4.5 * w0, args.points)
     p = np.linspace(-8.0 * HBAR / w0, 8.0 * HBAR / w0, args.points)
@@ -325,14 +324,13 @@ def _cmd_marginals(args) -> None:
     write_csv(
         _out_path(args, f"{args.prefix}_position.csv"),
         ["x", "density"],
-        zip(x, marginal_position(params, frame, x)),
+        zip(x, state.position_intensity(x)),
     )
     write_csv(
         _out_path(args, f"{args.prefix}_momentum.csv"),
         ["p", "density"],
-        zip(p, marginal_momentum(params, frame, p)),
+        zip(p, state.momentum_intensity(p)),
     )
-    _write_manifest(args.outdir, "marginals", args)
 
 
 def _cmd_beam(args) -> None:
@@ -344,7 +342,6 @@ def _cmd_beam(args) -> None:
         rows.append((b.z, b.width, b.curvature_radius, b.gouy))
     args.outdir.mkdir(parents=True, exist_ok=True)
     write_csv(_out_path(args, args.out), ["z", "w", "R", "gouy"], rows)
-    _write_manifest(args.outdir, "beam", args)
 
 
 def _cmd_ccd(args) -> None:
@@ -387,7 +384,6 @@ def _cmd_ccd(args) -> None:
         "wavelength": frame.wavelength,
     }
     write_json(Path(str(out) + ".json"), sidecar)
-    _write_manifest(args.outdir, "ccd", args)
 
 
 def _image_from_files(path: Path) -> tuple[CcdImage, dict]:
@@ -468,7 +464,6 @@ def _cmd_fit(args) -> None:
             "phi_hat_over_pi": phi_hat / math.pi,
         }
     write_json(_out_path(args, args.out), payload)
-    _write_manifest(args.outdir, "fit", args)
 
 
 def _parse_path(text: str) -> list[tuple[float, float]]:
@@ -499,7 +494,6 @@ def _cmd_sweep(args) -> None:
         ["T", "phi", "delta_x", "mean_vx", "center_intensity"],
         rows,
     )
-    _write_manifest(args.outdir, "sweep", args)
 
 
 def _cmd_mdm(args) -> None:
@@ -526,7 +520,6 @@ def _cmd_mdm(args) -> None:
             "seed": args.seed,
         },
     )
-    _write_manifest(args.outdir, "mdm", args)
 
 
 def _cmd_qkd(args) -> None:
@@ -547,7 +540,6 @@ def _cmd_qkd(args) -> None:
             "seed": args.seed,
         },
     )
-    _write_manifest(args.outdir, "qkd", args)
 
 
 def _reproduce_fig2(args, outdir: Path) -> None:
@@ -584,7 +576,6 @@ def _cmd_reproduce(args) -> None:
         _reproduce_fig2(args, args.outdir)
     else:
         _reproduce_panels(args.outdir, args.figure, args)
-    _write_manifest(args.outdir, f"reproduce_{args.figure}", args)
 
 
 def build_parser() -> _Parser:
@@ -706,6 +697,8 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         args.handler(args)
+        name = f"reproduce_{args.figure}" if args.command == "reproduce" else args.command
+        _write_manifest(args.outdir, name, args)
         return 0
     except _UsageError as exc:
         print(f"E_USAGE: {exc}", file=sys.stderr)

@@ -54,6 +54,8 @@ def beam_params_at(frame: ModeFrame, z: float) -> BeamParams:
     w(z) = w0 sqrt(1 + (z/z_R)^2), R(z) = z (1 + (z_R/z)^2) (infinite at the
     waist), Gouy phase -arctan(z/z_R).
     """
+    if not math.isfinite(z):
+        raise ValidationError(f"distance must be finite, got {z}")
     z_r = frame.z_r
     ratio = z / z_r
     width = frame.w0 * math.sqrt(1.0 + ratio**2)
@@ -246,10 +248,11 @@ def propagate_analytic(state: SuperpositionState, z: float) -> PropagatedField:
         b -> -i b k / (2 a' z)
         c -> c + b^2 / (4 a') + ln( sqrt(k / (2 pi i z)) sqrt(pi / a') )
 
-    z = 0 returns the waist field unchanged; z < 0 is rejected.
+    z = 0 returns the waist field unchanged; a negative or non-finite z is
+    rejected.
     """
-    if z < 0.0:
-        raise ValidationError(f"propagation distance must be >= 0, got {z}")
+    if not (0.0 <= z < math.inf):
+        raise ValidationError(f"propagation distance must be finite and >= 0, got {z}")
     a, b, c = _waist_exponents(state)
     ay = state.alphas_y()
     weights = coherent_overlap(ay[:, None], ay[None, :])
@@ -282,10 +285,10 @@ def kernel_step(frame: ModeFrame, z: float, span: float) -> float:
     The chirp bound is shaded by 1e-9, the spacing tolerance of the grid
     check, so a grid stepped by it passes the aliasing guard.
     """
-    if z <= 0.0:
-        raise ValidationError(f"kernel step needs z > 0, got {z}")
-    if span <= 0.0:
-        raise ValidationError(f"window span must be positive, got {span}")
+    if not (0.0 < z < math.inf):
+        raise ValidationError(f"kernel step needs a finite z > 0, got {z}")
+    if not (0.0 < span < math.inf):
+        raise ValidationError(f"window span must be finite and positive, got {span}")
     return min(frame.w0 / 64.0, _chirp_step(frame.k, z, span) * (1.0 - 1e-9))
 
 
@@ -313,10 +316,10 @@ def propagate_kernel(
     psi holds the complex field on x_in; the result is the field on x_out
     after a free flight z.  Both grids must hold at least 2 finite, strictly
     increasing, uniformly spaced points (spacing to rtol 1e-9); a
-    non-uniform x_out is not accepted.  Rejects negative z; z = 0 requires
-    matching grids and returns the input.  Raises on chirp aliasing (grid
-    too coarse for the quadratic phase) and on power loss beyond 1e-6
-    (window too small).
+    non-uniform x_out is not accepted.  Rejects a negative or non-finite z;
+    z = 0 requires matching grids and returns the input.  Raises on chirp
+    aliasing (grid too coarse for the quadratic phase) and on power loss
+    beyond 1e-6 (window too small).
 
     The sum over x_j = x_c + j dx is evaluated at y_m = y_c + m dy, with m
     and j counted from the grid centres, as a chirp-z transform (Rabiner,
@@ -330,8 +333,8 @@ def propagate_kernel(
     x_out = np.asarray(x_out, dtype=float)
     if psi.shape != x_in.shape:
         raise ValidationError("field samples and input grid differ in shape")
-    if z < 0.0:
-        raise ValidationError(f"propagation distance must be >= 0, got {z}")
+    if not (0.0 <= z < math.inf):
+        raise ValidationError(f"propagation distance must be finite and >= 0, got {z}")
     dx = _uniform_step(x_in, "input")
     dy = _uniform_step(x_out, "output")
     if z == 0.0:
@@ -367,7 +370,7 @@ def propagate_kernel(
     psi_out = np.sqrt(k / (2.0j * math.pi * z)) * post * conv
     p_in = float(np.trapezoid(np.abs(psi) ** 2, x_in))
     p_out = float(np.trapezoid(np.abs(psi_out) ** 2, x_out))
-    if abs(p_out - p_in) > 1e-6 * p_in:
+    if not (abs(p_out - p_in) <= 1e-6 * p_in):
         raise NumericsError(
             f"kernel propagation lost power: {p_in!r} -> {p_out!r}; widen the window"
         )

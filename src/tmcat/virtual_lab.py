@@ -30,7 +30,7 @@ from .states import (
     make_typical_state,
     signed_phase,
 )
-from .wigner import marginal_momentum, marginal_position, quadrature_moments
+from .wigner import quadrature_moments
 
 LAB_FRAME = ModeFrame(w0=0.12e-3, wavelength=780e-9)
 LAB_FOCAL_LENGTH = 0.145
@@ -345,17 +345,19 @@ class ScenarioPanel:
     sql: np.ndarray
 
 
+_PANEL_POINTS = 481
+
+
 def _position_panel(
     name: str,
     kind: str,
     params: QubitParams,
     state: SuperpositionState,
     frame: ModeFrame,
-    n: int = 481,
 ) -> ScenarioPanel:
     w0 = frame.w0
-    x = np.linspace(-4.5 * w0, params.d + 4.5 * w0, n)
-    density = marginal_position(params, frame, x)
+    x = np.linspace(-4.5 * w0, params.d + 4.5 * w0, _PANEL_POINTS)
+    density = state.position_intensity(x)
     # vacuum-width reference centered on the beam: d/2 for the equator
     # states, 0 and d for the vacuum and coherent beams
     center = frame.x_scale * quadrature_moments(state)[0]
@@ -368,16 +370,15 @@ def _position_panel(
 def _momentum_panel(
     name: str,
     kind: str,
-    params: QubitParams,
+    state: SuperpositionState,
     frame: ModeFrame,
     f: float,
-    n: int = 481,
 ) -> ScenarioPanel:
     w_f = focal_waist(frame, f)
-    x = np.linspace(-3.0 * w_f, 3.0 * w_f, n)
+    x = np.linspace(-3.0 * w_f, 3.0 * w_f, _PANEL_POINTS)
     # focal coordinate maps to momentum via p = hbar k x' / f
     scale = HBAR * frame.k / f
-    density = scale * marginal_momentum(params, frame, scale * x)
+    density = scale * state.momentum_intensity(scale * x)
     sql = math.sqrt(2.0 / math.pi) / w_f * np.exp(-2.0 * x**2 / w_f**2)
     return ScenarioPanel(
         name=name, state_kind=kind, plane="momentum", axis=x, density=density, sql=sql
@@ -402,7 +403,7 @@ def scenario_reports(
         fig4.append(
             _position_panel(f"fig4_{label}_position", kind, params, state, frame)
         )
-        fig4.append(_momentum_panel(f"fig4_{label}_momentum", kind, params, frame, f))
+        fig4.append(_momentum_panel(f"fig4_{label}_momentum", kind, state, frame, f))
     fig5 = []
     letters = {
         "a": "cat_minus",
@@ -413,5 +414,5 @@ def scenario_reports(
     for letter, kind in letters.items():
         params, state = make_typical_state(kind, angle, frame)
         fig5.append(_position_panel(f"fig5_{letter}1", kind, params, state, frame))
-        fig5.append(_momentum_panel(f"fig5_{letter}2", kind, params, frame, f))
+        fig5.append(_momentum_panel(f"fig5_{letter}2", kind, state, frame, f))
     return {"fig4": fig4, "fig5": fig5}

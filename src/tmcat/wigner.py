@@ -1,12 +1,14 @@
-"""Wigner functions, marginals, quadrature moments, and negativity scans.
+"""Wigner functions, quadrature moments, and negativity scans.
 
 The x-mode Wigner function of a state with y dependence traced out is
 
     W(x, p) = (1/(2 pi hbar)) Int psi(x + u/2) psi*(x - u/2) e^{-i u p / hbar} du.
 
-For superpositions of displaced Gaussians both the closed form and the
-marginals are analytic; the quadrature evaluator exists as an independent
-cross-check and for states added later.
+For superpositions of displaced Gaussians the map is analytic, one pair sum
+over terms; the quadrature evaluator exists as an independent cross-check
+and for states added later.  The position and momentum densities (the
+map's marginals) are ``SuperpositionState.position_intensity`` and
+``momentum_intensity``.
 
 Nondimensional maps use X = sqrt(2) x / w0 and P = w0 p / (sqrt(2) hbar)
 with W~ = hbar * W, so the vacuum reads W~ = exp(-X^2 - P^2) / pi and the
@@ -24,10 +26,8 @@ from .errors import NumericsError, ValidationError
 from .states import (
     HBAR,
     ModeFrame,
-    QubitParams,
     SuperpositionState,
     _d_kappa,
-    _n_arb,
     _pair_overlaps,
     _pair_sum,
     _pair_weights,
@@ -50,6 +50,8 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         if self.nx < 2 or self.np_ < 2:
             raise ValidationError("grid needs at least 2 points per axis")
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.p_min, self.p_max))):
+            raise ValidationError("grid bounds must be finite")
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise ValidationError("grid maxima must exceed minima")
 
@@ -112,72 +114,6 @@ def wigner_of_state(
         - 1j * (d[j] - d[k])[:, None] * p / HBAR
     )
     return (x_part @ (weight[:, None] * p_part)).real / (math.pi * HBAR)
-
-
-def wigner_closed_form(
-    params: QubitParams, frame: ModeFrame, x: np.ndarray, p_x: np.ndarray
-) -> np.ndarray:
-    """Three-Gaussian closed form of the (T, phi, d) qubit Wigner function.
-
-    W = [T W_vac(x, p) + (1-T) W_vac(x - d, p)
-         + 2 sqrt(T(1-T)) W_vac(x - d/2, p) cos(phi - d p / hbar)] / N_arb
-
-    with W_vac(x, p) = exp(-2 x^2 / w0^2 - w0^2 p^2 / (2 hbar^2)) / (pi hbar).
-    Broadcasts over x and p arrays of a common shape.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p_x, dtype=float)
-    w0 = frame.w0
-    d = params.d
-    root = math.sqrt(params.T * (1.0 - params.T))
-    n_arb = _n_arb(params.T, params.phi, math.exp(-(params.alpha(w0) ** 2)))
-
-    def w_vac(xc):
-        return np.exp(-2.0 * (x - xc) ** 2 / w0**2 - w0**2 * p**2 / (2.0 * HBAR**2)) / (
-            math.pi * HBAR
-        )
-
-    cross = 2.0 * root * w_vac(d / 2.0) * np.cos(params.phi - d * p / HBAR)
-    return (params.T * w_vac(0.0) + (1.0 - params.T) * w_vac(d) + cross) / n_arb
-
-
-def marginal_position(params: QubitParams, frame: ModeFrame, x: np.ndarray) -> np.ndarray:
-    """Closed-form position density of the qubit state (integrates to 1).
-
-    I(x) = [T I_vac(x) + (1-T) I_vac(x-d)
-            + 2 sqrt(T(1-T)) I_vac(x-d/2) cos(theta_d) cos(phi)] / N_arb
-    """
-    x = np.asarray(x, dtype=float)
-    w0 = frame.w0
-    d = params.d
-    cos_theta = math.exp(-(params.alpha(w0) ** 2))
-    root = math.sqrt(params.T * (1.0 - params.T))
-    n_arb = _n_arb(params.T, params.phi, cos_theta)
-    norm = math.sqrt(2.0 / math.pi) / w0
-
-    def i_vac(xc):
-        return norm * np.exp(-2.0 * (x - xc) ** 2 / w0**2)
-
-    cross = 2.0 * root * cos_theta * math.cos(params.phi) * i_vac(d / 2.0)
-    return (params.T * i_vac(0.0) + (1.0 - params.T) * i_vac(d) + cross) / n_arb
-
-
-def marginal_momentum(params: QubitParams, frame: ModeFrame, p_x: np.ndarray) -> np.ndarray:
-    """Closed-form momentum density of the qubit state (integrates to 1).
-
-    I~(p) = I~_vac(p) [1 + 2 sqrt(T(1-T)) cos(phi - d p / hbar)] / N_arb,
-    a Gaussian envelope of 1/e^2 half-width 2 hbar / w0 carrying a fringe of
-    period 2 pi hbar / d.
-    """
-    p = np.asarray(p_x, dtype=float)
-    w0 = frame.w0
-    d = params.d
-    root = math.sqrt(params.T * (1.0 - params.T))
-    n_arb = _n_arb(params.T, params.phi, math.exp(-(params.alpha(w0) ** 2)))
-    envelope = w0 / (HBAR * math.sqrt(2.0 * math.pi)) * np.exp(
-        -(w0**2) * p**2 / (2.0 * HBAR**2)
-    )
-    return envelope * (1.0 + 2.0 * root * np.cos(params.phi - d * p / HBAR)) / n_arb
 
 
 def quadrature_moments(
@@ -273,13 +209,13 @@ def wigner_map(
 
 def _validate_map(m: WignerMap, auto: bool) -> None:
     floor = _floor(m.grid.si_units)
-    if m.values.min() < floor * (1.0 + 1e-9):
+    if not (m.values.min() >= floor * (1.0 + 1e-9)):
         raise NumericsError(
             f"Wigner map dips below the physical floor: {m.values.min()!r} < {floor!r}"
         )
     if auto:
         total = m.integral()
-        if abs(total - 1.0) > 1e-6:
+        if not (abs(total - 1.0) <= 1e-6):
             raise NumericsError(
                 f"auto-sized Wigner map integrates to {total!r}, not 1"
             )

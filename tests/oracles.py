@@ -1,0 +1,82 @@
+"""Three-Gaussian closed forms of the (T, phi, d) qubit, kept as test oracles.
+
+The library evaluates every density and Wigner map through its one pair
+core over term pairs.  These formulas are the qubit-only special case
+written out by hand; they share no arithmetic with the library (N_arb is
+spelled out here too), so a fault in the core cannot also hide in its
+reference.
+"""
+
+import math
+
+import numpy as np
+
+from tmcat import HBAR, ModeFrame, QubitParams
+
+
+def wigner_closed_form(
+    params: QubitParams, frame: ModeFrame, x: np.ndarray, p_x: np.ndarray
+) -> np.ndarray:
+    """Three-Gaussian closed form of the (T, phi, d) qubit Wigner function.
+
+    W = [T W_vac(x, p) + (1-T) W_vac(x - d, p)
+         + 2 sqrt(T(1-T)) W_vac(x - d/2, p) cos(phi - d p / hbar)] / N_arb
+
+    with W_vac(x, p) = exp(-2 x^2 / w0^2 - w0^2 p^2 / (2 hbar^2)) / (pi hbar).
+    Broadcasts over x and p arrays of a common shape.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p_x, dtype=float)
+    w0 = frame.w0
+    d = params.d
+    root = math.sqrt(params.T * (1.0 - params.T))
+    cos_theta = math.exp(-(params.alpha(w0) ** 2))
+    n_arb = 1.0 + 2.0 * root * cos_theta * math.cos(params.phi)
+
+    def w_vac(xc):
+        return np.exp(-2.0 * (x - xc) ** 2 / w0**2 - w0**2 * p**2 / (2.0 * HBAR**2)) / (
+            math.pi * HBAR
+        )
+
+    cross = 2.0 * root * w_vac(d / 2.0) * np.cos(params.phi - d * p / HBAR)
+    return (params.T * w_vac(0.0) + (1.0 - params.T) * w_vac(d) + cross) / n_arb
+
+
+def marginal_position(params: QubitParams, frame: ModeFrame, x: np.ndarray) -> np.ndarray:
+    """Closed-form position density of the qubit state (integrates to 1).
+
+    I(x) = [T I_vac(x) + (1-T) I_vac(x-d)
+            + 2 sqrt(T(1-T)) I_vac(x-d/2) cos(theta_d) cos(phi)] / N_arb
+    """
+    x = np.asarray(x, dtype=float)
+    w0 = frame.w0
+    d = params.d
+    cos_theta = math.exp(-(params.alpha(w0) ** 2))
+    root = math.sqrt(params.T * (1.0 - params.T))
+    n_arb = 1.0 + 2.0 * root * cos_theta * math.cos(params.phi)
+    norm = math.sqrt(2.0 / math.pi) / w0
+
+    def i_vac(xc):
+        return norm * np.exp(-2.0 * (x - xc) ** 2 / w0**2)
+
+    cross = 2.0 * root * cos_theta * math.cos(params.phi) * i_vac(d / 2.0)
+    return (params.T * i_vac(0.0) + (1.0 - params.T) * i_vac(d) + cross) / n_arb
+
+
+def marginal_momentum(params: QubitParams, frame: ModeFrame, p_x: np.ndarray) -> np.ndarray:
+    """Closed-form momentum density of the qubit state (integrates to 1).
+
+    I~(p) = I~_vac(p) [1 + 2 sqrt(T(1-T)) cos(phi - d p / hbar)] / N_arb,
+    a Gaussian envelope of 1/e^2 half-width 2 hbar / w0 carrying a fringe of
+    period 2 pi hbar / d.
+    """
+    p = np.asarray(p_x, dtype=float)
+    w0 = frame.w0
+    d = params.d
+    root = math.sqrt(params.T * (1.0 - params.T))
+    cos_theta = math.exp(-(params.alpha(w0) ** 2))
+    n_arb = 1.0 + 2.0 * root * cos_theta * math.cos(params.phi)
+    envelope = w0 / (HBAR * math.sqrt(2.0 * math.pi)) * np.exp(
+        -(w0**2) * p**2 / (2.0 * HBAR**2)
+    )
+    return envelope * (1.0 + 2.0 * root * np.cos(params.phi - d * p / HBAR)) / n_arb

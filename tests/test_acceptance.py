@@ -18,13 +18,16 @@ and any change to the states themselves.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tmcat
 from tmcat import (
     HBAR,
     LAB_FOCAL_LENGTH,
@@ -46,8 +49,6 @@ from tmcat import (
     kernel_step,
     make_qubit_state,
     make_typical_state,
-    marginal_momentum,
-    marginal_position,
     momentum_plane,
     params_to_bloch,
     profile_from_image,
@@ -60,6 +61,8 @@ from tmcat import (
     wigner_numeric,
     wigner_of_state,
 )
+
+from oracles import marginal_momentum, marginal_position
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -417,14 +420,16 @@ def test_c13_reproduce_determinism(tmp_path):
     t0 = time.perf_counter()
     total = 0
     mismatched = []
+    # the children import the package under test, wherever pytest found it
+    env = dict(os.environ, PYTHONPATH=str(Path(tmcat.__file__).parents[1]))
     for fig in ("fig2", "fig4", "fig5"):
         outdir = tmp_path / fig
         cmd = [sys.executable, "-m", "tmcat", "reproduce", fig, "--outdir", str(outdir)]
-        first = subprocess.run(cmd, capture_output=True, text=True)
+        first = subprocess.run(cmd, env=env, capture_output=True, text=True)
         assert first.returncode == 0, first.stderr
         snapshot = {p.name: p.read_bytes() for p in outdir.iterdir()}
         assert snapshot, f"reproduce {fig} wrote nothing"
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        second = subprocess.run(cmd, env=env, capture_output=True, text=True)
         assert second.returncode == 0, second.stderr
         again = {p.name: p.read_bytes() for p in outdir.iterdir()}
         total += len(snapshot)

@@ -17,7 +17,6 @@ from tmcat import (
     dephased_mixture,
     inner_product,
     make_typical_state,
-    marginal_position,
     profile_sweep,
     psk_link_simulate,
     qkd_simulate,
@@ -26,6 +25,8 @@ from tmcat import (
     wigner_of_state,
 )
 from tmcat.applications import BasisSet
+
+from oracles import marginal_position
 
 
 class TestCatPhaseRotation:
@@ -289,6 +290,9 @@ class TestQkd:
             qkd_simulate(0, angle_bench, 0.0, self.FIBER)
         with pytest.raises(ValidationError):
             qkd_simulate(100, angle_bench, -1.0, self.FIBER)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                qkd_simulate(100, angle_bench, bad, self.FIBER)
 
 
 class TestSweep:

@@ -189,14 +189,19 @@ def test_config_file_precedence(tmp_path):
         "d_over_w0 = 1\n"
         "pgm = false\n"
     )
-    code = run(
-        "wigner", "--config", str(cfg), "--T", "0.5", "--phi", "pi",
-        "--grid", "48", "--outdir", str(tmp_path),
-    )
-    assert code == 0
-    lines = (tmp_path / "wigner.csv").read_text().splitlines()
-    assert len(lines) == 48 * 48 + 1  # explicit flag beat the file value
-    assert not (tmp_path / "wigner.pgm").exists()
+    # argparse also accepts --config=FILE and an abbreviated flag
+    for given in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+        code = run(
+            "wigner", *given, "--T", "0.5", "--phi", "pi",
+            "--grid", "48", "--outdir", str(tmp_path),
+        )
+        assert code == 0, given
+        lines = (tmp_path / "wigner.csv").read_text().splitlines()
+        assert len(lines) == 48 * 48 + 1  # explicit flag beat the file value
+        assert not (tmp_path / "wigner.pgm").exists()
+        manifest = read_json(tmp_path / "wigner_manifest.json")
+        assert manifest["config"]["config"] is None
+        assert manifest["config"]["d_over_w0"] == 1.0  # read from the file
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
@@ -232,6 +237,16 @@ def test_config_file_errors(tmp_path, capsys):
     assert run("wigner", "--config", str(malformed)) == 1
     assert run("wigner", "--config", str(tmp_path / "absent.cfg")) == 1
     assert run("--config") == 1
+
+    # a second --config is refused, not silently dropped
+    good = tmp_path / "good.cfg"
+    good.write_text("d_over_w0 = 1\n")
+    capsys.readouterr()
+    assert run(
+        "wigner", "--config", str(good), "--config", str(good),
+        "--T", "0.5", "--phi", "pi", "--outdir", str(tmp_path),
+    ) == 1
+    assert capsys.readouterr().err.startswith("E_USAGE: ")
 
 
 def test_outdir_environment_default(tmp_path, monkeypatch):

@@ -199,6 +199,16 @@ class TestAnalyticPropagation:
         with pytest.raises(ValidationError):
             propagate_analytic(vac, -0.01)
 
+    def test_non_finite_distance_rejected(self, frame, angle_w0):
+        # a NaN passes every ordered comparison as False, so each guard must
+        # be written to fail closed
+        _, vac = make_typical_state("vac", angle_w0, frame)
+        for z in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                propagate_analytic(vac, z)
+            with pytest.raises(ValidationError):
+                beam_params_at(frame, z)
+
 
 class TestKernelPropagation:
     @pytest.mark.parametrize("kind", TYPICAL_KINDS)
@@ -286,6 +296,13 @@ class TestKernelPropagation:
             propagate_kernel(psi, x, x[::-1], 0.1, frame)
         with pytest.raises(ValidationError):
             propagate_kernel(psi, x, crooked, 0.1, frame)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                propagate_kernel(psi, x, x, bad, frame)
+            with pytest.raises(ValidationError):
+                kernel_step(frame, bad, 1e-3)
+            with pytest.raises(ValidationError):
+                kernel_step(frame, 0.1, bad)
 
     def test_kernel_step_passes_the_aliasing_guard(self, frame, angle_w0):
         # a grid stepped by kernel_step over the span it was given is accepted

@@ -19,7 +19,6 @@ from tmcat import (
     focal_waist,
     make_qubit_state,
     make_typical_state,
-    marginal_position,
     momentum_plane,
     position_plane,
     profile_from_image,
@@ -30,6 +29,7 @@ from tmcat import (
 from tmcat.states import gaussian_mode_1d
 from tmcat.virtual_lab import _intensity_2d
 
+from oracles import marginal_position
 from strategies import superpositions
 
 PITCH = 6.5e-6

@@ -8,26 +8,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tmcat import (
     CoherentTerm,
     HBAR,
+    LAB_FOCAL_LENGTH,
+    NumericsError,
     PhaseSpaceGrid,
     QubitParams,
     SuperpositionState,
     TYPICAL_KINDS,
     ValidationError,
+    WignerMap,
+    make_qubit_state,
     make_typical_state,
-    marginal_momentum,
-    marginal_position,
     negativity_scan,
     normalization_factor,
     quadrature_moments,
-    wigner_closed_form,
     wigner_map,
     wigner_numeric,
     wigner_of_state,
 )
+from tmcat.virtual_lab import _momentum_panel
+from tmcat.wigner import _validate_map
+
+from oracles import marginal_momentum, marginal_position, wigner_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +71,6 @@ class TestClosedVsNumeric:
     def test_closed_form_params_route(self, frame):
         # pointwise closed form on a mesh must agree with the state route
         params = QubitParams(T=0.3, phi=0.7 * math.pi, d=frame.w0)
-        from tmcat import make_qubit_state
-
         state = make_qubit_state(params, frame)
         x, p = nondim_axes(frame, self.GRID)
         via_params = wigner_closed_form(params, frame, x[:, None], p[None, :])
@@ -134,8 +139,6 @@ def test_si_map_matches_nondim(frame, angle_w0):
 class TestMarginals:
     def test_position_matches_intensity(self, frame, angle_w0):
         params = QubitParams(T=0.3, phi=0.7 * math.pi, d=frame.w0)
-        from tmcat import make_qubit_state
-
         state = make_qubit_state(params, frame)
         x = np.linspace(-5.0, 7.0, 601) * frame.x_scale
         direct = state.position_intensity(x)
@@ -144,8 +147,6 @@ class TestMarginals:
 
     def test_momentum_matches_intensity(self, frame, angle_w0):
         params = QubitParams(T=0.3, phi=0.7 * math.pi, d=frame.w0)
-        from tmcat import make_qubit_state
-
         state = make_qubit_state(params, frame)
         p = np.linspace(-6.0, 6.0, 601) * frame.p_scale
         direct = state.momentum_intensity(p)
@@ -154,12 +155,13 @@ class TestMarginals:
 
     def test_both_normalized(self, frame, angle_w0):
         params = QubitParams(T=0.42, phi=-0.3 * math.pi, d=frame.w0)
+        state = make_qubit_state(params, frame)
         x = np.linspace(-8.0, 10.0, 4001) * frame.x_scale
         p = np.linspace(-9.0, 9.0, 4001) * frame.p_scale
-        assert np.trapezoid(marginal_position(params, frame, x), x) == pytest.approx(
+        assert np.trapezoid(state.position_intensity(x), x) == pytest.approx(
             1.0, abs=1e-10
         )
-        assert np.trapezoid(marginal_momentum(params, frame, p), p) == pytest.approx(
+        assert np.trapezoid(state.momentum_intensity(p), p) == pytest.approx(
             1.0, abs=1e-10
         )
 
@@ -167,31 +169,58 @@ class TestMarginals:
         # odd cat: position node at the midpoint; even cat: momentum node
         # at half the fringe period pi hbar / d
         d = angle_w0.displacement(frame.w0)
-        cm = QubitParams(T=0.5, phi=math.pi, d=d)
-        cp = QubitParams(T=0.5, phi=0.0, d=d)
-        peak = marginal_position(cm, frame, np.array([0.0]))[0]
-        node = marginal_position(cm, frame, np.array([d / 2.0]))[0]
+        cm = make_qubit_state(QubitParams(T=0.5, phi=math.pi, d=d), frame)
+        cp = make_qubit_state(QubitParams(T=0.5, phi=0.0, d=d), frame)
+        peak = cm.position_intensity(np.array([0.0]))[0]
+        node = cm.position_intensity(np.array([d / 2.0]))[0]
         assert node < 1e-9 * peak
         p_node = math.pi * HBAR / d
-        peak_p = marginal_momentum(cp, frame, np.array([0.0]))[0]
-        node_p = marginal_momentum(cp, frame, np.array([p_node]))[0]
+        peak_p = cp.momentum_intensity(np.array([0.0]))[0]
+        node_p = cp.momentum_intensity(np.array([p_node]))[0]
         assert node_p < 1e-9 * peak_p
 
     def test_momentum_fringe_period(self, frame):
-        # interference comb in the momentum marginal repeats at 2 pi hbar/d
+        # interference comb in the momentum density repeats at 2 pi hbar/d
         d = 2.5 * frame.w0
-        params = QubitParams(T=0.5, phi=0.0, d=d)
+        state = make_qubit_state(QubitParams(T=0.5, phi=0.0, d=d), frame)
         period = 2.0 * math.pi * HBAR / d
         p = np.linspace(0.0, period, 201)
         envelope = np.exp(-frame.w0**2 * p**2 / (2.0 * HBAR**2))
-        fringe = marginal_momentum(params, frame, p) / envelope
+        fringe = state.momentum_intensity(p) / envelope
         # strip the envelope: the remaining ratio is periodic
         assert fringe[0] == pytest.approx(fringe[-1], rel=1e-9)
 
+    @given(
+        t=st.floats(0.0, 1.0),
+        phi=st.floats(-math.pi, math.pi, exclude_min=True),
+        alpha=st.floats(0.2, 3.0),
+    )
+    def test_pair_core_matches_closed_forms(self, frame, t, phi, alpha):
+        # every production density reads the pair core; the three-Gaussian
+        # closed forms are its independent reference on the qubit family
+        params = QubitParams(T=t, phi=phi, d=math.sqrt(2.0) * frame.w0 * alpha)
+        state = make_qubit_state(params, frame)
+        x = np.linspace(-5.0, 2.0 * alpha + 5.0, 301) * frame.x_scale
+        p = np.linspace(-6.0, 6.0, 301) * frame.p_scale
+
+        def assert_close(got, expect):
+            peak = np.max(np.abs(expect))
+            assert np.max(np.abs(got - expect)) <= 1e-13 * peak
+
+        assert_close(state.position_intensity(x), marginal_position(params, frame, x))
+        assert_close(state.momentum_intensity(p), marginal_momentum(params, frame, p))
+        panel = _momentum_panel("panel", "qubit", state, frame, LAB_FOCAL_LENGTH)
+        scale = HBAR * frame.k / LAB_FOCAL_LENGTH
+        assert_close(
+            panel.density, scale * marginal_momentum(params, frame, scale * panel.axis)
+        )
+        assert_close(
+            wigner_of_state(state, x, p),
+            wigner_closed_form(params, frame, x[:, None], p[None, :]),
+        )
+
 
 def test_heisenberg_floor(frame, angle_w0):
-    from tmcat import make_qubit_state
-
     rng = np.random.default_rng(3)
     for _ in range(15):
         t = float(rng.uniform(0.05, 0.95))
@@ -219,6 +248,16 @@ def test_grid_validation():
         PhaseSpaceGrid(x_min=1.0, x_max=-1.0, nx=10, p_min=-1.0, p_max=1.0, np_=10)
     with pytest.raises(ValidationError):
         PhaseSpaceGrid(x_min=-1.0, x_max=1.0, nx=1, p_min=-1.0, p_max=1.0, np_=10)
+    # an infinite bound would give an all-NaN map
+    with pytest.raises(ValidationError):
+        PhaseSpaceGrid(x_min=0.0, x_max=math.inf, nx=4, p_min=0.0, p_max=1.0, np_=4)
+    with pytest.raises(ValidationError):
+        PhaseSpaceGrid(x_min=0.0, x_max=1.0, nx=4, p_min=-math.inf, p_max=1.0, np_=4)
+    # and a NaN map must never pass as healthy
+    grid = PhaseSpaceGrid(x_min=0.0, x_max=1.0, nx=4, p_min=0.0, p_max=1.0, np_=4)
+    for auto in (False, True):
+        with pytest.raises(NumericsError):
+            _validate_map(WignerMap(grid=grid, values=np.full((4, 4), math.nan)), auto)
 
 
 def test_degenerate_params_rejected(frame):
@@ -229,5 +268,4 @@ def test_degenerate_params_rejected(frame):
     d = tiny.displacement(frame.w0)
     params = QubitParams(T=0.5, phi=math.pi, d=d)
     with pytest.raises(ValidationError):
-        x = np.array([0.0])
-        wigner_closed_form(params, frame, x, x)
+        make_qubit_state(params, frame)
