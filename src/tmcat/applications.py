@@ -3,14 +3,14 @@
 The qubit lives in the two-dimensional span of the even and odd cat states
 of one transverse axis.  Propagation-phase disturbances act on that span as
 a relative phase between the even and odd components, so channels here are
-modeled directly on the (g_even, g_odd) coordinates; phase-space pictures
+modeled as a rotation of the odd cat of each beam pair; phase-space pictures
 stay available through the states and Wigner modules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +26,6 @@ from .states import (
     SuperpositionState,
     _check_seed,
     _gram,
-    cat_coefficients,
     coherent_overlap,
     make_qubit_state,
     make_typical_state,
@@ -42,13 +41,11 @@ from .wigner import (
 BASIS_SCHEMES = ("four_cat", "twelve_state", "four_hg_reference")
 
 
-def rotate_cat_phase(state: SuperpositionState, delta: float) -> SuperpositionState:
-    """Advance the odd-cat component of a two-beam state by e^{-i delta}.
+def _pair_overlap(state: SuperpositionState) -> float:
+    """Overlap <t_b|t_a> of a two-beam state's terms, checked real and in (0, 1).
 
-    This is the action of a small propagation-phase offset on the qubit
-    span: the even and odd cats are the stationary states, and delta is the
-    phase walked between them.  Requires a two-term state whose term overlap
-    is real and positive (a displacement-symmetric pair).
+    A real overlap (a displacement-symmetric pair) makes the even and odd
+    cats t_a +- t_b orthogonal, so the cat-phase rotation is defined.
     """
     if len(state.terms) != 2:
         raise ValidationError("cat-phase rotation needs exactly two beams")
@@ -58,48 +55,58 @@ def rotate_cat_phase(state: SuperpositionState, delta: float) -> SuperpositionSt
     )
     if abs(mu.imag) > 1e-12 * max(abs(mu), 1.0) or not (0.0 < mu.real < 1.0):
         raise ValidationError("cat-phase rotation needs a displacement-symmetric pair")
-    n_plus = 1.0 + mu.real
-    n_minus = 1.0 - mu.real
-    g_even = (ta.coeff + tb.coeff) * math.sqrt(n_plus / 2.0)
-    g_odd = (ta.coeff - tb.coeff) * math.sqrt(n_minus / 2.0)
-    g_odd = g_odd * complex(math.cos(delta), -math.sin(delta))
-    ca = g_even / math.sqrt(2.0 * n_plus) + g_odd / math.sqrt(2.0 * n_minus)
-    cb = g_even / math.sqrt(2.0 * n_plus) - g_odd / math.sqrt(2.0 * n_minus)
+    return float(mu.real)
+
+
+def rotate_cat_phase(state: SuperpositionState, delta: float) -> SuperpositionState:
+    """Advance the odd-cat component of a two-beam state by e^{-i delta}.
+
+    This is the action of a small propagation-phase offset on the qubit
+    span: the even and odd cats are the stationary states, and delta is the
+    phase walked between them.  Requires a two-term state whose term overlap
+    is real and positive (a displacement-symmetric pair).  The new weights
+    are (c_a + c_b)/2 +- e^{-i delta} (c_a - c_b)/2.
+    """
+    _pair_overlap(state)
+    ta, tb = state.terms
+    even = (ta.coeff + tb.coeff) / 2.0
+    odd = (ta.coeff - tb.coeff) / 2.0 * complex(math.cos(delta), -math.sin(delta))
     return SuperpositionState.from_terms(
-        state.frame,
-        [
-            CoherentTerm(coeff=ca, alpha_x=ta.alpha_x, alpha_y=ta.alpha_y),
-            CoherentTerm(coeff=cb, alpha_x=tb.alpha_x, alpha_y=tb.alpha_y),
-        ],
+        state.frame, [replace(ta, coeff=even + odd), replace(tb, coeff=even - odd)]
     )
+
+
+def _term_blocks(term_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient blocks of term lists over all their terms, and the amplitudes.
+
+    blocks[i, t] is the coefficient of term t in list i, 0 for other lists.
+    """
+    terms = [(i, t) for i, ts in enumerate(term_lists) for t in ts]
+    blocks = np.zeros((len(term_lists), len(terms)), dtype=complex)
+    blocks[[i for i, _ in terms], range(len(terms))] = [t.coeff for _, t in terms]
+    ax = np.array([t.alpha_x for _, t in terms])
+    ay = np.array([t.alpha_y for _, t in terms])
+    return blocks, ax, ay
+
+
+def _inner_products(bras, kets) -> np.ndarray:
+    """Matrix M[i, j] = <bra_i|ket_j> of two lists of term lists."""
+    b, bx, by = _term_blocks(bras)
+    k, kx, ky = _term_blocks(kets)
+    # _gram[p, q] = <bra term q|ket term p>, so M = conj(B) G^T K^T
+    return np.conj(b) @ _gram(kx, ky, bx, by).T @ k.T
 
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Named list of signal states with their qubit-span coordinates.
-
-    axes / g_even / g_odd hold the per-state cat decomposition when every
-    state is a two-beam superposition along a single transverse axis; they
-    are None for reference sets of bare Gaussian modes.  cross_even_overlap
-    is the only nonzero inner product between the x-axis and y-axis cat
-    spans (even with even).
-    """
+    """Named list of signal states."""
 
     name: str
     states: tuple[SuperpositionState, ...]
-    axes: tuple[str, ...] | None = None
-    g_even: tuple[complex, ...] | None = None
-    g_odd: tuple[complex, ...] | None = None
-    cross_even_overlap: float = 0.0
 
     def __post_init__(self):
         if not self.states:
             raise ValidationError("a basis needs at least one state")
-        if self.axes is not None:
-            if not (
-                len(self.axes) == len(self.g_even) == len(self.g_odd) == len(self.states)
-            ):
-                raise ValidationError("cat metadata must cover every basis state")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -107,33 +114,38 @@ class BasisSet:
     @cached_property
     def gram(self) -> np.ndarray:
         """Hermitian matrix of pairwise inner products <b_i|b_j>."""
-        # one overlap matrix over every term of the basis, summed per state:
-        # blocks[i, t] is the coefficient of term t in b_i, 0 for other states
-        terms = [(i, t) for i, s in enumerate(self.states) for t in s.terms]
-        blocks = np.zeros((len(self.states), len(terms)), dtype=complex)
-        blocks[[i for i, _ in terms], range(len(terms))] = [t.coeff for _, t in terms]
-        ax = np.array([t.alpha_x for _, t in terms])
-        ay = np.array([t.alpha_y for _, t in terms])
-        # _gram[p, q] = <t_q|t_p>, so <b_i|b_j> = sum_pq conj(B[i, q]) G[p, q] B[j, p]
-        return np.conj(blocks) @ _gram(ax, ay, ax, ay).T @ blocks.T
+        term_lists = [s.terms for s in self.states]
+        return _inner_products(term_lists, term_lists)
 
     def overlap_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """(U, V) with <b_i| R(delta) |b_j> = U[i,j] + V[i,j] e^{-i delta}.
 
-        R(delta) is the cat-phase rotation; cross-axis entries carry only
-        the even-even component, which the rotation leaves fixed.
+        R(delta) advances the normalized odd cat o_a of every distinct beam
+        pair among the two-beam states by e^{-i delta}, so
+        V = sum_a <b_i|o_a><o_a|b_j> and U = gram - V.  States with one beam
+        or more than two enter through their projections only.  Raises when
+        no beam pair exists or when odd cats of distinct pairs overlap.
         """
-        if self.axes is None:
-            return self.gram.copy(), np.zeros_like(self.gram)
-        m = len(self.states)
-        ge = np.asarray(self.g_even, dtype=complex)
-        go = np.asarray(self.g_odd, dtype=complex)
-        same = np.equal.outer(self.axes, self.axes)
-        u = np.conj(ge)[:, None] * ge[None, :] * np.where(
-            same, 1.0, self.cross_even_overlap
-        )
-        v = np.conj(go)[:, None] * go[None, :] * same
-        return u, v
+        odd_cats = {}
+        for state in self.states:
+            if len(state.terms) != 2:
+                continue
+            ta, tb = state.terms
+            key = frozenset({(ta.alpha_x, ta.alpha_y), (tb.alpha_x, tb.alpha_y)})
+            if key not in odd_cats:
+                scale = 1.0 / math.sqrt(2.0 * (1.0 - _pair_overlap(state)))
+                odd_cats[key] = (replace(ta, coeff=scale), replace(tb, coeff=-scale))
+        if not odd_cats:
+            raise ValidationError(
+                "phase jitter is undefined for a basis without cat decomposition"
+            )
+        cats = list(odd_cats.values())
+        cross = _inner_products(cats, cats)[~np.eye(len(cats), dtype=bool)]
+        if np.any(np.abs(cross) > 1e-12):
+            raise ValidationError("odd cats of distinct beam pairs must be orthogonal")
+        projections = _inner_products(cats, [s.terms for s in self.states])
+        v = np.conj(projections).T @ projections
+        return self.gram - v, v
 
 
 def _y_axis_state(
@@ -202,65 +214,33 @@ def build_basis(
             f"unknown basis scheme {scheme!r}; expected one of {BASIS_SCHEMES}"
         )
     states = []
-    axes = []
-    g_even = []
-    g_odd = []
     for axis in ("x", "y"):
         for kind in kinds:
             params, x_state = make_typical_state(kind, angle, frame)
-            ge, go = cat_coefficients(params, angle)
             states.append(x_state if axis == "x" else _y_axis_state(params, angle, frame))
-            axes.append(axis)
-            g_even.append(ge)
-            g_odd.append(go)
-    cross = 2.0 * math.exp(-(alpha**2) / 2.0) / angle.n_plus
-    return BasisSet(
-        name=scheme,
-        states=tuple(states),
-        axes=tuple(axes),
-        g_even=tuple(g_even),
-        g_odd=tuple(g_odd),
-        cross_even_overlap=cross,
-    )
+    return BasisSet(name=scheme, states=tuple(states))
 
 
 @dataclass(frozen=True)
 class ChannelModel:
     """Disturbances applied per protocol round.
 
-    Exactly one of rotation_jitter_sigma (radians, direct phase jitter) or
-    path_jitter_sigma (meters, converted through the fiber's self-image
-    period) may be nonzero; additive_overlap_noise_sigma perturbs each
-    decision statistic with circular complex Gaussian noise.
+    rotation_jitter_sigma is the width (radians) of the per-round cat-phase
+    jitter; a path jitter sigma_z through a fiber gives
+    fiber.rotation_angle(sigma_z).  additive_overlap_noise_sigma perturbs
+    each decision statistic with circular complex Gaussian noise.
     """
 
     rotation_jitter_sigma: float = 0.0
-    path_jitter_sigma: float = 0.0
-    fiber: FiberSpec | None = None
     additive_overlap_noise_sigma: float = 0.0
     seed: int | None = None
 
     def __post_init__(self):
-        for name in (
-            "rotation_jitter_sigma",
-            "path_jitter_sigma",
-            "additive_overlap_noise_sigma",
-        ):
+        for name in ("rotation_jitter_sigma", "additive_overlap_noise_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValidationError(f"{name} must be finite and >= 0")
-        if self.rotation_jitter_sigma > 0.0 and self.path_jitter_sigma > 0.0:
-            raise ValidationError("give rotation jitter or path jitter, not both")
-        if self.path_jitter_sigma > 0.0 and self.fiber is None:
-            raise ValidationError("path jitter needs a FiberSpec to set the scale")
         _check_seed(self.seed)
-
-    @property
-    def theta_sigma(self) -> float:
-        """Effective phase-jitter width in radians."""
-        if self.path_jitter_sigma > 0.0:
-            return 2.0 * math.pi * self.path_jitter_sigma / self.fiber.period_length
-        return self.rotation_jitter_sigma
 
 
 @dataclass(frozen=True)
@@ -308,11 +288,11 @@ def psk_link_simulate(
     """
     if n < 1:
         raise ValidationError(f"need at least one round, got {n}")
-    sigma_theta = channel.theta_sigma
-    if sigma_theta > 0.0 and basis.axes is None:
-        raise ValidationError(
-            "phase jitter is undefined for a basis without cat decomposition"
-        )
+    sigma_theta = channel.rotation_jitter_sigma
+    if sigma_theta > 0.0:
+        u, v = basis.overlap_matrices()
+    else:
+        u, v = basis.gram, np.zeros_like(basis.gram)
     if seed is None:
         seed = channel.seed if channel.seed is not None else 0
     _check_seed(seed)
@@ -324,7 +304,6 @@ def psk_link_simulate(
     # One (m, n) real draw, then the imaginary parts one row at a time: the
     # row draws continue the stream exactly as a second (m, n) draw would.
     noise_re = rng.standard_normal((m, n)) if noise_sigma > 0.0 else None
-    u, v = basis.overlap_matrices()
     rotation = np.exp(-1j * deltas)
     best = np.full(n, -np.inf)
     decoded = np.zeros(n, dtype=np.intp)
@@ -368,7 +347,7 @@ def qkd_simulate(
         )
     _as_overlap_angle(theta_d)  # theta_d drops out; still validate the range
     _check_seed(seed)
-    sigma_theta = 2.0 * math.pi * path_jitter_sigma / fiber.period_length
+    sigma_theta = fiber.rotation_angle(path_jitter_sigma)
     rng = np.random.Generator(np.random.Philox(0 if seed is None else seed))
     basis_s = rng.integers(0, 2, size=n)  # 0: x basis, 1: p basis
     bits = rng.integers(0, 2, size=n)

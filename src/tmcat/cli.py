@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -70,6 +71,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only plain numbers like -2.2 as negative values; no
+        # option starts with a digit, '.' or 'pi', so -pi, -0.72pi, -2.5e-3
+        # and -1mm are values too
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|pi)", re.IGNORECASE)
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -215,6 +215,8 @@ class QubitParams:
             raise ValidationError(f"T must lie in [0, 1], got {self.T}")
         if not (self.d >= 0.0):
             raise ValidationError(f"d must be non-negative, got {self.d}")
+        if not math.isfinite(self.phi):
+            raise ValidationError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", wrap_phase(self.phi))
 
     @property
@@ -341,8 +343,11 @@ class SuperpositionState:
             key = (complex(t.alpha_x), complex(t.alpha_y))
             merged[key] = merged.get(key, 0.0 + 0.0j) + complex(t.coeff)
         degenerate = len(merged) < len(given)
-        ax, ay = np.array(list(merged), dtype=complex).T
-        raw = float(_pair_overlaps(np.array(list(merged.values())), ax, ay).real.sum())
+        # a term whose weights cancel exactly carries nothing; drop it
+        merged = {key: c for key, c in merged.items() if c != 0.0}
+        ax, ay = np.array(list(merged), dtype=complex).reshape(-1, 2).T
+        coeffs = np.array(list(merged.values()), dtype=complex)
+        raw = float(_pair_overlaps(coeffs, ax, ay).real.sum())
         if raw <= 1e-15:
             raise ValidationError(
                 f"state norm {raw!r} vanishes; the requested superposition cancels"

@@ -73,9 +73,9 @@ class CcdConfig:
             raise ValidationError(f"visibility must lie in [0, 1], got {self.visibility}")
         if self.background < 0:
             raise ValidationError(f"background counts must be >= 0, got {self.background}")
-        if self.exposure_scale is not None and not (self.exposure_scale > 0.0):
+        if self.exposure_scale is not None and not (0.0 < self.exposure_scale < math.inf):
             raise ValidationError(
-                f"exposure scale must be positive, got {self.exposure_scale}"
+                f"exposure scale must be positive and finite, got {self.exposure_scale}"
             )
         _check_seed(self.seed)
 

@@ -4,14 +4,23 @@ The library evaluates every density and Wigner map through its one pair
 core over term pairs.  These formulas are the qubit-only special case
 written out by hand; they share no arithmetic with the library (N_arb is
 spelled out here too), so a fault in the core cannot also hide in its
-reference.
+reference.  The cat-basis overlap matrices of the keying bases are kept
+here the same way, built from the closed-form ``cat_coefficients`` that
+the library's basis code does not read.
 """
 
 import math
 
 import numpy as np
 
-from tmcat import HBAR, ModeFrame, QubitParams
+from tmcat import (
+    HBAR,
+    ModeFrame,
+    OverlapAngle,
+    QubitParams,
+    cat_coefficients,
+    make_typical_state,
+)
 
 
 def wigner_closed_form(
@@ -80,3 +89,26 @@ def marginal_momentum(params: QubitParams, frame: ModeFrame, p_x: np.ndarray) ->
         -(w0**2) * p**2 / (2.0 * HBAR**2)
     )
     return envelope * (1.0 + 2.0 * root * np.cos(params.phi - d * p / HBAR)) / n_arb
+
+
+def cat_overlap_matrices(
+    kinds: tuple[str, ...], angle: OverlapAngle, frame: ModeFrame
+) -> tuple[np.ndarray, np.ndarray]:
+    """(U, V) of a two-axis cat basis from the closed-form cat coefficients.
+
+    The basis holds each kind on the x axis, then each kind on the y axis.
+    With (g_e, g_o) = cat_coefficients, <b_i|R(delta)|b_j> within one axis is
+    conj(g_e,i) g_e,j + conj(g_o,i) g_o,j e^{-i delta}.  Across the axes only
+    the even cats overlap, by <e_x|e_y> = 2 e^{-alpha^2/2} / N+.
+    """
+    coeffs = [
+        cat_coefficients(make_typical_state(kind, angle, frame)[0], angle)
+        for kind in kinds
+    ]
+    g_even, g_odd = np.array(coeffs * 2, dtype=complex).T
+    axes = np.repeat([0, 1], len(kinds))
+    same = np.equal.outer(axes, axes)
+    cross = 2.0 * math.exp(-(angle.alpha**2) / 2.0) / angle.n_plus
+    u = np.conj(g_even)[:, None] * g_even[None, :] * np.where(same, 1.0, cross)
+    v = np.conj(g_odd)[:, None] * g_odd[None, :] * same
+    return u, v

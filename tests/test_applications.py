@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from tmcat import (
     BASIS_SCHEMES,
     ChannelModel,
+    CoherentTerm,
     FiberSpec,
     HBAR,
     OverlapAngle,
     QubitParams,
+    SuperpositionState,
     ValidationError,
     build_basis,
     dephased_mixture,
@@ -26,7 +30,11 @@ from tmcat import (
 )
 from tmcat.applications import BasisSet
 
-from oracles import marginal_position
+from oracles import cat_overlap_matrices, marginal_position
+from strategies import BENCH_FRAME, superpositions
+
+FOUR_CAT_KINDS = ("cat_plus", "cat_minus")
+TWELVE_STATE_KINDS = ("cat_plus", "cat_minus", "x_minus", "x_plus", "p_minus", "p_plus")
 
 
 class TestCatPhaseRotation:
@@ -63,6 +71,53 @@ class TestCatPhaseRotation:
             rotate_cat_phase(vac, 0.3)
 
 
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def one_pair_bases(draw):
+    """Two random states on one displacement-symmetric beam pair, plus one
+    random single beam.
+
+    Per axis the beams sit at e^{i t} (c +- h) with real c, h, so their
+    overlap exp(-|a|^2 - |b|^2 + 2 conj(b) a) is real and in (0, 1).
+    """
+    ends = []
+    for _ in range(2):
+        phase = np.exp(1j * math.pi * draw(_unit))
+        center, half = 1.5 * draw(_unit), draw(_unit)
+        ends.append((phase * (center + half), phase * (center - half)))
+    (ax, bx), (ay, by) = ends
+    assume(abs(ax - bx) ** 2 + abs(ay - by) ** 2 >= 0.2)
+    pair_states = []
+    for _ in range(2):
+        coeffs = [
+            draw(st.floats(0.1, 1.0)) * np.exp(1j * math.pi * draw(_unit)) for _ in range(2)
+        ]
+        state = SuperpositionState.from_terms(
+            BENCH_FRAME,
+            [
+                CoherentTerm(coeff=coeffs[0], alpha_x=ax, alpha_y=ay),
+                CoherentTerm(coeff=coeffs[1], alpha_x=bx, alpha_y=by),
+            ],
+        )
+        # keep to well-conditioned sums, as the shared strategy does
+        assume(state.norm >= 0.05 * sum(abs(c) ** 2 for c in coeffs))
+        pair_states.append(state)
+    return BasisSet("one_pair", (*pair_states, draw(superpositions(max_terms=1))))
+
+
+@given(one_pair_bases(), st.floats(-2.0 * math.pi, 2.0 * math.pi))
+def test_overlap_matrices_give_rotated_overlaps(basis, delta):
+    # <b_k| R(delta) b_j> = U[k, j] + V[k, j] e^{-i delta} for every bra k
+    u, v = basis.overlap_matrices()
+    for j in (0, 1):
+        turned = rotate_cat_phase(basis.states[j], delta)
+        for k, bra in enumerate(basis.states):
+            want = u[k, j] + v[k, j] * complex(math.cos(delta), -math.sin(delta))
+            assert abs(inner_product(bra, turned) - want) < 1e-12, (k, j)
+
+
 class TestBases:
     def test_schemes_inventory(self):
         assert set(BASIS_SCHEMES) == {
@@ -82,7 +137,7 @@ class TestBases:
         # the only nonzero cross talk is the even-even pair, 2e^{-a^2/2}/N+
         alpha = angle_far.alpha
         expect = 2.0 * math.exp(-(alpha**2) / 2.0) / angle_far.n_plus
-        assert basis.cross_even_overlap == pytest.approx(expect, rel=1e-12)
+        assert basis.overlap_matrices()[0][0, 2] == pytest.approx(expect, rel=1e-12)
         assert abs(gram[0, 2]) == pytest.approx(expect, abs=1e-15)
 
     def test_twelve_state_structure(self, frame, angle_far):
@@ -111,12 +166,44 @@ class TestBases:
             u, v = basis.overlap_matrices()
             assert np.max(np.abs((u + v) - basis.gram)) < 1e-12
 
+    def test_overlap_matrices_match_cat_closed_form(
+        self, frame, angle_w0, angle_bench, angle_far
+    ):
+        for angle in (angle_w0, angle_bench, angle_far):
+            for scheme, kinds in (
+                ("four_cat", FOUR_CAT_KINDS),
+                ("twelve_state", TWELVE_STATE_KINDS),
+            ):
+                u, v = build_basis(scheme, angle, frame).overlap_matrices()
+                u_want, v_want = cat_overlap_matrices(kinds, angle, frame)
+                assert np.max(np.abs(u - u_want)) < 1e-14, (scheme, angle)
+                assert np.max(np.abs(v - v_want)) < 1e-14, (scheme, angle)
+                # the x/y even-even cross overlap, relative even at 1e-16
+                cross = (0, len(kinds))
+                assert u[cross] == pytest.approx(u_want[cross], rel=1e-12, abs=0.0)
+
+    def test_overlap_matrices_need_orthogonal_beam_pairs(self, frame, angle_bench):
+        with pytest.raises(ValidationError, match="without cat decomposition"):
+            build_basis("four_hg_reference", angle_bench, frame).overlap_matrices()
+        # the pairs (0, alpha) and (0, 2 alpha) share a beam: odd cats overlap
+        alpha = angle_bench.alpha
+        states = tuple(
+            SuperpositionState.from_terms(
+                frame,
+                [CoherentTerm(coeff=1.0, alpha_x=0.0), CoherentTerm(coeff=-1.0, alpha_x=x)],
+            )
+            for x in (alpha, 2.0 * alpha)
+        )
+        with pytest.raises(ValidationError, match="orthogonal"):
+            BasisSet("shared_beam", states).overlap_matrices()
+
     def test_large_alpha_precision_survives(self, frame, angle_far):
         # the radian value of theta_d rounds to pi/2 here; the angle object
         # must carry the exact exponential overlap through
         assert angle_far.theta_d == math.pi / 2.0  # the rounding in question
         basis = build_basis("four_cat", angle_far, frame)
-        assert 0.0 < basis.cross_even_overlap < 1e-12
+        cross = basis.overlap_matrices()[0][0, 2]
+        assert cross.imag == 0.0 and 0.0 < cross.real < 1e-12
 
 
 class TestKeying:
@@ -133,7 +220,7 @@ class TestKeying:
         rng = np.random.Generator(np.random.Philox(seed))
         m = len(basis)
         sent = rng.integers(0, m, size=n)
-        sigma_theta = channel.theta_sigma
+        sigma_theta = channel.rotation_jitter_sigma
         deltas = rng.normal(0.0, sigma_theta, size=n) if sigma_theta > 0.0 else np.zeros(n)
         sigma = channel.additive_overlap_noise_sigma
         if sigma > 0.0:
@@ -169,14 +256,7 @@ class TestKeying:
     def equator_basis(self, frame, angle):
         twelve = build_basis("twelve_state", angle, frame)
         pick = (2, 3, 4, 5)
-        return BasisSet(
-            name="equator4",
-            states=tuple(twelve.states[i] for i in pick),
-            axes=tuple(twelve.axes[i] for i in pick),
-            g_even=tuple(twelve.g_even[i] for i in pick),
-            g_odd=tuple(twelve.g_odd[i] for i in pick),
-            cross_even_overlap=twelve.cross_even_overlap,
-        )
+        return BasisSet("equator4", states=tuple(twelve.states[i] for i in pick))
 
     def test_equator_states_saturate_under_jitter(self, frame, angle_far):
         # rotation-sensitive four-state alphabet degrades to the random
@@ -207,27 +287,16 @@ class TestKeying:
     def test_channel_validation(self):
         with pytest.raises(ValidationError):
             ChannelModel(rotation_jitter_sigma=-0.1)
-        fiber = FiberSpec(period_length=1e-3)
-        for field in (
-            "rotation_jitter_sigma", "path_jitter_sigma", "additive_overlap_noise_sigma"
-        ):
+        for field in ("rotation_jitter_sigma", "additive_overlap_noise_sigma"):
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValidationError):
-                    ChannelModel(fiber=fiber, **{field: bad})
-        with pytest.raises(ValidationError):
-            ChannelModel(path_jitter_sigma=1e-6)  # needs a fiber
-        with pytest.raises(ValidationError):
-            ChannelModel(
-                rotation_jitter_sigma=0.1,
-                path_jitter_sigma=1e-6,
-                fiber=FiberSpec(period_length=1e-3),
-            )
+                    ChannelModel(**{field: bad})
 
     def test_path_jitter_equals_rotation_jitter(self, frame, angle_far):
         # sigma_theta = 2 pi sigma_z / (c T'): same seed, same answers
         basis = self.equator_basis(frame, angle_far)
         fiber = FiberSpec(period_length=1e-3)
-        via_path = ChannelModel(path_jitter_sigma=0.05e-3, fiber=fiber, seed=8)
+        via_path = ChannelModel(rotation_jitter_sigma=fiber.rotation_angle(0.05e-3), seed=8)
         via_angle = ChannelModel(
             rotation_jitter_sigma=2.0 * math.pi * 0.05e-3 / 1e-3, seed=8
         )

@@ -96,6 +96,29 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert err.startswith("E_USAGE: cannot write") and err.count("\n") == 1, argv
 
 
+def test_negative_values_as_separate_tokens(tmp_path, capsys):
+    # values that start with '-' but are not plain numbers reach their parser
+    for given, shown in (
+        ("-0.72pi", "-0.72pi"),
+        ("-pi", "1pi"),
+        ("-.5pi", "-0.5pi"),
+        ("-2.5e-3", "-0.0008pi"),
+    ):
+        code = run(
+            "state", "--alpha", "1", "--T", "0.5", "--phi", given,
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0, given
+        assert f"phi = {shown}\n" in capsys.readouterr().out, given
+    assert run(
+        "state", "--alpha", "-1e-1", "--T", "0.5", "--phi", "0", "--outdir", str(tmp_path)
+    ) == 0
+    assert "alpha = 0.1\n" in capsys.readouterr().out
+    assert run("beam", "--z-max", "-1mm", "--points", "3", "--outdir", str(tmp_path)) == 0
+    z = np.loadtxt(tmp_path / "beam.csv", delimiter=",", skiprows=1)[:, 0]
+    assert z.tolist() == [0.0, -0.0005, -0.001]
+
+
 def test_validation_errors_exit_2(tmp_path, capsys):
     code = run(
         "state", "--T", "1.5", "--phi", "0", "--d-over-w0", "1",
@@ -126,6 +149,8 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ("qkd", "--alpha", "1", "--n", "1000", "--seed", "-2"),
         # a non-finite tilt
         ("ccd", "--T", "0.5", "--phi", "0", "--alpha", "1", "--tilt-alpha", "nan"),
+        # an infinite exposure scale
+        ("ccd", "--state", "vac", "--alpha", "1", "--exposure", "inf"),
     ):
         assert run(*argv, "--outdir", str(tmp_path)) == 2, argv
         err = capsys.readouterr().err

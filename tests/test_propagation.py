@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tmcat import (
+    CoherentTerm,
     FiberSpec,
     LensSystem,
     NumericsError,
@@ -34,6 +35,7 @@ from tmcat import (
     ray_free,
     ray_lens,
     rotate_phase_space,
+    SuperpositionState,
 )
 
 from strategies import superpositions
@@ -193,6 +195,23 @@ class TestAnalyticPropagation:
         assert field.centroid() == pytest.approx(
             frame.w0 + kappa * z / frame.k, rel=1e-10
         )
+
+    def test_cancelled_term_propagates_as_absent(self, frame, angle_w0):
+        # the weights on alpha = 1 cancel exactly; the state is the vacuum
+        state = SuperpositionState.from_terms(
+            frame,
+            [
+                CoherentTerm(coeff=1.0, alpha_x=0.0),
+                CoherentTerm(coeff=1.0, alpha_x=1.0),
+                CoherentTerm(coeff=-1.0, alpha_x=1.0),
+            ],
+        )
+        _, vac = make_typical_state("vac", angle_w0, frame)
+        x = np.linspace(-4.0, 4.0, 81) * frame.w0
+        z = 0.7 * frame.z_r
+        field = propagate_analytic(state, z)
+        assert field.power() == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(field.intensity(x), propagate_analytic(vac, z).intensity(x))
 
     def test_negative_distance_rejected(self, frame, angle_w0):
         _, vac = make_typical_state("vac", angle_w0, frame)

@@ -232,6 +232,17 @@ def test_duplicate_terms_merge(frame):
     assert state.degenerate
     assert len(state.terms) == 1
     assert abs(inner_product(state, state) - 1.0) < 1e-13
+    # a term whose weights cancel exactly is dropped, not kept at weight 0
+    state = SuperpositionState.from_terms(
+        frame,
+        [
+            CoherentTerm(coeff=1.0, alpha_x=0.0),
+            CoherentTerm(coeff=1.0, alpha_x=1.0),
+            CoherentTerm(coeff=-1.0, alpha_x=1.0),
+        ],
+    )
+    assert state.degenerate
+    assert [(t.coeff, t.alpha_x) for t in state.terms] == [(1.0, 0.0)]
     with pytest.raises(ValidationError):
         SuperpositionState.from_terms(
             frame,
@@ -329,6 +340,9 @@ def test_qubit_params_validation():
         QubitParams(T=-0.1, phi=0.0, d=1e-4)
     with pytest.raises(ValidationError):
         QubitParams(T=0.5, phi=0.0, d=-1e-4)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            QubitParams(T=0.5, phi=bad, d=1e-4)
 
 
 def test_tilt_knob_adds_momentum(frame, angle_w0):

@@ -64,8 +64,9 @@ def test_config_validation():
         small_config(visibility=1.2)
     with pytest.raises(ValidationError):
         small_config(background=-3)
-    with pytest.raises(ValidationError):
-        small_config(exposure_scale=-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            small_config(exposure_scale=bad)
     with pytest.raises(ValidationError):
         CcdConfig(nx=1, ny=8, pitch=PITCH, bit_depth=8)
 
