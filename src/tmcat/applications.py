@@ -169,22 +169,7 @@ def _y_axis_state(
     )
 
 
-def _as_overlap_angle(theta_d) -> OverlapAngle:
-    """Accept a precise OverlapAngle or a plain angle in radians.
-
-    Passing the angle object keeps exponentially small overlaps exact at
-    large separations, where the radian value alone rounds to pi/2.
-    """
-    if isinstance(theta_d, OverlapAngle):
-        return theta_d
-    if not (0.0 < theta_d < math.pi / 2.0):
-        raise ValidationError(f"theta_d must lie in (0, pi/2), got {theta_d}")
-    return OverlapAngle.from_theta(theta_d)
-
-
-def build_basis(
-    scheme: str, theta_d: float | OverlapAngle, frame: ModeFrame
-) -> BasisSet:
+def build_basis(scheme: str, angle: OverlapAngle, frame: ModeFrame) -> BasisSet:
     """Construct one of the multimode signal sets.
 
     four_cat: even/odd cats on the x axis plus even/odd cats on the y axis;
@@ -194,13 +179,12 @@ def build_basis(
     four_hg_reference: the bare Gaussian modes {vac, coh_x, coh_y, coh_xy}
     (non-orthogonal reference for comparison).
     """
-    angle = _as_overlap_angle(theta_d)
-    alpha = angle.alpha
     if scheme == "four_cat":
         kinds = ("cat_plus", "cat_minus")
     elif scheme == "twelve_state":
         kinds = ("cat_plus", "cat_minus", "x_minus", "x_plus", "p_minus", "p_plus")
     elif scheme == "four_hg_reference":
+        alpha = angle.alpha
         centers = ((0.0, 0.0), (alpha, 0.0), (0.0, alpha), (alpha, alpha))
         states = tuple(
             SuperpositionState.from_terms(
@@ -323,7 +307,7 @@ def psk_link_simulate(
 
 def qkd_simulate(
     n: int,
-    theta_d: float | OverlapAngle,
+    angle: OverlapAngle,
     path_jitter_sigma: float,
     fiber: FiberSpec,
     seed: int | None = 0,
@@ -337,7 +321,8 @@ def qkd_simulate(
 
     On the qubit sphere (even/odd cat poles on +-x) the four signals sit at
     z = +-1 (x basis) and y = -+1 (p basis); the link rotation advances
-    (y, z) by the jitter angle, and theta_d drops out of the error model.
+    (y, z) by the jitter angle, and theta_d drops out of the error model:
+    ``angle`` names the signal states and is not read.
     """
     if n < 1:
         raise ValidationError(f"need at least one round, got {n}")
@@ -345,7 +330,6 @@ def qkd_simulate(
         raise ValidationError(
             f"path jitter must be finite and >= 0, got {path_jitter_sigma}"
         )
-    _as_overlap_angle(theta_d)  # theta_d drops out; still validate the range
     _check_seed(seed)
     sigma_theta = fiber.rotation_angle(path_jitter_sigma)
     rng = np.random.Generator(np.random.Philox(0 if seed is None else seed))

@@ -717,6 +717,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"{NumericsError.code}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a float overflow or division by zero that no input check foresaw
+        print(f"{NumericsError.code}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         target = exc.filename or "output"
         print(f"E_USAGE: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -52,17 +53,6 @@ from .errors import ValidationError
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m / s
-
-TYPICAL_KINDS = (
-    "vac",
-    "coh",
-    "cat_plus",
-    "cat_minus",
-    "x_minus",
-    "x_plus",
-    "p_minus",
-    "p_plus",
-)
 
 
 def wrap_phase(phi: float) -> float:
@@ -110,6 +100,13 @@ class ModeFrame:
             raise ValidationError(f"w0 must be positive, got {self.w0}")
         if not (self.wavelength > 0.0):
             raise ValidationError(f"wavelength must be positive, got {self.wavelength}")
+        w0_sq = self.w0 * self.w0
+        scales = (w0_sq, self.k, self.z_r, w0_sq / HBAR, HBAR * self.k)
+        if not all(sys.float_info.min <= s < math.inf for s in scales):
+            raise ValidationError(
+                f"w0 = {self.w0} m and wavelength = {self.wavelength} m put the "
+                "mode scales outside the normal floating-point range"
+            )
 
     @property
     def k(self) -> float:
@@ -119,7 +116,7 @@ class ModeFrame:
     @property
     def z_r(self) -> float:
         """Rayleigh range k*w0^2/2 (m)."""
-        return self.k * self.w0**2 / 2.0
+        return self.k * (self.w0 * self.w0) / 2.0
 
     @property
     def m_prime(self) -> float:
@@ -141,47 +138,53 @@ class ModeFrame:
 class OverlapAngle:
     """Non-orthogonality angle of the two interferometer beams.
 
-    cos(theta_d) = <vac|coh> = exp(-|alpha|^2) = exp(-d^2 / (2 w0^2)).
+    cos(theta_d) = <vac|coh> = exp(-alpha^2) = exp(-d^2 / (2 w0^2)).
 
-    The angle is kept strictly inside (0, pi/2); validation is done on
-    cos(theta_d) in (0, 1) because theta_d itself rounds to pi/2 in floating
-    point long before the overlap underflows.
+    Only the real displacement amplitude alpha >= 0 is stored; theta_d, its
+    cosine and sine and the cat normalizations are derived from it without
+    cancellation, so they keep their digits at small alpha, and the overlap
+    stays exact at large alpha, where theta_d alone rounds to pi/2.
+    cos(theta_d) must lie in (0, 1).
     """
 
-    theta_d: float
-    cos_theta_d: float
+    alpha: float
 
     def __post_init__(self):
+        if not (self.alpha >= 0.0):
+            raise ValidationError(f"alpha must be non-negative, got {self.alpha}")
         if not (0.0 < self.cos_theta_d < 1.0):
             raise ValidationError(
                 f"cos(theta_d) must lie in (0, 1), got {self.cos_theta_d}"
             )
-        if not math.isclose(
-            math.cos(self.theta_d), self.cos_theta_d, rel_tol=0.0, abs_tol=1e-12
-        ):
-            raise ValidationError("theta_d and cos_theta_d are inconsistent")
 
     @classmethod
     def from_theta(cls, theta_d: float) -> "OverlapAngle":
-        return cls(theta_d=theta_d, cos_theta_d=math.cos(theta_d))
+        if not (0.0 < theta_d <= math.pi / 2.0):
+            raise ValidationError(f"theta_d must lie in (0, pi/2], got {theta_d}")
+        c = math.cos(theta_d)
+        # ln cos: 1 - 2 sin^2(theta/2) keeps small angles, cos itself keeps pi/2
+        log_c = math.log1p(-2.0 * math.sin(theta_d / 2.0) ** 2) if c >= 0.5 else math.log(c)
+        return cls(alpha=math.sqrt(-log_c))
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "OverlapAngle":
-        c = math.exp(-abs(alpha) ** 2)
-        return cls(theta_d=math.acos(c), cos_theta_d=c)
+        return cls(alpha=alpha)
 
     @classmethod
     def from_displacement(cls, d: float, w0: float) -> "OverlapAngle":
         return cls.from_alpha(d / (math.sqrt(2.0) * w0))
 
     @property
-    def sin_theta_d(self) -> float:
-        return math.sqrt(1.0 - self.cos_theta_d**2)
+    def cos_theta_d(self) -> float:
+        return math.exp(-(self.alpha * self.alpha))
 
     @property
-    def alpha(self) -> float:
-        """Real displacement amplitude reproducing this overlap."""
-        return math.sqrt(-math.log(self.cos_theta_d))
+    def sin_theta_d(self) -> float:
+        return math.sqrt(-math.expm1(-2.0 * self.alpha * self.alpha))
+
+    @property
+    def theta_d(self) -> float:
+        return math.atan2(self.sin_theta_d, self.cos_theta_d)
 
     def displacement(self, w0: float) -> float:
         """Beam separation d (m) reproducing this overlap at waist w0."""
@@ -194,8 +197,8 @@ class OverlapAngle:
 
     @property
     def n_minus(self) -> float:
-        """Odd-cat normalization 1 - cos(theta_d)."""
-        return 1.0 - self.cos_theta_d
+        """Odd-cat normalization 1 - cos(theta_d), as -expm1(-alpha^2)."""
+        return -math.expm1(-(self.alpha * self.alpha))
 
 
 @dataclass(frozen=True)
@@ -470,6 +473,7 @@ _TYPICAL_TABLE = {
     "p_minus": lambda a: (0.5, -(math.pi - a.theta_d)),
     "p_plus": lambda a: (0.5, math.pi - a.theta_d),
 }
+TYPICAL_KINDS = tuple(_TYPICAL_TABLE)
 
 
 def make_typical_state(

@@ -12,6 +12,7 @@ light, f = 145 mm transform lens, 720x480 sensor with 6.5 um pixels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,12 @@ def focal_waist(frame: ModeFrame, f: float) -> float:
     """1/e^2 intensity radius of the vacuum mode at the transform-lens focus."""
     if not (f > 0.0):
         raise ValidationError(f"focal length must be positive, got {f}")
-    return 2.0 * f / (frame.k * frame.w0)
+    w_f = 2.0 * f / (frame.k * frame.w0)
+    if not (sys.float_info.min <= w_f * w_f < math.inf):
+        raise ValidationError(
+            f"focal waist {w_f} m (f = {f} m) is outside the normal floating-point range"
+        )
+    return w_f
 
 
 @dataclass(frozen=True)

@@ -110,10 +110,12 @@ def test_negative_values_as_separate_tokens(tmp_path, capsys):
         )
         assert code == 0, given
         assert f"phi = {shown}\n" in capsys.readouterr().out, given
+    # a negative separation reaches OverlapAngle and is refused there, not by
+    # argparse (which would exit 1 with E_USAGE)
     assert run(
         "state", "--alpha", "-1e-1", "--T", "0.5", "--phi", "0", "--outdir", str(tmp_path)
-    ) == 0
-    assert "alpha = 0.1\n" in capsys.readouterr().out
+    ) == 2
+    assert capsys.readouterr().err.startswith("E_VALIDATION: alpha must be non-negative")
     assert run("beam", "--z-max", "-1mm", "--points", "3", "--outdir", str(tmp_path)) == 0
     z = np.loadtxt(tmp_path / "beam.csv", delimiter=",", skiprows=1)[:, 0]
     assert z.tolist() == [0.0, -0.0005, -0.001]
@@ -151,11 +153,49 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ("ccd", "--T", "0.5", "--phi", "0", "--alpha", "1", "--tilt-alpha", "nan"),
         # an infinite exposure scale
         ("ccd", "--state", "vac", "--alpha", "1", "--exposure", "inf"),
+        # negative, out-of-range and overflowing separations
+        ("state", "--theta-d", "-0.4pi", "--state", "p_plus"),
+        ("state", "--theta-d", "1.6pi", "--state", "p_plus"),
+        ("state", "--alpha", "-0.1", "--T", "0.5", "--phi", "0"),
+        ("state", "--d-over-w0", "-2", "--state", "vac"),
+        ("state", "--alpha", "1e200", "--state", "vac"),
+        ("state", "--d-over-w0", "1e300", "--state", "vac"),
     ):
         assert run(*argv, "--outdir", str(tmp_path)) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("E_VALIDATION:") and err.count("\n") == 1, argv
     assert not list(tmp_path.glob("*.json"))
+
+
+_STATE = ("--state", "vac", "--alpha", "1")
+_SWEEP = ("--alpha", "1", "--path", "1:0,0.5:pi")
+
+
+@pytest.mark.parametrize("argv", [
+    ("beam", "--w0", "1e-300"),
+    ("marginals", *_STATE, "--w0", "1e-200"),
+    ("ccd", *_STATE, "--w0", "1e-200"),
+    ("sweep", *_SWEEP, "--w0", "1e-200"),
+    ("reproduce", "fig5", "--w0", "1e-200"),
+    ("beam", "--w0", "1e200"),
+    ("wigner", *_STATE, "--w0", "1e200"),
+    ("ccd", *_STATE, "--w0", "1e200"),
+    ("ccd", *_STATE, "--w0", "1e100", "--plane", "momentum"),
+    ("reproduce", "fig5", "--wavelength", "1e300"),
+    ("reproduce", "fig2", "--w0", "1e-200"),
+    ("marginals", *_STATE, "--w0", "1e-160"),
+    ("sweep", *_SWEEP, "--w0", "1e-160"),
+    ("reproduce", "fig5", "--w0", "1e-160"),
+    ("marginals", *_STATE, "--w0", "1e150"),
+    ("reproduce", "fig5", "--wavelength", "1e-200"),
+], ids=" ".join)
+def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
+    # waists and wavelengths whose scales leave the normal float range are
+    # refused, and an overflow no check foresees is E_NUMERIC, never a traceback
+    assert run(*argv, "--outdir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("E_VALIDATION:", "E_NUMERIC:")) and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_wigner_artifacts(tmp_path):

@@ -6,6 +6,7 @@ position moments by trapezoid quadrature and momentum moments through an
 explicit Fourier integral (no library formulas involved).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,21 @@ def test_frame_validation():
         ModeFrame(w0=0.0, wavelength=780e-9)
     with pytest.raises(ValidationError):
         ModeFrame(w0=0.12e-3, wavelength=-1.0)
+    # w0^2, k, z_R, w0^2/hbar and hbar k must all be normal floats
+    for w0, wavelength in (
+        (1e-300, 780e-9),  # w0^2 underflows to zero
+        (1e-160, 780e-9),  # w0^2 is subnormal
+        (1e150, 780e-9),  # w0^2 / hbar overflows
+        (1e200, 780e-9),  # w0^2 overflows
+        (0.12e-3, 1e300),  # hbar k underflows
+        (0.12e-3, 1e-310),  # k overflows
+        (0.12e-3, math.inf),
+        (math.nan, 780e-9),
+    ):
+        with pytest.raises(ValidationError):
+            ModeFrame(w0=w0, wavelength=wavelength)
+    wide = ModeFrame(w0=1e-20, wavelength=1e-20)
+    assert wide.z_r == pytest.approx(math.pi * 1e-20, rel=1e-15)
 
 
 def test_phase_helpers():
@@ -65,6 +81,8 @@ def test_phase_helpers():
 
 class TestOverlapAngle:
     def test_d_equals_w0(self, angle_w0):
+        # alpha is the one stored number; every other form derives from it
+        assert [f.name for f in dataclasses.fields(OverlapAngle)] == ["alpha"]
         # alpha = d / (sqrt(2) w0); cos(theta_d) = exp(-alpha^2)
         assert angle_w0.alpha == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert angle_w0.cos_theta_d == pytest.approx(math.exp(-0.5), rel=1e-15)
@@ -81,6 +99,10 @@ class TestOverlapAngle:
         angle = OverlapAngle.from_theta(0.37 * math.pi)
         again = OverlapAngle.from_alpha(angle.alpha)
         assert again.cos_theta_d == pytest.approx(angle.cos_theta_d, rel=1e-14)
+        # near pi/2, ln cos(theta_d) must come from cos itself, not 1 - 2 sin^2
+        for theta in (0.499 * math.pi, 0.49999 * math.pi):
+            near = OverlapAngle.from_theta(theta)
+            assert math.isclose(near.cos_theta_d, math.cos(theta), rel_tol=1e-14)
 
     def test_degenerate_angles_rejected(self):
         with pytest.raises(ValidationError):
@@ -89,6 +111,35 @@ class TestOverlapAngle:
             OverlapAngle.from_theta(1e-8)  # cos rounds to 1.0
         with pytest.raises(ValidationError):
             OverlapAngle.from_alpha(0.0)
+        # theta_d outside (0, pi/2] would build a mirrored or wrong state
+        for bad in (-0.4 * math.pi, 1.6 * math.pi, math.nan):
+            with pytest.raises(ValidationError):
+                OverlapAngle.from_theta(bad)
+        # a negative separation is not mirrored; alpha^2 overflowing is refused
+        for bad in (-0.1, math.nan, 1e200):
+            with pytest.raises(ValidationError):
+                OverlapAngle.from_alpha(bad)
+        assert OverlapAngle.from_theta(0.5 * math.pi).cos_theta_d < 1e-16
+
+
+@given(
+    st.floats(math.log(2e-8), math.log(25.0)),
+    st.floats(math.log(2e-8), math.log(math.pi / 2.0)),
+)
+def test_overlap_angle_keeps_its_digits(log_alpha, log_theta):
+    # every form of the overlap comes from alpha without cancellation
+    alpha = math.exp(log_alpha)
+    theta = min(math.exp(log_theta), math.pi / 2.0)
+    angle = OverlapAngle.from_alpha(alpha)
+    assert angle.alpha == alpha
+    if alpha < 1e-4:
+        a2 = alpha * alpha
+        n_minus = a2 * (1.0 - a2 / 2.0 + a2 * a2 / 6.0)
+        assert math.isclose(angle.n_minus, n_minus, rel_tol=2e-15)
+        theta_d = math.sqrt(2.0) * alpha * (1.0 - a2 / 6.0)
+        assert math.isclose(angle.theta_d, theta_d, rel_tol=2e-15)
+    assert abs(angle.n_minus + angle.cos_theta_d - 1.0) <= 5e-16
+    assert math.isclose(OverlapAngle.from_theta(theta).theta_d, theta, rel_tol=2e-15)
 
 
 def test_coherent_overlap_against_quadrature(frame):
