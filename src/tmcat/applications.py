@@ -257,6 +257,10 @@ class ProtocolStats:
         return self.sifted / self.rounds if self.rounds else math.nan
 
 
+# Rounds per decoder block: every temporary of the decoder is this long.
+_BLOCK = 8192
+
+
 def psk_link_simulate(
     n: int,
     basis: BasisSet,
@@ -284,23 +288,47 @@ def psk_link_simulate(
     m = len(basis)
     sent = rng.integers(0, m, size=n)
     deltas = rng.normal(0.0, sigma_theta, size=n) if sigma_theta > 0.0 else np.zeros(n)
-    noise_sigma = channel.additive_overlap_noise_sigma
-    # One (m, n) real draw, then the imaginary parts one row at a time: the
-    # row draws continue the stream exactly as a second (m, n) draw would.
-    noise_re = rng.standard_normal((m, n)) if noise_sigma > 0.0 else None
     rotation = np.exp(-1j * deltas)
+    del deltas  # the rotation is all the decoder reads of the jitter
+    noise_sigma = channel.additive_overlap_noise_sigma
+    # One (m, n) real draw, then the imaginary parts one row and block at a
+    # time: the block draws continue the stream exactly as a second (m, n)
+    # draw would.
+    noise_re = rng.standard_normal((m, n)) if noise_sigma > 0.0 else None
     best = np.full(n, -np.inf)
     decoded = np.zeros(n, dtype=np.intp)
+    width = min(n, _BLOCK)
+    stat_buf, term_buf = np.empty((2, width), dtype=complex)
+    score_buf, noise_buf = np.empty((2, width))
+    higher_buf = np.empty(width, dtype=bool)
     for k in range(m):
-        # |overlap| is invariant under the per-round global phase, so the
-        # statistic can be taken real before the additive perturbation
-        statistic = np.abs(u[k, sent] + v[k, sent] * rotation)
-        if noise_re is not None:
-            statistic = statistic + noise_sigma * (noise_re[k] + 1j * rng.standard_normal(n))
-        score = np.abs(statistic) ** 2
-        # strict > keeps ties at the lowest index, as argmax does
-        decoded[score > best] = k
-        np.maximum(best, score, out=best)
+        for start in range(0, n, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            sent_b = sent[block]
+            w = sent_b.size
+            stat, term = stat_buf[:w], term_buf[:w]
+            score, higher = score_buf[:w], higher_buf[:w]
+            # |overlap| is invariant under the per-round global phase, so the
+            # statistic can be taken real before the additive perturbation;
+            # the indices are in range, and "clip" skips the copy of out that
+            # the default mode makes
+            np.take(u[k], sent_b, out=stat, mode="clip")
+            np.take(v[k], sent_b, out=term, mode="clip")
+            np.multiply(term, rotation[block], out=term)
+            np.add(stat, term, out=stat)
+            np.abs(stat, out=score)
+            if noise_re is not None:
+                # the complex sum score + sigma (re + i im), part by part
+                np.multiply(noise_re[k, block], noise_sigma, out=stat.real)
+                np.add(stat.real, score, out=stat.real)
+                noise_im = rng.standard_normal(out=noise_buf[:w])
+                np.multiply(noise_im, noise_sigma, out=stat.imag)
+                np.abs(stat, out=score)
+            np.square(score, out=score)
+            # strict > keeps ties at the lowest index, as argmax does
+            np.greater(score, best[block], out=higher)
+            decoded[block][higher] = k
+            np.maximum(best[block], score, out=best[block])
     errors = int(np.count_nonzero(decoded != sent))
     return ProtocolStats(rounds=n, sifted=n, errors=errors)
 
@@ -321,7 +349,8 @@ def qkd_simulate(
 
     On the qubit sphere (even/odd cat poles on +-x) the four signals sit at
     z = +-1 (x basis) and y = -+1 (p basis); the link rotation advances
-    (y, z) by the jitter angle, and theta_d drops out of the error model:
+    (y, z) by the jitter angle, so a matched round errs with probability
+    (1 - cos delta) / 2, and theta_d drops out of the error model:
     ``angle`` names the signal states and is not read.
     """
     if n < 1:
@@ -335,24 +364,28 @@ def qkd_simulate(
     rng = np.random.Generator(np.random.Philox(0 if seed is None else seed))
     basis_s = rng.integers(0, 2, size=n)  # 0: x basis, 1: p basis
     bits = rng.integers(0, 2, size=n)
-    basis_r = rng.integers(0, 2, size=n)
+    matched = basis_s == rng.integers(0, 2, size=n)  # the receiver's basis
+    del basis_s
     deltas = (
         rng.normal(0.0, sigma_theta, size=n) if sigma_theta > 0.0 else np.zeros(n)
     )
     born = rng.random(n)
-    sgn = 1.0 - 2.0 * bits
-    y0 = np.where(basis_s == 1, -sgn, 0.0)
-    z0 = np.where(basis_s == 0, sgn, 0.0)
-    cos_d = np.cos(deltas)
-    sin_d = np.sin(deltas)
-    y1 = y0 * cos_d + z0 * sin_d
-    z1 = z0 * cos_d - y0 * sin_d
-    p_minus_outcome = np.where(basis_r == 0, (1.0 + z1) / 2.0, (1.0 - y1) / 2.0)
-    outcome = np.where(born < p_minus_outcome, 0, 1)
-    matched = basis_s == basis_r
-    sifted = int(np.count_nonzero(matched))
-    errors = int(np.count_nonzero(matched & (outcome != bits)))
-    return ProtocolStats(rounds=n, sifted=sifted, errors=errors)
+    bits = bits[matched]
+    # a matched round measures the rotated signal's own axis: P(outcome 0)
+    # is (1 + sgn cos delta) / 2 in either basis, with sgn = 1 - 2 bit
+    p_zero = (1.0 + (1.0 - 2.0 * bits) * np.cos(deltas[matched])) / 2.0
+    errors = int(np.count_nonzero((born[matched] < p_zero) == (bits == 1)))
+    return ProtocolStats(rounds=n, sifted=bits.size, errors=errors)
+
+
+def expected_qber(sigma_theta: float) -> float:
+    """Exact mean QBER of qkd_simulate at rotation jitter sigma_theta (radians).
+
+    E[(1 - cos delta) / 2] over delta ~ N(0, sigma_theta^2) is
+    (1 - e^{-sigma_theta^2 / 2}) / 2, written with expm1 to keep small-sigma
+    digits; a path jitter sigma_z enters as fiber.rotation_angle(sigma_z).
+    """
+    return -math.expm1(-sigma_theta * sigma_theta / 2.0) / 2.0
 
 
 @dataclass(frozen=True)

@@ -531,6 +531,7 @@ def _cmd_mdm(args) -> None:
 
 
 def _cmd_qkd(args) -> None:
+    _frame(args)  # the signal states' frame: refused where mdm refuses it
     fiber = FiberSpec(period_length=args.period)
     angle = _resolve_angle(args)
     stats = qkd_simulate(args.n, angle, args.sigma_z, fiber, seed=args.seed)

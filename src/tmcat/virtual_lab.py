@@ -178,8 +178,13 @@ def render_ccd(
     if plane.kind == "position":
         intensity = _intensity_2d(state, x, y, config.visibility)
     else:
-        rotated = rotate_phase_space(state, math.pi / 2.0)
         s = state.frame.k * state.frame.w0**2 / (2.0 * plane.f)
+        if not (sys.float_info.min <= s * s < math.inf):
+            raise ValidationError(
+                f"focal scale k w0^2 / (2 f) = {s} (f = {plane.f} m) is outside "
+                "the normal floating-point range"
+            )
+        rotated = rotate_phase_space(state, math.pi / 2.0)
         intensity = s**2 * _intensity_2d(rotated, s * x, s * y, config.visibility)
     peak = float(intensity.max())
     if not (peak > 0.0):

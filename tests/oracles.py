@@ -6,7 +6,8 @@ written out by hand; they share no arithmetic with the library (N_arb is
 spelled out here too), so a fault in the core cannot also hide in its
 reference.  The cat-basis overlap matrices of the keying bases are kept
 here the same way, built from the closed-form ``cat_coefficients`` that
-the library's basis code does not read.
+the library's basis code does not read, and so is the key-exchange round
+as a rotation of the signal's (y, z) Bloch vector over every round.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 
 from tmcat import (
     HBAR,
+    FiberSpec,
     ModeFrame,
     OverlapAngle,
     QubitParams,
@@ -112,3 +114,35 @@ def cat_overlap_matrices(
     u = np.conj(g_even)[:, None] * g_even[None, :] * np.where(same, 1.0, cross)
     v = np.conj(g_odd)[:, None] * g_odd[None, :] * same
     return u, v
+
+
+def qkd_rotation_counts(
+    n: int, path_jitter_sigma: float, fiber: FiberSpec, seed: int
+) -> tuple[int, int]:
+    """(sifted, errors) of qkd_simulate's rounds, by rotating the Bloch vector.
+
+    The same draws in the same order; the signal (y0, z0) = (0, sgn) in the
+    x basis or (-sgn, 0) in the p basis is rotated by delta in the (y, z)
+    plane, and the receiver's outcome 0 has probability (1 + z1) / 2 in the
+    x basis and (1 - y1) / 2 in the p basis, on every round.
+    """
+    sigma_theta = fiber.rotation_angle(path_jitter_sigma)
+    rng = np.random.Generator(np.random.Philox(seed))
+    basis_s = rng.integers(0, 2, size=n)  # 0: x basis, 1: p basis
+    bits = rng.integers(0, 2, size=n)
+    basis_r = rng.integers(0, 2, size=n)
+    deltas = rng.normal(0.0, sigma_theta, size=n) if sigma_theta > 0.0 else np.zeros(n)
+    born = rng.random(n)
+    sgn = 1.0 - 2.0 * bits
+    y0 = np.where(basis_s == 1, -sgn, 0.0)
+    z0 = np.where(basis_s == 0, sgn, 0.0)
+    cos_d = np.cos(deltas)
+    sin_d = np.sin(deltas)
+    y1 = y0 * cos_d + z0 * sin_d
+    z1 = z0 * cos_d - y0 * sin_d
+    p_minus_outcome = np.where(basis_r == 0, (1.0 + z1) / 2.0, (1.0 - y1) / 2.0)
+    outcome = np.where(born < p_minus_outcome, 0, 1)
+    matched = basis_s == basis_r
+    sifted = int(np.count_nonzero(matched))
+    errors = int(np.count_nonzero(matched & (outcome != bits)))
+    return sifted, errors

@@ -1,6 +1,7 @@
 """Protocol layer: cat-phase rotations, keying bases, QKD, sweeps, mixtures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tmcat import (
     ValidationError,
     build_basis,
     dephased_mixture,
+    expected_qber,
     inner_product,
     make_typical_state,
     profile_sweep,
@@ -28,9 +30,9 @@ from tmcat import (
     rotate_cat_phase,
     wigner_of_state,
 )
-from tmcat.applications import BasisSet
+from tmcat.applications import _BLOCK, BasisSet
 
-from oracles import cat_overlap_matrices, marginal_position
+from oracles import cat_overlap_matrices, marginal_position, qkd_rotation_counts
 from strategies import BENCH_FRAME, superpositions
 
 FOUR_CAT_KINDS = ("cat_plus", "cat_minus")
@@ -239,11 +241,31 @@ class TestKeying:
             ChannelModel(additive_overlap_noise_sigma=0.3),  # sigma_theta == 0
             ChannelModel(rotation_jitter_sigma=0.3 * math.pi),  # sigma_add == 0
         )
-        for channel in channels:
-            for seed in (0, 5, 123):
-                stats = psk_link_simulate(3000, basis, channel, seed=seed)
-                want = self.full_matrix_errors(3000, basis, channel, seed)
-                assert stats.errors == want > 0, (channel, seed)
+        # one round, one block and the edges of the first two blocks
+        for n in (1, 3000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+            for channel in channels:
+                for seed in (0, 5, 123):
+                    stats = psk_link_simulate(n, basis, channel, seed=seed)
+                    want = self.full_matrix_errors(n, basis, channel, seed)
+                    assert stats.errors == want, (n, channel, seed)
+                    assert want > 0 or n == 1, (n, channel, seed)
+
+    def test_memory_stays_within_the_draws(self, frame, angle_bench):
+        # the decoder's temporaries are one block long: at n rounds the peak
+        # is the (m, n) real draw plus a few n-length arrays
+        n = 200_000
+        basis = build_basis("twelve_state", angle_bench, frame)
+        channel = ChannelModel(
+            rotation_jitter_sigma=0.05 * math.pi, additive_overlap_noise_sigma=0.1, seed=4
+        )
+        basis.overlap_matrices()
+        tracemalloc.start()
+        try:
+            psk_link_simulate(n, basis, channel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (len(basis) + 6)
 
     def test_four_cat_rotation_immunity(self, frame, angle_far):
         # the headline property: cat encodings ignore the common-mode
@@ -335,12 +357,50 @@ class TestQkd:
         for sig_frac in (0.0, 0.01, 0.05, 0.1, 0.5, 2.0):
             sigma_z = sig_frac * 1e-3
             stats = qkd_simulate(100000, angle_bench, sigma_z, self.FIBER, seed=42)
-            sigma_theta = 2.0 * math.pi * sig_frac
-            predicted = 0.5 * (1.0 - math.exp(-(sigma_theta**2) / 2.0))
+            predicted = expected_qber(self.FIBER.rotation_angle(sigma_z))
             band = 3.0 * math.sqrt(max(predicted * (1.0 - predicted), 2.5e-7) / stats.sifted)
             assert stats.qber == pytest.approx(predicted, abs=band + 0.001)
             assert stats.qber >= prev - 0.004
             prev = stats.qber
+
+    @given(
+        st.floats(0.2, 4.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_qber_lies_in_the_binomial_band(self, angle_bench, sigma_theta, seed):
+        # the sifted error count is binomial around the exact rate
+        sigma_z = sigma_theta * self.FIBER.period_length / (2.0 * math.pi)
+        stats = qkd_simulate(20000, angle_bench, sigma_z, self.FIBER, seed=seed)
+        rate = expected_qber(self.FIBER.rotation_angle(sigma_z))
+        spread = math.sqrt(stats.sifted * rate * (1.0 - rate))
+        assert abs(stats.errors - stats.sifted * rate) <= 5.0 * spread
+
+    def test_expected_qber_keeps_small_sigma_digits(self):
+        assert expected_qber(0.0) == 0.0
+        assert expected_qber(1e-9) == pytest.approx(2.5e-19, rel=1e-14)
+        assert expected_qber(math.inf) == 0.5
+        assert expected_qber(1.0) == pytest.approx((1.0 - math.exp(-0.5)) / 2.0, rel=1e-14)
+
+    @given(
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.just(0.0), st.floats(1e-9, 5e-3)),
+    )
+    def test_counts_match_the_bloch_rotation(self, angle_bench, n, seed, sigma_z):
+        stats = qkd_simulate(n, angle_bench, sigma_z, self.FIBER, seed=seed)
+        assert (stats.sifted, stats.errors) == qkd_rotation_counts(
+            n, sigma_z, self.FIBER, seed
+        )
+
+    def test_memory_stays_within_the_draws(self, angle_bench):
+        n = 200_000
+        tracemalloc.start()
+        try:
+            qkd_simulate(n, angle_bench, 20e-6, self.FIBER, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * n
 
     def test_heavy_jitter_approaches_half(self, angle_bench):
         stats = qkd_simulate(100000, angle_bench, 10e-3, self.FIBER, seed=42)

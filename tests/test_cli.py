@@ -149,6 +149,8 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         ("ccd", "--state", "vac", "--alpha", "1", "--seed", "-1"),
         ("mdm", "--alpha", "1", "--n", "1000", "--seed", "-3"),
         ("qkd", "--alpha", "1", "--n", "1000", "--seed", "-2"),
+        # a waist whose mode scales leave the float range, as mdm refuses it
+        ("qkd", "--alpha", "1", "--n", "1000", "--w0", "1e-300"),
         # a non-finite tilt
         ("ccd", "--T", "0.5", "--phi", "0", "--alpha", "1", "--tilt-alpha", "nan"),
         # an infinite exposure scale
@@ -188,6 +190,10 @@ _SWEEP = ("--alpha", "1", "--path", "1:0,0.5:pi")
     ("reproduce", "fig5", "--w0", "1e-160"),
     ("marginals", *_STATE, "--w0", "1e150"),
     ("reproduce", "fig5", "--wavelength", "1e-200"),
+    ("ccd", "--alpha", "1", "--T", "0.5", "--phi", "0", "--plane", "momentum",
+     "--w0", "1e100"),
+    ("ccd", "--alpha", "1", "--T", "0.5", "--phi", "0", "--plane", "momentum",
+     "--wavelength", "1e-200"),
 ], ids=" ".join)
 def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
     # waists and wavelengths whose scales leave the normal float range are
@@ -195,6 +201,9 @@ def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
     assert run(*argv, "--outdir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith(("E_VALIDATION:", "E_NUMERIC:")) and err.count("\n") == 1
+    if "momentum" in argv:
+        # the focal scale is squared in the momentum plane: refused up front
+        assert err.startswith("E_VALIDATION: focal scale"), err
     assert not list(tmp_path.glob("*.csv"))
 
 
