@@ -705,7 +705,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(list(argv))
         parser = build_parser()
         args = parser.parse_args(argv)
-        args.handler(args)
+        # an overflow, 0/0 or x/0 no input check foresaw raises, and lands
+        # in E_NUMERIC below; underflow to zero is expected (exp(-large))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args.handler(args)
         name = f"reproduce_{args.figure}" if args.command == "reproduce" else args.command
         _write_manifest(args.outdir, name, args)
         return 0

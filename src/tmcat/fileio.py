@@ -74,8 +74,10 @@ def write_pgm(path, counts: np.ndarray, max_value: int) -> None:
     if not 0 < max_value < 65536:
         raise ValidationError(f"PGM max value must be in [1, 65535], got {max_value}")
     header = f"P5\n{counts.shape[1]} {counts.shape[0]}\n{max_value}\n".encode("ascii")
-    dtype = ">u2" if max_value > 255 else "u1"
-    Path(path).write_bytes(header + counts.astype(dtype).tobytes())
+    payload = np.ascontiguousarray(counts, dtype=">u2" if max_value > 255 else "u1")
+    with Path(path).open("wb") as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

@@ -37,6 +37,9 @@ LAB_FRAME = ModeFrame(w0=0.12e-3, wavelength=780e-9)
 LAB_FOCAL_LENGTH = 0.145
 LAB_THETA_D = 0.40 * math.pi
 
+# the largest Poisson mean numpy's sampler accepts (numpy.random POISSON_LAM_MAX)
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 
 def focal_waist(frame: ModeFrame, f: float) -> float:
     """1/e^2 intensity radius of the vacuum mode at the transform-lens focus."""
@@ -169,14 +172,20 @@ def render_ccd(
     Momentum-plane imaging maps the focal coordinate onto momentum through
     x' = p_x f / (hbar k); internally the state is rotated a quarter turn in
     phase space and sampled at the correspondingly scaled positions.
-    Raises when every pixel saturates (exposure misconfigured).
+
+    Digitization runs in this order: the intensity is scaled to counts;
+    with a seed each pixel takes a Poisson draw of that mean, without one it
+    is rounded half up; the background is added; the frame is flagged
+    saturated when any pixel reaches full range; counts are clipped to
+    [0, max_count].  Raises when every pixel saturates (exposure
+    misconfigured) or when a mean exceeds what the Poisson sampler accepts.
     """
     if isinstance(state, QubitParams):
         state = make_qubit_state(state, frame)
     x = config.column_positions()
     y = config.row_positions()
     if plane.kind == "position":
-        intensity = _intensity_2d(state, x, y, config.visibility)
+        signal = _intensity_2d(state, x, y, config.visibility)
     else:
         s = state.frame.k * state.frame.w0**2 / (2.0 * plane.f)
         if not (sys.float_info.min <= s * s < math.inf):
@@ -185,20 +194,33 @@ def render_ccd(
                 "the normal floating-point range"
             )
         rotated = rotate_phase_space(state, math.pi / 2.0)
-        intensity = s**2 * _intensity_2d(rotated, s * x, s * y, config.visibility)
-    peak = float(intensity.max())
+        signal = _intensity_2d(rotated, s * x, s * y, config.visibility)
+        np.multiply(s**2, signal, out=signal)
+    peak = float(signal.max())
     if not (peak > 0.0):
         raise ValidationError("state renders to zero intensity on the sensor")
     scale = config.exposure_scale
     if scale is None:
         scale = 0.9 * config.max_count / peak
-    signal = scale * intensity
+    if config.seed is not None and peak * scale > _POISSON_MEAN_MAX:
+        raise ValidationError(
+            f"exposure scale {scale:g} puts a mean of {peak * scale:g} counts on the "
+            f"brightest pixel; shot noise is sampled up to {_POISSON_MEAN_MAX:g}"
+        )
+    np.multiply(signal, scale, out=signal)  # a view of the complex product
     if config.seed is not None:
         rng = np.random.Generator(np.random.Philox(config.seed))
-        signal = rng.poisson(signal).astype(np.float64)
-    counts = np.floor(signal + config.background + 0.5)
+        counts = rng.poisson(signal)
+        del signal  # frees the complex product before the uint16 copy
+        # k >= 0 is an integer, so floor(k + background + 0.5) is k + background;
+        # a background at or above full range saturates every pixel either way
+        counts += min(config.background, config.max_count)
+    else:
+        signal += config.background
+        signal += 0.5
+        counts = np.floor(signal, out=signal)
     saturated = bool(counts.max() >= config.max_count)
-    counts = np.clip(counts, 0, config.max_count).astype(np.uint16)
+    counts = np.clip(counts, 0, config.max_count, out=counts).astype(np.uint16)
     if counts.min() >= config.max_count:
         raise ValidationError("every pixel saturated; exposure misconfigured")
     return CcdImage(
@@ -214,7 +236,7 @@ def profile_from_image(image: CcdImage) -> np.ndarray:
     """
     if int(image.counts.min()) >= image.config.max_count:
         raise ValidationError("image is fully saturated")
-    sums = image.counts.astype(np.float64).sum(axis=0)
+    sums = image.counts.sum(axis=0, dtype=np.float64)
     border = np.concatenate([sums[:8], sums[-8:]])
     cleaned = np.clip(sums - np.median(border), 0.0, None)
     total = cleaned.sum()

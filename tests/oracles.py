@@ -7,7 +7,9 @@ spelled out here too), so a fault in the core cannot also hide in its
 reference.  The cat-basis overlap matrices of the keying bases are kept
 here the same way, built from the closed-form ``cat_coefficients`` that
 the library's basis code does not read, and so is the key-exchange round
-as a rotation of the signal's (y, z) Bloch vector over every round.
+as a rotation of the signal's (y, z) Bloch vector over every round.  The
+CCD digitization is kept as the float chain it was first written as, with
+a full-frame temporary at every step.
 """
 
 import math
@@ -20,9 +22,12 @@ from tmcat import (
     ModeFrame,
     OverlapAngle,
     QubitParams,
+    ValidationError,
     cat_coefficients,
     make_typical_state,
+    rotate_phase_space,
 )
+from tmcat.virtual_lab import _intensity_2d
 
 
 def wigner_closed_form(
@@ -146,3 +151,33 @@ def qkd_rotation_counts(
     sifted = int(np.count_nonzero(matched))
     errors = int(np.count_nonzero(matched & (outcome != bits)))
     return sifted, errors
+
+
+def render_ccd_float_tail(state, plane, config) -> tuple[np.ndarray, float, bool]:
+    """(counts, exposure_scale, saturated) of a frame digitized in floats.
+
+    The intensity is sampled as render_ccd samples it; the counts are then
+    poisson -> float64 -> floor(+ background + 0.5) -> clip -> uint16, each
+    step a new array.  Raises ValidationError when every pixel saturates.
+    """
+    x = config.column_positions()
+    y = config.row_positions()
+    if plane.kind == "position":
+        intensity = _intensity_2d(state, x, y, config.visibility)
+    else:
+        s = state.frame.k * state.frame.w0**2 / (2.0 * plane.f)
+        rotated = rotate_phase_space(state, math.pi / 2.0)
+        intensity = s**2 * _intensity_2d(rotated, s * x, s * y, config.visibility)
+    scale = config.exposure_scale
+    if scale is None:
+        scale = 0.9 * config.max_count / float(intensity.max())
+    signal = scale * intensity
+    if config.seed is not None:
+        rng = np.random.Generator(np.random.Philox(config.seed))
+        signal = rng.poisson(signal).astype(np.float64)
+    counts = np.floor(signal + config.background + 0.5)
+    saturated = bool(counts.max() >= config.max_count)
+    counts = np.clip(counts, 0, config.max_count).astype(np.uint16)
+    if counts.min() >= config.max_count:
+        raise ValidationError("every pixel saturated; exposure misconfigured")
+    return counts, scale, saturated

@@ -207,6 +207,32 @@ def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv", [
+    # a mean beyond the shot-noise sampler (was a ValueError traceback)
+    ("ccd", "--alpha", "1", "--T", "0.5", "--phi", "0.3", "--nx", "32", "--ny", "24",
+     "--seed", "3", "--exposure", "1e300"),
+    # backgrounds past uint64, with and without shot noise
+    ("ccd", *_STATE, "--nx", "32", "--ny", "24", "--background", "18446744073709551616"),
+    ("ccd", *_STATE, "--nx", "32", "--ny", "24", "--seed", "1",
+     "--background", "99999999999999999999"),
+    ("ccd", *_STATE, "--nx", "32", "--ny", "24", "--seed", "1",
+     "--background", "9223372036854775000"),
+    # jitter widths whose rotations overflow (were NaN counts and exit 0)
+    ("qkd", "--alpha", "1", "--n", "1000", "--sigma-z", "1e306"),
+    ("mdm", "--alpha", "1", "--n", "1000", "--sigma-add", "1e308"),
+    ("mdm", "--alpha", "1", "--n", "1000", "--sigma-theta", "1e308"),
+], ids=" ".join)
+def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
+    assert run(*argv, "--outdir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("E_VALIDATION:", "E_NUMERIC:")) and err.count("\n") == 1, err
+    if "--exposure" in argv:
+        assert err.startswith("E_VALIDATION: exposure scale 1e+300"), err
+    if "--background" in argv:
+        assert err == "E_VALIDATION: every pixel saturated; exposure misconfigured\n"
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_wigner_artifacts(tmp_path):
     code = run(
         "wigner", "--T", "0.5", "--phi", "pi", "--d-over-w0", "1",

@@ -1,6 +1,7 @@
 """Artifact writers: deterministic CSV/JSON/PGM round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,26 @@ def test_pgm_round_trip_property(tmp_path_factory, case):
     assert got_max == maxval
     assert back.shape == counts.shape
     assert np.array_equal(back, counts)
+
+
+def test_pgm_bytes_and_copy_budget(tmp_path):
+    # header, then the big-endian payload in row order, with a single copy
+    counts = (np.arange(480 * 720) % 4096).astype(np.uint16).reshape(480, 720)
+    path = tmp_path / "t.pgm"
+    write_pgm(path, counts, 4095)
+    tracemalloc.start()
+    try:
+        write_pgm(path, counts, 4095)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counts.nbytes + 2**16
+    assert path.read_bytes() == b"P5\n720 480\n4095\n" + counts.astype(">u2").tobytes()
+    write_pgm(path, counts.T, 4095)
+    assert path.read_bytes() == b"P5\n480 720\n4095\n" + counts.T.astype(">u2").tobytes()
+    strided = counts[::2, ::3] % 256
+    write_pgm(path, strided, 255)
+    assert path.read_bytes() == b"P5\n240 240\n255\n" + strided.astype("u1").tobytes()
 
 
 def test_pgm_validation(tmp_path):

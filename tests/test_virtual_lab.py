@@ -1,10 +1,11 @@
 """Sensor bench: rendering, profile analysis, phase recovery, figure panels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tmcat import (
@@ -12,6 +13,7 @@ from tmcat import (
     CcdImage,
     FitError,
     LAB_FOCAL_LENGTH,
+    OverlapAngle,
     QubitParams,
     ValidationError,
     estimate_relative_phase,
@@ -27,10 +29,10 @@ from tmcat import (
     scenario_reports,
 )
 from tmcat.states import gaussian_mode_1d
-from tmcat.virtual_lab import _intensity_2d
+from tmcat.virtual_lab import _POISSON_MEAN_MAX, _intensity_2d
 
-from oracles import marginal_position
-from strategies import superpositions
+from oracles import marginal_position, render_ccd_float_tail
+from strategies import BENCH_FRAME, superpositions
 
 PITCH = 6.5e-6
 
@@ -149,6 +151,30 @@ class TestRendering:
         assert not np.array_equal(a.counts, c.counts)
         clean = render_ccd(params, position_plane(), small_config(), frame)
         assert not np.array_equal(a.counts, clean.counts)
+
+    def test_shot_noise_mean_limit(self, frame, angle_bench):
+        # the refusal threshold is the sampler's own: its largest mean draws,
+        # the next double up does not
+        rng = np.random.Generator(np.random.Philox(0))
+        assert rng.poisson(_POISSON_MEAN_MAX) > 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(_POISSON_MEAN_MAX, math.inf))
+        params, _ = make_typical_state("vac", angle_bench, frame)
+        for scale in (1e300, 1e12):
+            config = small_config(nx=32, ny=24, seed=3, exposure_scale=scale)
+            with pytest.raises(ValidationError, match="exposure scale"):
+                render_ccd(params, position_plane(), config, frame)
+
+    def test_partial_saturation_matches_float_tail(self, frame, angle_bench):
+        _, state = make_typical_state("p_plus", angle_bench, frame)
+        for seed in (None, 4):
+            config = small_config(bit_depth=12, exposure_scale=8e-4, background=9, seed=seed)
+            for plane in (position_plane(), momentum_plane()):
+                image = render_ccd(state, plane, config, frame)
+                counts, scale, saturated = render_ccd_float_tail(state, plane, config)
+                full = np.mean(image.counts == config.max_count)
+                assert image.saturated and saturated and 0.0 < full < 0.5
+                assert np.array_equal(image.counts, counts) and image.exposure_scale == scale
 
     def test_counts_range_enforced(self, frame, angle_bench):
         params, _ = make_typical_state("vac", angle_bench, frame)
@@ -339,3 +365,91 @@ def test_ccd_frame_matches_term_stack(state, visibility):
         got = _intensity_2d(planar, xs, ys, visibility)
         ref = term_stack_intensity(planar, xs, ys, visibility)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+
+@st.composite
+def ccd_configs(draw):
+    """Small sensors at every bit depth, with backgrounds up to past uint64."""
+    bits = draw(st.sampled_from((8, 12, 16)))
+    full = (1 << bits) - 1
+    background = draw(st.one_of(
+        st.just(0), st.integers(1, 20), st.integers(full, 2**63 - 1),
+        st.sampled_from((2**63, 2**64)),
+    ))
+    return dict(
+        nx=draw(st.integers(2, 48)),
+        ny=draw(st.integers(2, 48)),
+        pitch=PITCH,
+        bit_depth=bits,
+        background=background,
+        visibility=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.one_of(st.none(), st.integers(0, 2**32))),
+    )
+
+
+def _outcome(render):
+    try:
+        return render()
+    except ValidationError as exc:
+        return str(exc)
+
+
+_P_PLUS = make_typical_state("p_plus", OverlapAngle.from_theta(0.4 * math.pi), BENCH_FRAME)[1]
+
+
+def _seeded(background, bits=8):
+    return dict(nx=20, ny=12, pitch=PITCH, bit_depth=bits, background=background,
+                visibility=1.0, seed=5)
+
+
+@given(
+    superpositions(),
+    ccd_configs(),
+    st.one_of(st.none(), st.floats(0.05, 10.0)),
+    st.booleans(),
+)
+# shot noise under backgrounds that overflow or wrap an int64 count
+@example(_P_PLUS, _seeded(2**63), None, False)
+@example(_P_PLUS, _seeded(2**64, bits=16), 3.0, True)
+@example(_P_PLUS, _seeded(2**63 - 800), 0.5, False)
+@example(_P_PLUS, _seeded(9), 3.0, False)
+def test_digitization_matches_float_tail(state, fields, gain, momentum):
+    """In-place digitization equals the float chain bit for bit, errors too."""
+    plane = momentum_plane() if momentum else position_plane()
+    if gain is not None:
+        # relative to the scale that puts the peak at 90%: > 1.1 saturates a part
+        auto = dict(fields, background=0, seed=None)
+        _, scale, _ = render_ccd_float_tail(state, plane, CcdConfig(**auto))
+        fields = dict(fields, exposure_scale=gain * scale)
+    config = CcdConfig(**fields)
+    got = _outcome(lambda: render_ccd(state, plane, config, state.frame))
+    want = _outcome(lambda: render_ccd_float_tail(state, plane, config))
+    if isinstance(want, str):
+        assert got == want == "every pixel saturated; exposure misconfigured"
+        return
+    counts, scale, saturated = want
+    assert got.counts.dtype == counts.dtype and np.array_equal(got.counts, counts)
+    assert got.exposure_scale == scale and got.saturated == saturated
+
+
+def test_frame_allocation_budget(frame, angle_bench):
+    """A 720x480 frame allocates the complex product, the Poisson draw and the
+    uint16 counts, nothing else frame-sized; the profile stays small."""
+    _, state = make_typical_state("p_plus", angle_bench, frame)
+    mib = 2**20
+    for seed in (7, None):
+        config = CcdConfig(bit_depth=12, seed=seed)
+        for plane in (position_plane(), momentum_plane()):
+            image = render_ccd(state, plane, config, frame)  # warm
+            profile_from_image(image)
+            tracemalloc.start()
+            try:
+                render_ccd(state, plane, config, frame)
+                render_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                profile_from_image(image)
+                profile_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert render_peak <= 8.5 * mib, (seed, plane.kind, render_peak / mib)
+            assert profile_peak <= 0.5 * mib, (seed, plane.kind, profile_peak / mib)
