@@ -198,6 +198,7 @@ def _write_manifest(outdir: Path, name: str, args: argparse.Namespace) -> None:
         "config": config,
         "seed": config.get("seed"),
     }
+    outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / f"{name}_manifest.json", payload)
 
 
@@ -253,7 +254,10 @@ def _resolve_angle(args) -> OverlapAngle:
     raise _UsageError("give one of --theta-d, --alpha, --d-over-w0")
 
 
-def _resolve_params(args, frame: ModeFrame, angle: OverlapAngle) -> QubitParams:
+def _resolve_params(args) -> tuple[ModeFrame, OverlapAngle, QubitParams]:
+    """The frame, overlap angle and qubit parameters, refused in that order."""
+    frame = _frame(args)
+    angle = _resolve_angle(args)
     modes = [args.bloch is not None, args.state is not None, args.T is not None]
     if sum(modes) > 1:
         raise _UsageError("give only one of --bloch, --state, --T/--phi")
@@ -262,13 +266,14 @@ def _resolve_params(args, frame: ModeFrame, angle: OverlapAngle) -> QubitParams:
             x, y, z = (float(part) for part in args.bloch.split(","))
         except ValueError:
             raise _UsageError(f"--bloch expects three comma-separated numbers, got {args.bloch!r}")
-        return bloch_to_params(BlochVector(xq=x, yq=y, zq=z), angle, frame)
-    if args.state is not None:
+        params = bloch_to_params(BlochVector(xq=x, yq=y, zq=z), angle, frame)
+    elif args.state is not None:
         params, _ = make_typical_state(args.state, angle, frame)
-        return params
-    if args.T is None or args.phi is None:
+    elif args.T is None or args.phi is None:
         raise _UsageError("give --T and --phi (or --state, or --bloch)")
-    return QubitParams(T=args.T, phi=args.phi, d=angle.displacement(frame.w0))
+    else:
+        params = QubitParams(T=args.T, phi=args.phi, d=angle.displacement(frame.w0))
+    return frame, angle, params
 
 
 def _fmt_pi(value: float) -> str:
@@ -276,14 +281,14 @@ def _fmt_pi(value: float) -> str:
 
 
 def _out_path(args, name: str) -> Path:
+    """Where an artifact goes: name under --outdir (created here) unless absolute."""
+    args.outdir.mkdir(parents=True, exist_ok=True)
     path = Path(name)
     return path if path.is_absolute() else args.outdir / path
 
 
 def _cmd_state(args) -> None:
-    frame = _frame(args)
-    angle = _resolve_angle(args)
-    params = _resolve_params(args, frame, angle)
+    frame, angle, params = _resolve_params(args)
     bloch = params_to_bloch(params, angle)
     n_arb = normalization_factor(params.T, params.phi, angle)
     print(f"T = {params.T:.6g}")
@@ -293,17 +298,13 @@ def _cmd_state(args) -> None:
     print(f"alpha = {angle.alpha:.6g}")
     print(f"d = {params.d:.6g} m")
     print(f"bloch = ({bloch.xq:.6g}, {bloch.yq:.6g}, {bloch.zq:.6g})")
-    args.outdir.mkdir(parents=True, exist_ok=True)
 
 
 def _cmd_wigner(args) -> None:
-    frame = _frame(args)
-    angle = _resolve_angle(args)
-    params = _resolve_params(args, frame, angle)
+    frame, _, params = _resolve_params(args)
     state = make_qubit_state(params, frame)
     result = wigner_map(state, n=args.grid, si_units=args.si)
     headers = ["x", "p", "w"] if args.si else ["X", "P", "W"]
-    args.outdir.mkdir(parents=True, exist_ok=True)
     out = _out_path(args, args.out)
     write_grid_csv(out, headers, result.grid.x_axis(), result.grid.p_axis(), result.values)
     if args.pgm:
@@ -321,14 +322,11 @@ def _cmd_wigner(args) -> None:
 
 
 def _cmd_marginals(args) -> None:
-    frame = _frame(args)
-    angle = _resolve_angle(args)
-    params = _resolve_params(args, frame, angle)
+    frame, _, params = _resolve_params(args)
     state = make_qubit_state(params, frame)
     w0 = frame.w0
     x = np.linspace(-4.5 * w0, params.d + 4.5 * w0, args.points)
     p = np.linspace(-8.0 * HBAR / w0, 8.0 * HBAR / w0, args.points)
-    args.outdir.mkdir(parents=True, exist_ok=True)
     write_csv(
         _out_path(args, f"{args.prefix}_position.csv"),
         ["x", "density"],
@@ -348,14 +346,11 @@ def _cmd_beam(args) -> None:
     for z in np.linspace(0.0, z_max, args.points):
         b = beam_params_at(frame, float(z))
         rows.append((b.z, b.width, b.curvature_radius, b.gouy))
-    args.outdir.mkdir(parents=True, exist_ok=True)
     write_csv(_out_path(args, args.out), ["z", "w", "R", "gouy"], rows)
 
 
 def _cmd_ccd(args) -> None:
-    frame = _frame(args)
-    angle = _resolve_angle(args)
-    params = _resolve_params(args, frame, angle)
+    frame, _, params = _resolve_params(args)
     state = make_qubit_state(params, frame, tilt_alpha=args.tilt_alpha)
     config = CcdConfig(
         nx=args.nx,
@@ -373,7 +368,6 @@ def _cmd_ccd(args) -> None:
         else PlaneTag(kind="momentum", f=args.f)
     )
     image = render_ccd(state, plane, config, frame)
-    args.outdir.mkdir(parents=True, exist_ok=True)
     out = _out_path(args, args.out)
     write_pgm(out, image.counts, config.max_count)
     sidecar = {
@@ -438,9 +432,10 @@ def _image_from_files(path: Path) -> tuple[CcdImage, dict]:
 
 
 def _cmd_fit(args) -> None:
+    if args.T is not None and not math.isfinite(args.T):
+        raise ValidationError(f"T must be finite, got {args.T}")
     image, sidecar = _image_from_files(Path(args.image))
     profile = profile_from_image(image)
-    args.outdir.mkdir(parents=True, exist_ok=True)
     if args.mode == "gaussian":
         fit = fit_gaussian_profile(profile, image.config.pitch)
         payload = {
@@ -496,7 +491,6 @@ def _cmd_sweep(args) -> None:
     rows = [
         (pt.T, pt.phi, pt.delta_x, pt.mean_vx, pt.center_intensity) for pt in series
     ]
-    args.outdir.mkdir(parents=True, exist_ok=True)
     write_csv(
         _out_path(args, args.out),
         ["T", "phi", "delta_x", "mean_vx", "center_intensity"],
@@ -514,7 +508,6 @@ def _cmd_mdm(args) -> None:
         seed=args.seed,
     )
     stats = psk_link_simulate(args.n, basis, channel, seed=args.seed)
-    args.outdir.mkdir(parents=True, exist_ok=True)
     write_json(
         _out_path(args, args.out),
         {
@@ -535,14 +528,14 @@ def _cmd_qkd(args) -> None:
     fiber = FiberSpec(period_length=args.period)
     angle = _resolve_angle(args)
     stats = qkd_simulate(args.n, angle, args.sigma_z, fiber, seed=args.seed)
-    args.outdir.mkdir(parents=True, exist_ok=True)
     write_json(
         _out_path(args, args.out),
         {
             "n": stats.rounds,
             "sifted": stats.sifted,
             "errors": stats.errors,
-            "qber": stats.qber,
+            # no sifted round leaves the error rate undefined
+            "qber": stats.qber if stats.sifted else None,
             "sift_rate": stats.sift_rate,
             "sigma_z": args.sigma_z,
             "period": args.period,
@@ -551,7 +544,7 @@ def _cmd_qkd(args) -> None:
     )
 
 
-def _reproduce_fig2(args, outdir: Path) -> None:
+def _reproduce_fig2(args) -> None:
     frame = _frame(args)
     angle = OverlapAngle.from_displacement(frame.w0, frame.w0)
     half = 4.0
@@ -562,29 +555,30 @@ def _reproduce_fig2(args, outdir: Path) -> None:
     for kind in TYPICAL_KINDS:
         _, state = make_typical_state(kind, angle, frame)
         values = HBAR * wigner_of_state(state, x_si, p_si)
-        write_grid_csv(outdir / f"fig2_{kind}.csv", ["X", "P", "W"], coords, coords, values)
-        sidecar = write_scaled_pgm(outdir / f"fig2_{kind}.pgm", values)
+        write_grid_csv(
+            _out_path(args, f"fig2_{kind}.csv"), ["X", "P", "W"], coords, coords, values
+        )
+        sidecar = write_scaled_pgm(_out_path(args, f"fig2_{kind}.pgm"), values)
         sidecar.update({"state": kind, "half_range": half, "n": n})
-        write_json(outdir / f"fig2_{kind}.pgm.json", sidecar)
+        write_json(_out_path(args, f"fig2_{kind}.pgm.json"), sidecar)
 
 
-def _reproduce_panels(outdir: Path, fig: str, args) -> None:
+def _reproduce_panels(args) -> None:
     frame = _frame(args)
     report = scenario_reports(frame=frame, f=args.f, theta_d=LAB_THETA_D)
-    for panel in report[fig]:
+    for panel in report[args.figure]:
         write_csv(
-            outdir / f"{panel.name}.csv",
+            _out_path(args, f"{panel.name}.csv"),
             ["axis", "density", "sql"],
             zip(panel.axis, panel.density, panel.sql),
         )
 
 
 def _cmd_reproduce(args) -> None:
-    args.outdir.mkdir(parents=True, exist_ok=True)
     if args.figure == "fig2":
-        _reproduce_fig2(args, args.outdir)
+        _reproduce_fig2(args)
     else:
-        _reproduce_panels(args.outdir, args.figure, args)
+        _reproduce_panels(args)
 
 
 def build_parser() -> _Parser:

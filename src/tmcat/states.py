@@ -119,11 +119,6 @@ class ModeFrame:
         return self.k * (self.w0 * self.w0) / 2.0
 
     @property
-    def m_prime(self) -> float:
-        """Mass-equivalent hbar*k/c of the paraxial analogy (kg)."""
-        return HBAR * self.k / C_LIGHT
-
-    @property
     def x_scale(self) -> float:
         """Meters per unit of nondimensional X: x = x_scale * X."""
         return self.w0 / math.sqrt(2.0)
@@ -144,7 +139,8 @@ class OverlapAngle:
     cosine and sine and the cat normalizations are derived from it without
     cancellation, so they keep their digits at small alpha, and the overlap
     stays exact at large alpha, where theta_d alone rounds to pi/2.
-    cos(theta_d) must lie in (0, 1).
+    cos(theta_d) must lie in (0, 1), which holds for about
+    7.45e-9 < alpha < 27.297; outside it exp(-alpha^2) rounds to 1 or to 0.
     """
 
     alpha: float
@@ -241,7 +237,7 @@ class BlochVector:
 
     def __post_init__(self):
         r2 = self.xq**2 + self.yq**2 + self.zq**2
-        if abs(r2 - 1.0) > 1e-12:
+        if not (abs(r2 - 1.0) <= 1e-12):
             raise ValidationError(f"Bloch vector must be unit length, |b|^2 = {r2!r}")
 
     def as_array(self) -> np.ndarray:
@@ -451,6 +447,8 @@ def make_qubit_state(
     tilt_alpha adds an imaginary displacement i*tilt_alpha to the displaced
     beam, modeling a mirror-tilt momentum kick on that arm.
     """
+    if not math.isfinite(tilt_alpha):
+        raise ValidationError(f"tilt_alpha must be finite, got {tilt_alpha}")
     sqrt_t = math.sqrt(params.T)
     sqrt_r = math.sqrt(1.0 - params.T)
     alpha = params.alpha(frame.w0) + 1j * tilt_alpha

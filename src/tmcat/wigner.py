@@ -5,10 +5,8 @@ The x-mode Wigner function of a state with y dependence traced out is
     W(x, p) = (1/(2 pi hbar)) Int psi(x + u/2) psi*(x - u/2) e^{-i u p / hbar} du.
 
 For superpositions of displaced Gaussians the map is analytic, one pair sum
-over terms; the quadrature evaluator exists as an independent cross-check
-and for states added later.  The position and momentum densities (the
-map's marginals) are ``SuperpositionState.position_intensity`` and
-``momentum_intensity``.
+over terms.  The position and momentum densities (the map's marginals) are
+``SuperpositionState.position_intensity`` and ``momentum_intensity``.
 
 Nondimensional maps use X = sqrt(2) x / w0 and P = w0 p / (sqrt(2) hbar)
 with W~ = hbar * W, so the vacuum reads W~ = exp(-X^2 - P^2) / pi and the
@@ -29,9 +27,7 @@ from .states import (
     SuperpositionState,
     _d_kappa,
     _pair_overlaps,
-    _pair_sum,
     _pair_weights,
-    gaussian_mode_1d,
 )
 
 
@@ -219,61 +215,6 @@ def _validate_map(m: WignerMap, auto: bool) -> None:
             raise NumericsError(
                 f"auto-sized Wigner map integrates to {total!r}, not 1"
             )
-
-
-def wigner_numeric(
-    state: SuperpositionState, grid: PhaseSpaceGrid
-) -> WignerMap:
-    """Quadrature evaluation of the defining integral over the grid.
-
-    Works in w0 / (hbar / w0) internal units, windowing the chord variable u
-    to cover every term-pair separation plus 12 w0 of Gaussian tails, with
-    step w0/64 refined by halving until two Richardson levels agree to 1e-9
-    (nondimensional).  The y dependence is reduced analytically term-by-term.
-    """
-    frame = state.frame
-    w0 = frame.w0
-    x_si, p_si, _ = _grid_si_axes(grid, frame)
-    xs = x_si / w0
-    ps = p_si * w0 / HBAR
-
-    ax = state.alphas_x()
-    weights = _pair_weights(state)
-    centers, _ = _d_kappa(ax, 1.0)
-    span = float(np.max(centers) - np.min(centers))
-    # the chord correlation of term pair (j, k) is a Gaussian in u centered
-    # at d_j - d_k, so the window must cover every pairwise separation
-    half_window = span + 8.0
-    modes = ax[:, None, None]
-
-    def evaluate(n_u: int) -> np.ndarray:
-        u = np.linspace(-half_window, half_window, n_u)
-        du = u[1] - u[0]
-        ahead = gaussian_mode_1d(modes, 1.0, xs[:, None] + u[None, :] / 2.0)
-        behind = gaussian_mode_1d(modes, 1.0, xs[:, None] - u[None, :] / 2.0)
-        corr = _pair_sum(weights, ahead, behind)
-        kernel = np.exp(-1j * np.outer(u, ps))
-        vals = (corr @ kernel).real * du / (2.0 * math.pi)
-        # endpoint halving completes the trapezoid rule
-        edge = (
-            corr[:, :1] * kernel[:1, :] + corr[:, -1:] * kernel[-1:, :]
-        ).real * du / (4.0 * math.pi)
-        return vals - edge
-
-    n_u = max(int(round(2.0 * half_window * 64)) + 1, 129)
-    prev = evaluate(n_u)
-    for _ in range(3):
-        n_u = 2 * n_u - 1
-        cur = evaluate(n_u)
-        if np.max(np.abs(cur - prev)) <= 1e-9:
-            # internal (x/w0, p w0/hbar) cell equals the (X, P) cell, so the
-            # nondimensional value carries over; SI needs the 1/hbar Jacobian
-            values = cur / HBAR if grid.si_units else cur
-            out = WignerMap(grid=grid, values=values)
-            _validate_map(out, auto=False)
-            return out
-        prev = cur
-    raise NumericsError("Wigner quadrature did not converge after 3 refinements")
 
 
 def negativity_scan(

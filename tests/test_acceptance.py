@@ -58,11 +58,10 @@ from tmcat import (
     render_ccd,
     signed_phase,
     wigner_map,
-    wigner_numeric,
     wigner_of_state,
 )
 
-from oracles import marginal_momentum, marginal_position
+from oracles import marginal_momentum, marginal_position, wigner_chord_quadrature
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -150,7 +149,7 @@ def test_c05_odd_cat_negativity(frame, angle_w0):
     grid = PhaseSpaceGrid(
         x_min=mid - h, x_max=mid + h, nx=3, p_min=-hp, p_max=hp, np_=3, si_units=True
     )
-    numeric = float(wigner_numeric(state, grid).values[1, 1])
+    numeric = float(wigner_chord_quadrature(state, grid)[1, 1])
     dt = time.perf_counter() - t0
     rel_closed = abs(closed - floor) / abs(floor)
     rel_numeric = abs(numeric - floor) / abs(floor)

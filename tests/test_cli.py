@@ -1,17 +1,29 @@
 """Command-line front end: parsing, exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tmcat
-from tmcat.cli import _UsageError, main, parse_angle, parse_length
+from tmcat.cli import (
+    _point_count,
+    _UsageError,
+    build_parser,
+    main,
+    parse_angle,
+    parse_length,
+)
 from tmcat.fileio import read_json, read_pgm
 
 
@@ -221,11 +233,28 @@ def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
     ("qkd", "--alpha", "1", "--n", "1000", "--sigma-z", "1e306"),
     ("mdm", "--alpha", "1", "--n", "1000", "--sigma-add", "1e308"),
     ("mdm", "--alpha", "1", "--n", "1000", "--sigma-theta", "1e308"),
+    # non-finite values that reached a manifest as NaN (exit 0), or a later
+    # check with a misleading message
+    ("ccd", *_STATE, "--nx", "32", "--ny", "24", "--tilt-alpha", "nan"),
+    ("ccd", *_STATE, "--nx", "32", "--ny", "24", "--tilt-alpha", "inf"),
+    ("fit", "--T", "nan"),
+    ("fit", "--mode", "phase", "--T", "inf", "--d", "0.17mm"),
+    ("state", "--bloch", "nan,0,0", "--alpha", "1"),
 ], ids=" ".join)
 def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
+    if argv[0] == "fit":
+        frame_dir = tmp_path / "frame"
+        assert run("ccd", *_STATE, "--nx", "32", "--ny", "24", "--outdir", str(frame_dir)) == 0
+        argv = (*argv, "--image", str(frame_dir / "ccd.pgm"))
     assert run(*argv, "--outdir", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith(("E_VALIDATION:", "E_NUMERIC:")) and err.count("\n") == 1, err
+    if "--tilt-alpha" in argv:
+        assert err.startswith("E_VALIDATION: tilt_alpha must be finite"), err
+    if argv[0] == "fit":
+        assert err.startswith("E_VALIDATION: T must be finite"), err
+    if "--bloch" in argv:
+        assert err.startswith("E_VALIDATION: Bloch vector must be unit length"), err
     if "--exposure" in argv:
         assert err.startswith("E_VALIDATION: exposure scale 1e+300"), err
     if "--background" in argv:
@@ -457,6 +486,10 @@ def test_qkd_command(tmp_path):
     result = read_json(tmp_path / "qkd.json")
     assert result["qber"] < 0.001
     assert 0.45 < result["sift_rate"] < 0.55
+    # one round at seed 0 is not sifted: the error rate is null, not NaN
+    assert run("qkd", "--alpha", "1", "--n", "1", "--outdir", str(tmp_path)) == 0
+    text = (tmp_path / "qkd.json").read_text()
+    assert '"qber": null' in text and '"sifted": 0' in text
 
 
 def test_reproduce_fig4(tmp_path):
@@ -510,3 +543,93 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# Small fixed runs per subcommand: every drawn option is appended, so it
+# overrides the base value of the same flag.  Each base run succeeds (at
+# --grid 16 the auto-sized map misses its integral check by 6e-6).
+_QUBIT = ("--alpha", "1", "--T", "0.5", "--phi", "0.3")
+_FUZZ_BASE = {
+    "state": _QUBIT,
+    "wigner": (*_QUBIT, "--grid", "20"),
+    "marginals": (*_QUBIT, "--points", "16"),
+    "beam": ("--points", "16"),
+    "ccd": (*_QUBIT, "--nx", "32", "--ny", "24"),
+    "fit": (),  # plus --image, a frame rendered once below
+    "sweep": ("--alpha", "1", "--path", "1:0,0.5:pi"),
+    "mdm": ("--alpha", "1", "--n", "50"),
+    "qkd": ("--alpha", "1", "--n", "50"),
+    "reproduce": ("fig5",),
+}
+# values of each type, with the suffixes its parser reads
+_SUFFIXES = {float: ("",), parse_length: ("", "mm", "nm"), parse_angle: ("", "pi")}
+_INT_TYPES = (int, _point_count)
+_FLOAT_VALUES = ("0", "-0", "1e-320", "-1e-320", "1e-308", "1e308", "-1e308",
+                 "nan", "inf", "-inf", "3", "-3")
+# no large integers: a drawn grid, frame or round count stays small
+_INT_VALUES = ("-1", "0", "1", "2", "3", "1e308", "nan")
+
+
+_SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+_NUMERIC_ACTIONS = {
+    command: [
+        a for a in parser._actions
+        if a.option_strings and (a.type in _SUFFIXES or a.type in _INT_TYPES)
+    ]
+    for command, parser in _SUBPARSERS.choices.items()
+}
+
+
+def _option_tokens(data, action):
+    flag = data.draw(st.sampled_from(action.option_strings))
+    if action.type in _INT_TYPES:
+        value = data.draw(st.sampled_from(_INT_VALUES))
+    else:
+        value = data.draw(st.sampled_from(_FLOAT_VALUES)) + data.draw(
+            st.sampled_from(_SUFFIXES[action.type])
+        )
+    return data.draw(st.sampled_from(([flag, value], [f"{flag}={value}"])))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def fuzz_frame(tmp_path_factory):
+    """The 32x24 frame that fit reads, after every base run has succeeded."""
+    outdir = tmp_path_factory.mktemp("frame")
+    assert main(["ccd", *_FUZZ_BASE["ccd"], "--outdir", str(outdir)]) == 0
+    frame = outdir / "ccd.pgm"
+    for command, base in _FUZZ_BASE.items():
+        image = ("--image", str(frame)) if command == "fit" else ()
+        assert main([command, *base, *image, "--outdir", str(outdir)]) == 0, command
+    return frame
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
+@given(data=st.data())
+def test_fuzzed_numeric_options_end_cleanly(command, fuzz_frame, data):
+    # any value of one or two numeric options gives the documented result or
+    # one E_* line, and every file written holds only finite JSON numbers and
+    # no nan cell (R = inf at the waist in beam.csv is documented)
+    chosen = data.draw(
+        st.lists(st.sampled_from(_NUMERIC_ACTIONS[command]), min_size=1, max_size=2)
+    )
+    argv = [command, *_FUZZ_BASE[command]]
+    if command == "fit":
+        argv += ["--image", str(fuzz_frame)]
+    for action in chosen:
+        argv += _option_tokens(data, action)
+    with tempfile.TemporaryDirectory() as outdir:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--outdir", outdir])
+        assert code in (0, 1, 2), argv
+        message = err.getvalue()
+        assert message.count("\n") <= 1 and "Traceback" not in message, (argv, message)
+        for path in Path(outdir).glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        for path in Path(outdir).glob("*.csv"):
+            cells = path.read_text().replace("\n", ",").split(",")
+            assert "nan" not in cells, (argv, path.name)

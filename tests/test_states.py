@@ -35,12 +35,12 @@ from tmcat import (
     params_to_bloch,
     quadrature_moments,
     signed_phase,
-    wigner_numeric,
     wigner_of_state,
     wrap_phase,
 )
 from tmcat.applications import BasisSet
 
+from oracles import wigner_chord_quadrature
 from strategies import superpositions
 
 
@@ -375,8 +375,10 @@ class TestBlochMap:
                 assert back.as_array() == pytest.approx(b.as_array(), abs=1e-10)
 
     def test_unit_length_enforced(self):
-        with pytest.raises(ValidationError):
-            BlochVector(0.5, 0.5, 0.5)
+        nan = math.nan
+        for v in ((0.5, 0.5, 0.5), (nan, 0.0, 0.0), (0.0, nan, 1.0), (nan, nan, nan)):
+            with pytest.raises(ValidationError):
+                BlochVector(*v)
 
     def test_bloch_example(self, frame):
         # (0, -1, 0) at alpha = 1.1 resolves to the odd momentum state
@@ -441,7 +443,7 @@ def test_wigner_matches_chord_quadrature(state):
     closed = HBAR * wigner_of_state(
         state, frame.x_scale * grid.x_axis(), frame.p_scale * grid.p_axis()
     )
-    assert np.max(np.abs(closed - wigner_numeric(state, grid).values)) < 1e-8
+    assert np.max(np.abs(closed - wigner_chord_quadrature(state, grid))) < 1e-8
 
 
 def momentum_mode(alpha, w0, p):
