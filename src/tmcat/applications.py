@@ -26,17 +26,12 @@ from .states import (
     SuperpositionState,
     _check_seed,
     _gram,
+    _two_beam,
     coherent_overlap,
     make_qubit_state,
     make_typical_state,
 )
-from .wigner import (
-    WignerMap,
-    _auto_window,
-    _validate_map,
-    quadrature_moments,
-    wigner_of_state,
-)
+from .wigner import _auto_map, quadrature_moments, wigner_of_state
 
 BASIS_SCHEMES = ("four_cat", "twelve_state", "four_hg_reference")
 
@@ -157,16 +152,8 @@ def _y_axis_state(
     symmetric pair -alpha/2 and +alpha/2, so the beam separation (and hence
     theta_d) matches the x-axis construction exactly.
     """
-    alpha = angle.alpha
-    u = math.sqrt(params.T)
-    v = complex(math.cos(params.phi), math.sin(params.phi)) * math.sqrt(1.0 - params.T)
-    return SuperpositionState.from_terms(
-        frame,
-        [
-            CoherentTerm(coeff=u, alpha_x=alpha / 2.0, alpha_y=-alpha / 2.0),
-            CoherentTerm(coeff=v, alpha_x=alpha / 2.0, alpha_y=+alpha / 2.0),
-        ],
-    )
+    half = angle.alpha / 2.0
+    return _two_beam(frame, params.T, params.phi, (half, -half), (half, half))
 
 
 def build_basis(scheme: str, angle: OverlapAngle, frame: ModeFrame) -> BasisSet:
@@ -444,13 +431,9 @@ class DephasedMixture:
 
     @property
     def components(self) -> tuple[tuple[float, SuperpositionState], ...]:
-        vac = SuperpositionState.from_terms(
-            self.frame, [CoherentTerm(coeff=1.0, alpha_x=0.0)]
-        )
-        coh = SuperpositionState.from_terms(
-            self.frame, [CoherentTerm(coeff=1.0, alpha_x=self.angle.alpha)]
-        )
-        return ((0.5, vac), (0.5, coh))
+        beams = ((0.0, 0.0), (self.angle.alpha, 0.0))
+        # T = 1 keeps the vacuum beam alone, T = 0 the coherent one
+        return tuple((0.5, _two_beam(self.frame, t, 0.0, *beams)) for t in (1.0, 0.0))
 
     @property
     def purity(self) -> float:
@@ -464,15 +447,12 @@ class DephasedMixture:
     def position_intensity(self, x: np.ndarray) -> np.ndarray:
         return sum(w * state.position_intensity(x) for w, state in self.components)
 
-    def wigner_map(self, n: int = 256) -> WignerMap:
-        """Auto-sized nondimensional map of the mixture (integrates to 1)."""
+    def wigner_map(self, n: int = 256):
+        """Auto-sized nondimensional WignerMap of the mixture (integrates to 1)."""
         alpha = self.angle.alpha
         # components centered at X = 0 and 2 alpha: mean alpha, variance 1/2 + alpha^2
         moments = ((alpha, 0.5 + alpha**2), (0.0, 0.5))
-        grid, values = _auto_window(self.frame, self.wigner_values, moments, n, False)
-        out = WignerMap(grid=grid, values=values)
-        _validate_map(out, auto=True)
-        return out
+        return _auto_map(self.frame, self.wigner_values, moments, n, False)
 
 
 def dephased_mixture(d: float, frame: ModeFrame) -> DephasedMixture:

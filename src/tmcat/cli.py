@@ -29,6 +29,7 @@ from .applications import (
 )
 from .errors import NumericsError, SimulationError, ValidationError
 from .fileio import (
+    _sidecar_path,
     read_json,
     read_pgm,
     write_csv,
@@ -74,9 +75,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads only plain numbers like -2.2 as negative values; no
-        # option starts with a digit, '.' or 'pi', so -pi, -0.72pi, -2.5e-3
-        # and -1mm are values too
-        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|pi)", re.IGNORECASE)
+        # option starts with a digit, '.', 'pi', 'inf' or 'nan', so -pi,
+        # -0.72pi, -2.5e-3, -1mm and -inf are values too
+        self._negative_number_matcher = re.compile(r"(?i)^-(\d|\.\d|pi|inf|nan)")
 
     def error(self, message):
         raise _UsageError(message)
@@ -178,11 +179,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 
 def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+    return str(value) if isinstance(value, Path) else value
 
 
 def _write_manifest(outdir: Path, name: str, args: argparse.Namespace) -> None:
@@ -308,17 +305,11 @@ def _cmd_wigner(args) -> None:
     out = _out_path(args, args.out)
     write_grid_csv(out, headers, result.grid.x_axis(), result.grid.p_axis(), result.values)
     if args.pgm:
-        sidecar = write_scaled_pgm(out.with_suffix(".pgm"), result.values)
-        sidecar.update(
-            {
-                "x_min": result.grid.x_min,
-                "x_max": result.grid.x_max,
-                "p_min": result.grid.p_min,
-                "p_max": result.grid.p_max,
-                "si_units": result.grid.si_units,
-            }
+        g = result.grid
+        write_scaled_pgm(
+            out.with_suffix(".pgm"), result.values, x_min=g.x_min, x_max=g.x_max,
+            p_min=g.p_min, p_max=g.p_max, si_units=g.si_units,
         )
-        write_json(out.with_suffix(".pgm").with_name(out.stem + ".pgm.json"), sidecar)
 
 
 def _cmd_marginals(args) -> None:
@@ -385,11 +376,11 @@ def _cmd_ccd(args) -> None:
         "w0": frame.w0,
         "wavelength": frame.wavelength,
     }
-    write_json(Path(str(out) + ".json"), sidecar)
+    write_json(_sidecar_path(out), sidecar)
 
 
 def _image_from_files(path: Path) -> tuple[CcdImage, dict]:
-    sidecar_path = Path(str(path) + ".json")
+    sidecar_path = _sidecar_path(path)
     try:
         counts, max_value = read_pgm(path)
         sidecar = read_json(sidecar_path)
@@ -558,9 +549,9 @@ def _reproduce_fig2(args) -> None:
         write_grid_csv(
             _out_path(args, f"fig2_{kind}.csv"), ["X", "P", "W"], coords, coords, values
         )
-        sidecar = write_scaled_pgm(_out_path(args, f"fig2_{kind}.pgm"), values)
-        sidecar.update({"state": kind, "half_range": half, "n": n})
-        write_json(_out_path(args, f"fig2_{kind}.pgm.json"), sidecar)
+        write_scaled_pgm(
+            _out_path(args, f"fig2_{kind}.pgm"), values, state=kind, half_range=half, n=n
+        )
 
 
 def _reproduce_panels(args) -> None:

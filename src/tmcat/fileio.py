@@ -120,11 +120,17 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return counts.reshape(height, width).astype(np.uint16), max_value
 
 
-def write_scaled_pgm(path, values: np.ndarray) -> dict:
-    """Affine-map real values onto 16-bit gray and report the scaling.
+def _sidecar_path(path) -> Path:
+    """Where the JSON sidecar of the PGM at path lives: <path>.json."""
+    return Path(f"{path}.json")
 
-    Returns the sidecar payload: value_min/value_max recover the data via
-    value = value_min + code / 65535 * (value_max - value_min).
+
+def write_scaled_pgm(path, values: np.ndarray, **fields) -> dict:
+    """Affine-map real values onto 16-bit gray and write the scaling sidecar.
+
+    The sidecar holds value_min/value_max, which recover the data via
+    value = value_min + code / 65535 * (value_max - value_min), plus the
+    caller's fields; it is written to <path>.json and returned.
     """
     values = np.asarray(values, dtype=float)
     vmin = float(values.min())
@@ -135,4 +141,6 @@ def write_scaled_pgm(path, values: np.ndarray) -> dict:
     else:
         codes = np.floor((values - vmin) / span * 65535.0 + 0.5).astype(np.uint16)
     write_pgm(path, codes, 65535)
-    return {"value_min": vmin, "value_max": vmax, "levels": 65535}
+    sidecar = {"value_min": vmin, "value_max": vmax, "levels": 65535, **fields}
+    write_json(_sidecar_path(path), sidecar)
+    return sidecar

@@ -449,15 +449,19 @@ def make_qubit_state(
     """
     if not math.isfinite(tilt_alpha):
         raise ValidationError(f"tilt_alpha must be finite, got {tilt_alpha}")
-    sqrt_t = math.sqrt(params.T)
-    sqrt_r = math.sqrt(1.0 - params.T)
     alpha = params.alpha(frame.w0) + 1j * tilt_alpha
-    terms = []
-    if sqrt_t > 0.0:
-        terms.append(CoherentTerm(coeff=sqrt_t, alpha_x=0.0))
-    if sqrt_r > 0.0:
-        phase = complex(math.cos(params.phi), math.sin(params.phi))
-        terms.append(CoherentTerm(coeff=phase * sqrt_r, alpha_x=alpha))
+    return _two_beam(frame, params.T, params.phi, (0.0, 0.0), (alpha, 0.0))
+
+
+def _two_beam(
+    frame: ModeFrame, T: float, phi: float, a: tuple, b: tuple
+) -> SuperpositionState:
+    """Normalized sqrt(T) |a> + e^{i phi} sqrt(1-T) |b>; beams are (alpha_x, alpha_y).
+
+    A beam of zero weight is left out, so T = 1 or 0 gives one term.
+    """
+    weights = (math.sqrt(T), complex(math.cos(phi), math.sin(phi)) * math.sqrt(1.0 - T))
+    terms = [CoherentTerm(c, *beam) for c, beam in zip(weights, (a, b)) if c != 0.0]
     return SuperpositionState.from_terms(frame, terms)
 
 

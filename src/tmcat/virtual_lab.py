@@ -322,13 +322,11 @@ def estimate_relative_phase(
         raise ValidationError(f"phase estimation needs T in (0, 1), got {T}")
     if not (d > 0.0):
         raise ValidationError(f"phase estimation needs d > 0, got {d}")
-    if not (f > 0.0):
-        raise ValidationError(f"focal length must be positive, got {f}")
+    frame = ModeFrame(w0=w0, wavelength=wavelength)
+    w_f = focal_waist(frame, f)
     profile = np.asarray(momentum_profile, dtype=float)
-    k = 2.0 * math.pi / wavelength
     x = (np.arange(profile.size) - (profile.size - 1) / 2.0) * pitch
-    w_f = 2.0 * f / (k * w0)
-    kappa = k * d / f
+    kappa = frame.k * d / f
     depth = 2.0 * math.sqrt(T * (1.0 - T))
     envelope = np.exp(-2.0 * x**2 / w_f**2)
 

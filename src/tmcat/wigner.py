@@ -78,10 +78,6 @@ class WignerMap:
         return float(self.grid.x_axis()[idx[0]]), float(self.grid.p_axis()[idx[1]])
 
 
-def _floor(si_units: bool) -> float:
-    return -1.0 / (math.pi * HBAR) if si_units else -1.0 / math.pi
-
-
 def wigner_of_state(
     state: SuperpositionState, x: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
@@ -137,91 +133,73 @@ def quadrature_moments(
     return mean, var
 
 
-def _auto_window(
-    frame: ModeFrame, evaluate, moments, n: int, si_units: bool
-) -> tuple[PhaseSpaceGrid, np.ndarray]:
-    """Window centered on a map's centroid covering its support.
+def _auto_map(frame: ModeFrame, evaluate, moments, n: int, si_units: bool) -> WignerMap:
+    """Validated n x n map on a window centered on the centroid, covering the support.
 
-    moments holds the (mean, variance) pairs of X and of P.  Starts at
-    +-4 sqrt(Var) (at least 4 vacuum widths) about the centroid and grows by
-    x1.5 while any boundary cell exceeds 1e-8 of the map peak.
-    ``evaluate(x, p)`` gives SI Wigner values on SI axes; returns the grid and
-    the values already evaluated on it, in the grid's units.
+    moments holds the (mean, variance) pairs of X and of P.  The window starts
+    at +-4 sqrt(Var) (at least 4 vacuum widths) about the centroid and grows
+    by x1.5 while any boundary cell exceeds 1e-8 of the map peak.
+    ``evaluate(x, p)`` gives SI Wigner values on SI axes.
     """
     (mean_x, var_x), (mean_p, var_p) = moments
     half_x = 4.0 * max(math.sqrt(var_x), math.sqrt(0.5))
     half_p = 4.0 * max(math.sqrt(var_p), math.sqrt(0.5))
-    sx, sp = (frame.x_scale, frame.p_scale) if si_units else (1.0, 1.0)
+    sx, sp = frame.x_scale, frame.p_scale
+    if si_units:  # SI bounds, evaluated as they are
+        bx, bp, ex, ep, scale = sx, sp, 1.0, 1.0, 1.0
+    else:  # evaluated at SI points; W~ = hbar W, as dx dp = hbar dX dP
+        bx, bp, ex, ep, scale = 1.0, 1.0, sx, sp, HBAR
     for _ in range(12):
         grid = PhaseSpaceGrid(
-            x_min=sx * (mean_x - half_x),
-            x_max=sx * (mean_x + half_x),
+            x_min=bx * (mean_x - half_x),
+            x_max=bx * (mean_x + half_x),
             nx=n,
-            p_min=sp * (mean_p - half_p),
-            p_max=sp * (mean_p + half_p),
+            p_min=bp * (mean_p - half_p),
+            p_max=bp * (mean_p + half_p),
             np_=n,
             si_units=si_units,
         )
-        x, p, scale = _grid_si_axes(grid, frame)
-        vals = evaluate(x, p)
+        vals = evaluate(ex * grid.x_axis(), ep * grid.p_axis())
         mag = np.abs(vals)
         if max(mag[[0, -1], :].max(), mag[:, [0, -1]].max()) <= 1e-8 * mag.max():
-            return grid, scale * vals
+            out = WignerMap(grid=grid, values=scale * vals)
+            _validate_map(out)
+            return out
         half_x *= 1.5
         half_p *= 1.5
     raise NumericsError("auto grid did not localize the state after 12 expansions")
 
 
-def _grid_si_axes(grid: PhaseSpaceGrid, frame: ModeFrame) -> tuple[np.ndarray, np.ndarray, float]:
-    """SI x/p axes of a grid plus the Wigner scale factor to grid units."""
-    if grid.si_units:
-        return grid.x_axis(), grid.p_axis(), 1.0
-    x = frame.x_scale * grid.x_axis()
-    p = frame.p_scale * grid.p_axis()
-    # dx dp (SI) = x_scale * p_scale * dX dP = hbar dX dP, so W~ = hbar W
-    return x, p, HBAR
-
-
-def wigner_map(
-    state: SuperpositionState,
-    grid: PhaseSpaceGrid | None = None,
-    n: int = 256,
-    si_units: bool = False,
-) -> WignerMap:
-    """Closed-form Wigner map; auto-sizes and validates when grid is None."""
-    auto = grid is None
-    if auto:
-        moments = [quadrature_moments(state, t) for t in (0.0, math.pi / 2.0)]
-        grid, values = _auto_window(
-            state.frame, lambda x, p: wigner_of_state(state, x, p), moments, n, si_units
-        )
-    else:
-        x, p, scale = _grid_si_axes(grid, state.frame)
-        values = scale * wigner_of_state(state, x, p)
-    out = WignerMap(grid=grid, values=values)
-    _validate_map(out, auto=auto)
-    return out
-
-
-def _validate_map(m: WignerMap, auto: bool) -> None:
-    floor = _floor(m.grid.si_units)
+def _validate_map(m: WignerMap) -> None:
+    """Refuse a map below -1/pi (-1/(pi hbar) in SI) or not integrating to 1."""
+    floor = -1.0 / (math.pi * HBAR) if m.grid.si_units else -1.0 / math.pi
     if not (m.values.min() >= floor * (1.0 + 1e-9)):
         raise NumericsError(
             f"Wigner map dips below the physical floor: {m.values.min()!r} < {floor!r}"
         )
-    if auto:
-        total = m.integral()
-        if not (abs(total - 1.0) <= 1e-6):
-            raise NumericsError(
-                f"auto-sized Wigner map integrates to {total!r}, not 1"
-            )
+    total = m.integral()
+    if not (abs(total - 1.0) <= 1e-6):
+        raise NumericsError(
+            f"Wigner map on the {m.grid.nx}x{m.grid.np_} grid integrates to {total!r}, "
+            "not 1; a finer grid may pass"
+        )
+
+
+def wigner_map(
+    state: SuperpositionState, n: int = 256, si_units: bool = False
+) -> WignerMap:
+    """Closed-form Wigner map on an auto-sized, validated n x n grid."""
+    moments = [quadrature_moments(state, t) for t in (0.0, math.pi / 2.0)]
+    return _auto_map(
+        state.frame, lambda x, p: wigner_of_state(state, x, p), moments, n, si_units
+    )
 
 
 def negativity_scan(
-    state: SuperpositionState, grid: PhaseSpaceGrid | None = None, n: int = 256
+    state: SuperpositionState, n: int = 256
 ) -> tuple[float, tuple[float, float], float]:
     """Grid minimum, its location, and the magnitude of the negative volume."""
-    m = wigner_map(state, grid=grid, n=n)
+    m = wigner_map(state, n=n)
     x = m.grid.x_axis()
     p = m.grid.p_axis()
     cell = (x[1] - x[0]) * (p[1] - p[0])

@@ -82,6 +82,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     for argv in (
         # non-finite angles and lengths
         ("state", "--alpha", "1", "--T", "0.5", "--phi", "inf"),
+        ("state", "--alpha", "1", "--T", "0.5", "--phi", "-inf"),
+        ("state", "--alpha", "1", "--T", "0.5", "--phi", "-nan"),
         ("sweep", "--alpha", "1", "--path", "0.5:nan"),
         ("beam", "--z-max", "inf"),
         # degenerate sample counts
@@ -94,6 +96,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert run(*argv, "--outdir", out) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("E_USAGE:") and err.count("\n") == 1, argv
+        if argv[-2] == "--phi":
+            # separate '-inf' and '-nan' tokens reach the angle parser, not argparse
+            assert err == f"E_USAGE: angle {argv[-1]!r} is not a finite number\n", argv
     assert not list(tmp_path.glob("*.csv"))
     # unwritable outputs: an outdir under a regular file, a missing directory
     (tmp_path / "afile").write_text("")
@@ -240,6 +245,8 @@ def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
     ("fit", "--T", "nan"),
     ("fit", "--mode", "phase", "--T", "inf", "--d", "0.17mm"),
     ("state", "--bloch", "nan,0,0", "--alpha", "1"),
+    # a valid map on too coarse a grid: the message names the grid
+    ("wigner", "--state", "cat_minus", "--alpha", "1", "--grid", "16"),
 ], ids=" ".join)
 def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
     if argv[0] == "fit":
@@ -259,6 +266,9 @@ def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
         assert err.startswith("E_VALIDATION: exposure scale 1e+300"), err
     if "--background" in argv:
         assert err == "E_VALIDATION: every pixel saturated; exposure misconfigured\n"
+    if "--grid" in argv:
+        assert err.startswith("E_NUMERIC: Wigner map on the 16x16 grid integrates to "), err
+        assert err.endswith("not 1; a finer grid may pass\n"), err
     assert not list(tmp_path.glob("*.json"))
 
 
@@ -276,20 +286,23 @@ def test_wigner_artifacts(tmp_path):
     assert maxval == 65535
     sidecar = read_json(tmp_path / "wigner.pgm.json")
     assert sidecar["levels"] == 65535
-    assert "x_min" in sidecar
+    assert set(sidecar) == {
+        "value_min", "value_max", "levels", "x_min", "x_max", "p_min", "p_max", "si_units",
+    }
+    assert sidecar["si_units"] is False
 
 
 def test_wigner_is_deterministic(tmp_path):
     args = (
         "wigner", "--T", "0.3", "--phi", "0.7pi", "--d-over-w0", "1",
-        "--grid", "24", "--outdir", str(tmp_path),
+        "--grid", "24", "--pgm", "--outdir", str(tmp_path),
     )
+    names = ("wigner.csv", "wigner.pgm", "wigner.pgm.json", "wigner_manifest.json")
     assert run(*args) == 0
-    first = (tmp_path / "wigner.csv").read_bytes()
-    first_manifest = (tmp_path / "wigner_manifest.json").read_bytes()
+    first = {name: (tmp_path / name).read_bytes() for name in names}
     assert run(*args) == 0
-    assert (tmp_path / "wigner.csv").read_bytes() == first
-    assert (tmp_path / "wigner_manifest.json").read_bytes() == first_manifest
+    for name in names:
+        assert (tmp_path / name).read_bytes() == first[name], name
 
 
 def test_marginals_and_beam(tmp_path):
@@ -399,7 +412,7 @@ def test_ccd_fit_gaussian_round_trip(tmp_path):
     assert fit["radius_1e2_px"] == pytest.approx(46.155, abs=1.0)
 
 
-def test_ccd_fit_phase_round_trip(tmp_path):
+def test_ccd_fit_phase_round_trip(tmp_path, capsys):
     d_over_w0 = math.sqrt(2.0) * 1.1  # alpha = 1.1
     assert run(
         "ccd", "--T", "0.5", "--phi", "0.57pi", "--alpha", "1.1",
@@ -414,6 +427,14 @@ def test_ccd_fit_phase_round_trip(tmp_path):
     ) == 0
     result = read_json(tmp_path / "phase.json")
     assert result["phi_hat_over_pi"] == pytest.approx(0.57, abs=0.03)
+    # a sidecar waist of 0 is refused by the mode frame, not divided by
+    sidecar = tmp_path / "fringe.pgm.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "w0": 0.0}))
+    assert run(
+        "fit", "--image", str(tmp_path / "fringe.pgm"), "--mode", "phase",
+        "--T", "0.5", "--d", str(d), "--outdir", str(tmp_path),
+    ) == 2
+    assert capsys.readouterr().err == "E_VALIDATION: w0 must be positive, got 0.0\n"
 
 
 def test_fit_mode_requirements(tmp_path, capsys):
@@ -522,6 +543,8 @@ def test_reproduce_fig2_inventory(tmp_path):
     assert counts.shape == (256, 256)
     assert maxval == 65535
     sidecar = read_json(tmp_path / "fig2_cat_minus.pgm.json")
+    assert set(sidecar) == {"value_min", "value_max", "levels", "state", "half_range", "n"}
+    assert (sidecar["state"], sidecar["half_range"], sidecar["n"]) == ("cat_minus", 4.0, 256)
     # odd cat approaches the -1/pi negativity floor; the even-sized grid
     # straddles the exact minimum point, so allow a half-cell of slack
     assert sidecar["value_min"] == pytest.approx(-1.0 / math.pi, abs=1e-3)

@@ -165,10 +165,13 @@ def test_pgm_validation(tmp_path):
 def test_scaled_pgm_sidecar(tmp_path):
     values = np.linspace(-2.0, 3.0, 24).reshape(4, 6)
     path = tmp_path / "map.pgm"
-    sidecar = write_scaled_pgm(path, values)
+    sidecar = write_scaled_pgm(path, values, state="demo", n=4)
     assert sidecar["value_min"] == pytest.approx(-2.0)
     assert sidecar["value_max"] == pytest.approx(3.0)
     assert sidecar["levels"] == 65535
+    # the sidecar sits at <path>.json and carries the caller's fields
+    assert read_json(tmp_path / "map.pgm.json") == sidecar
+    assert set(sidecar) == {"value_min", "value_max", "levels", "state", "n"}
     counts, maxval = read_pgm(path)
     assert maxval == 65535
     assert counts.min() == 0 and counts.max() == 65535
