@@ -19,7 +19,6 @@ from .errors import ValidationError
 from .propagation import FiberSpec
 from .states import (
     HBAR,
-    CoherentTerm,
     ModeFrame,
     OverlapAngle,
     QubitParams,
@@ -173,12 +172,8 @@ def build_basis(scheme: str, angle: OverlapAngle, frame: ModeFrame) -> BasisSet:
     elif scheme == "four_hg_reference":
         alpha = angle.alpha
         centers = ((0.0, 0.0), (alpha, 0.0), (0.0, alpha), (alpha, alpha))
-        states = tuple(
-            SuperpositionState.from_terms(
-                frame, [CoherentTerm(coeff=1.0, alpha_x=ax, alpha_y=ay)]
-            )
-            for ax, ay in centers
-        )
+        # T = 1 keeps the first beam alone
+        states = tuple(_two_beam(frame, 1.0, 0.0, c, c) for c in centers)
         return BasisSet(name=scheme, states=states)
     else:
         raise ValidationError(
@@ -244,7 +239,7 @@ class ProtocolStats:
         return self.sifted / self.rounds if self.rounds else math.nan
 
 
-# Rounds per decoder block: every temporary of the decoder is this long.
+# Rounds per decoder block: every decoder temporary but the score is this long.
 _BLOCK = 8192
 
 
@@ -273,50 +268,60 @@ def psk_link_simulate(
     _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     m = len(basis)
-    sent = rng.integers(0, m, size=n)
-    deltas = rng.normal(0.0, sigma_theta, size=n) if sigma_theta > 0.0 else np.zeros(n)
-    rotation = np.exp(-1j * deltas)
-    del deltas  # the rotation is all the decoder reads of the jitter
-    noise_sigma = channel.additive_overlap_noise_sigma
-    # One (m, n) real draw, then the imaginary parts one row and block at a
-    # time: the block draws continue the stream exactly as a second (m, n)
-    # draw would.
-    noise_re = rng.standard_normal((m, n)) if noise_sigma > 0.0 else None
-    best = np.full(n, -np.inf)
-    decoded = np.zeros(n, dtype=np.intp)
+    # The draws keep their order: sent (one call, as bounded integers cannot
+    # be split without moving the stream), the jitter, every real part of
+    # the additive noise, then every imaginary part.  Drawn a block at a
+    # time, each continues the stream exactly as one n- or (m, n)-sized draw
+    # would, so score[k, i], the statistic of state k in round i, is the one
+    # array n rounds long; every other temporary is one block long.
+    sent = rng.integers(0, m, size=n).astype(np.min_scalar_type(m))
+    score = np.empty((m, n))
+    blocks = [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
+    rows = [score[k, block] for k in range(m) for block in blocks]
     width = min(n, _BLOCK)
     stat_buf, term_buf = np.empty((2, width), dtype=complex)
-    score_buf, noise_buf = np.empty((2, width))
-    higher_buf = np.empty(width, dtype=bool)
-    for k in range(m):
-        for start in range(0, n, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            sent_b = sent[block]
-            w = sent_b.size
-            stat, term = stat_buf[:w], term_buf[:w]
-            score, higher = score_buf[:w], higher_buf[:w]
+    noise_buf = np.empty(width)
+    for block in blocks:
+        index = sent[block].astype(np.intp)
+        w = index.size
+        stat, term = stat_buf[:w], term_buf[:w]
+        deltas = rng.normal(0.0, sigma_theta, size=w) if sigma_theta > 0.0 else np.zeros(w)
+        rotation = np.exp(-1j * deltas)
+        for k in range(m):
             # |overlap| is invariant under the per-round global phase, so the
             # statistic can be taken real before the additive perturbation;
             # the indices are in range, and "clip" skips the copy of out that
             # the default mode makes
-            np.take(u[k], sent_b, out=stat, mode="clip")
-            np.take(v[k], sent_b, out=term, mode="clip")
-            np.multiply(term, rotation[block], out=term)
+            np.take(u[k], index, out=stat, mode="clip")
+            np.take(v[k], index, out=term, mode="clip")
+            np.multiply(term, rotation, out=term)
             np.add(stat, term, out=stat)
-            np.abs(stat, out=score)
-            if noise_re is not None:
-                # the complex sum score + sigma (re + i im), part by part
-                np.multiply(noise_re[k, block], noise_sigma, out=stat.real)
-                np.add(stat.real, score, out=stat.real)
-                noise_im = rng.standard_normal(out=noise_buf[:w])
-                np.multiply(noise_im, noise_sigma, out=stat.imag)
-                np.abs(stat, out=score)
-            np.square(score, out=score)
-            # strict > keeps ties at the lowest index, as argmax does
-            np.greater(score, best[block], out=higher)
-            decoded[block][higher] = k
-            np.maximum(best[block], score, out=best[block])
-    errors = int(np.count_nonzero(decoded != sent))
+            np.abs(stat, out=score[k, block])
+    noise_sigma = channel.additive_overlap_noise_sigma
+    if noise_sigma > 0.0:
+        # the complex sum score + sigma (re + i im), part by part
+        for row in rows:
+            noise = rng.standard_normal(out=noise_buf[: row.size])
+            np.multiply(noise, noise_sigma, out=noise)
+            np.add(noise, row, out=row)
+        for row in rows:
+            stat = stat_buf[: row.size]
+            stat.real = row
+            noise = rng.standard_normal(out=noise_buf[: row.size])
+            np.multiply(noise, noise_sigma, out=stat.imag)
+            np.abs(stat, out=row)
+    errors = 0
+    for block in blocks:
+        scores = score[:, block]
+        np.square(scores, out=scores)
+        best = scores.max(axis=0)
+        # the lowest index of the largest score wins, as with argmax: rows
+        # compared in descending order cost less than argmax's transposed
+        # copy; a round of NaN scores (jitter overflow) decodes to 0
+        decoded = np.zeros(best.size, dtype=sent.dtype)
+        for k in range(m - 1, -1, -1):
+            decoded[scores[k] == best] = k
+        errors += int(np.count_nonzero(decoded != sent[block]))
     return ProtocolStats(rounds=n, sifted=n, errors=errors)
 
 

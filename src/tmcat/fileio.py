@@ -9,6 +9,8 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import mmap
+import os
 from pathlib import Path
 
 import numpy as np
@@ -83,41 +85,47 @@ def write_pgm(path, counts: np.ndarray, max_value: int) -> None:
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read a binary P5 image back to (counts, max_value).
 
-    Raises ValidationError on a truncated header or payload.
+    The file is mapped, not read, and its payload converted straight into
+    the uint16 result, the one frame-sized allocation.  Raises
+    ValidationError on a truncated header or payload.
     """
-    data = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos >= len(data):
-            raise ValidationError(f"PGM header is truncated after {len(fields)} fields")
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise ValidationError(f"not a binary PGM file: magic {fields[0]!r}")
-    try:
-        width, height, max_value = (int(f) for f in fields[1:4])
-    except ValueError:
-        raise ValidationError(f"PGM header fields {fields[1:4]!r} are not integers")
-    if width < 1 or height < 1 or not 0 < max_value < 65536:
-        raise ValidationError(f"PGM header {width}x{height}, max {max_value} invalid")
-    pos += 1  # single whitespace byte after maxval
-    dtype = ">u2" if max_value > 255 else "u1"
-    need = width * height * np.dtype(dtype).itemsize
-    if len(data) - pos < need:
-        raise ValidationError(
-            f"PGM payload holds {max(len(data) - pos, 0)} bytes, {need} expected"
-        )
-    counts = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
-    return counts.reshape(height, width).astype(np.uint16), max_value
+    with Path(path).open("rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
+            raise ValidationError("PGM header is truncated after 0 fields")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            fields: list[bytes] = []
+            pos = 0
+            while len(fields) < 4:
+                while pos < len(data) and data[pos : pos + 1].isspace():
+                    pos += 1
+                if pos >= len(data):
+                    raise ValidationError(f"PGM header is truncated after {len(fields)} fields")
+                if data[pos : pos + 1] == b"#":
+                    while pos < len(data) and data[pos] != 0x0A:
+                        pos += 1
+                    continue
+                start = pos
+                while pos < len(data) and not data[pos : pos + 1].isspace():
+                    pos += 1
+                fields.append(data[start:pos])
+            if fields[0] != b"P5":
+                raise ValidationError(f"not a binary PGM file: magic {fields[0]!r}")
+            try:
+                width, height, max_value = (int(f) for f in fields[1:4])
+            except ValueError:
+                raise ValidationError(f"PGM header fields {fields[1:4]!r} are not integers")
+            if width < 1 or height < 1 or not 0 < max_value < 65536:
+                raise ValidationError(f"PGM header {width}x{height}, max {max_value} invalid")
+            pos += 1  # single whitespace byte after maxval
+            dtype = ">u2" if max_value > 255 else "u1"
+            need = width * height * np.dtype(dtype).itemsize
+            if len(data) - pos < need:
+                raise ValidationError(
+                    f"PGM payload holds {max(len(data) - pos, 0)} bytes, {need} expected"
+                )
+            # the temporary view is released before the map closes
+            counts = np.frombuffer(data, dtype, width * height, pos).astype(np.uint16)
+    return counts.reshape(height, width), max_value
 
 
 def _sidecar_path(path) -> Path:

@@ -453,6 +453,11 @@ def make_qubit_state(
     return _two_beam(frame, params.T, params.phi, (0.0, 0.0), (alpha, 0.0))
 
 
+def _two_beam_weights(T: float, phi: float) -> tuple[float, complex]:
+    """The beam weights (sqrt(T), e^{i phi} sqrt(1-T)) of every two-beam state."""
+    return math.sqrt(T), complex(math.cos(phi), math.sin(phi)) * math.sqrt(1.0 - T)
+
+
 def _two_beam(
     frame: ModeFrame, T: float, phi: float, a: tuple, b: tuple
 ) -> SuperpositionState:
@@ -460,7 +465,7 @@ def _two_beam(
 
     A beam of zero weight is left out, so T = 1 or 0 gives one term.
     """
-    weights = (math.sqrt(T), complex(math.cos(phi), math.sin(phi)) * math.sqrt(1.0 - T))
+    weights = _two_beam_weights(T, phi)
     terms = [CoherentTerm(c, *beam) for c, beam in zip(weights, (a, b)) if c != 0.0]
     return SuperpositionState.from_terms(frame, terms)
 
@@ -507,8 +512,7 @@ def cat_coefficients(params: QubitParams, angle: OverlapAngle) -> tuple[complex,
     half = angle.theta_d / 2.0
     c = math.cos(half)
     s = math.sin(half)
-    u = math.sqrt(params.T)
-    v = complex(math.cos(params.phi), math.sin(params.phi)) * math.sqrt(1.0 - params.T)
+    u, v = _two_beam_weights(params.T, params.phi)
     g_even = (u + v) * c
     g_odd = (u - v) * s
     nrm = math.sqrt(abs(g_even) ** 2 + abs(g_odd) ** 2)

@@ -5,13 +5,15 @@ core over term pairs.  These formulas are the qubit-only special case
 written out by hand; they share no arithmetic with the library (N_arb is
 spelled out here too), so a fault in the core cannot also hide in its
 reference.  The cat-basis overlap matrices of the keying bases are kept
-here the same way, built from the closed-form ``cat_coefficients`` that
-the library's basis code does not read, and so is the key-exchange round
-as a rotation of the signal's (y, z) Bloch vector over every round.  The
-CCD digitization is kept as the float chain it was first written as, with
-a full-frame temporary at every step.  The Wigner map of any superposition
-is also evaluated by quadrature of its defining chord integral, over mode
-fields and y-overlap weights written out here, not the library's.
+here the same way, built from the closed-form ``cat_coefficients``, which
+shares only the two beam weights with the library's basis states, and so
+is the key-exchange round as a rotation of the signal's (y, z) Bloch
+vector over every round.  The keying decoder is kept as the running
+maximum over basis rows it was first written as, and the CCD digitization
+as its float chain, with a full-frame temporary at every step.  The Wigner
+map of any superposition is also evaluated by quadrature of its defining
+chord integral, over mode fields and y-overlap weights written out here,
+not the library's.
 """
 
 import math
@@ -187,6 +189,75 @@ def cat_overlap_matrices(
     u = np.conj(g_even)[:, None] * g_even[None, :] * np.where(same, 1.0, cross)
     v = np.conj(g_odd)[:, None] * g_odd[None, :] * same
     return u, v
+
+
+# Rounds per block of the reference decoder.
+_PSK_BLOCK = 8192
+
+
+def psk_block_decoder_errors(n: int, basis, channel, seed: int | None = None) -> int:
+    """Error count of psk_link_simulate's rounds, decoded by a running maximum.
+
+    The same draws in the same order: ``sent``, the n jitter angles, one
+    (m, n) real noise draw, then the imaginary parts row by row and block by
+    block.  Each basis row is scored one block at a time and a round keeps
+    the first row of the strictly largest |overlap|^2.  This is the keying
+    simulator's decoder as it was before it moved to one (m, n) score array.
+    """
+    sigma_theta = channel.rotation_jitter_sigma
+    if sigma_theta > 0.0:
+        u, v = basis.overlap_matrices()
+    else:
+        u, v = basis.gram, np.zeros_like(basis.gram)
+    if seed is None:
+        seed = channel.seed if channel.seed is not None else 0
+    rng = np.random.Generator(np.random.Philox(seed))
+    m = len(basis)
+    sent = rng.integers(0, m, size=n)
+    deltas = rng.normal(0.0, sigma_theta, size=n) if sigma_theta > 0.0 else np.zeros(n)
+    rotation = np.exp(-1j * deltas)
+    del deltas  # the rotation is all the decoder reads of the jitter
+    noise_sigma = channel.additive_overlap_noise_sigma
+    # One (m, n) real draw, then the imaginary parts one row and block at a
+    # time: the block draws continue the stream exactly as a second (m, n)
+    # draw would.
+    noise_re = rng.standard_normal((m, n)) if noise_sigma > 0.0 else None
+    best = np.full(n, -np.inf)
+    decoded = np.zeros(n, dtype=np.intp)
+    width = min(n, _PSK_BLOCK)
+    stat_buf, term_buf = np.empty((2, width), dtype=complex)
+    score_buf, noise_buf = np.empty((2, width))
+    higher_buf = np.empty(width, dtype=bool)
+    for k in range(m):
+        for start in range(0, n, _PSK_BLOCK):
+            block = slice(start, start + _PSK_BLOCK)
+            sent_b = sent[block]
+            w = sent_b.size
+            stat, term = stat_buf[:w], term_buf[:w]
+            score, higher = score_buf[:w], higher_buf[:w]
+            # |overlap| is invariant under the per-round global phase, so the
+            # statistic can be taken real before the additive perturbation;
+            # the indices are in range, and "clip" skips the copy of out that
+            # the default mode makes
+            np.take(u[k], sent_b, out=stat, mode="clip")
+            np.take(v[k], sent_b, out=term, mode="clip")
+            np.multiply(term, rotation[block], out=term)
+            np.add(stat, term, out=stat)
+            np.abs(stat, out=score)
+            if noise_re is not None:
+                # the complex sum score + sigma (re + i im), part by part
+                np.multiply(noise_re[k, block], noise_sigma, out=stat.real)
+                np.add(stat.real, score, out=stat.real)
+                noise_im = rng.standard_normal(out=noise_buf[:w])
+                np.multiply(noise_im, noise_sigma, out=stat.imag)
+                np.abs(stat, out=score)
+            np.square(score, out=score)
+            # strict > keeps ties at the lowest index, as argmax does
+            np.greater(score, best[block], out=higher)
+            decoded[block][higher] = k
+            np.maximum(best[block], score, out=best[block])
+    errors = int(np.count_nonzero(decoded != sent))
+    return errors
 
 
 def qkd_rotation_counts(

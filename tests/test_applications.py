@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from tmcat import (
@@ -32,7 +32,12 @@ from tmcat import (
 )
 from tmcat.applications import _BLOCK, BasisSet
 
-from oracles import cat_overlap_matrices, marginal_position, qkd_rotation_counts
+from oracles import (
+    cat_overlap_matrices,
+    marginal_position,
+    psk_block_decoder_errors,
+    qkd_rotation_counts,
+)
 from strategies import BENCH_FRAME, superpositions
 
 FOUR_CAT_KINDS = ("cat_plus", "cat_minus")
@@ -250,9 +255,58 @@ class TestKeying:
                     assert stats.errors == want, (n, channel, seed)
                     assert want > 0 or n == 1, (n, channel, seed)
 
+    @given(
+        st.sampled_from(("four_cat", "twelve_state", "four_hg_reference")),
+        st.floats(0.5, 2.5),
+        # one round, a few, and rounds on either side of the first block edges
+        st.builds(
+            lambda edge, offset: max(1, edge + offset),
+            st.sampled_from((0, _BLOCK, 2 * _BLOCK)),
+            st.integers(-3, 40),
+        ),
+        st.one_of(st.just(0.0), st.floats(1e-3, 2.0 * math.pi)),
+        st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+        st.integers(0, 2**63),
+    )
+    @example("twelve_state", 1.2, _BLOCK + 1, 0.3, 0.2, 5)
+    @example("four_cat", 0.8, 2 * _BLOCK - 1, 1.0, 0.5, 7)
+    def test_counts_match_the_block_decoder(
+        self, frame, scheme, alpha, n, sigma_theta, sigma_add, seed
+    ):
+        if scheme == "four_hg_reference":
+            sigma_theta = 0.0  # no cat decomposition to rotate
+        basis = build_basis(scheme, OverlapAngle.from_alpha(alpha), frame)
+        channel = ChannelModel(
+            rotation_jitter_sigma=sigma_theta, additive_overlap_noise_sigma=sigma_add
+        )
+        stats = psk_link_simulate(n, basis, channel, seed=seed)
+        assert stats.errors == psk_block_decoder_errors(n, basis, channel, seed)
+
+    def test_ties_decode_to_the_lowest_index(self, frame, angle_far):
+        # a repeated state ties two rows of every round, and noise that
+        # overflows makes every score inf: the lowest index wins either way;
+        # jitter that overflows gives NaN scores, which decode to 0
+        cats = build_basis("four_cat", angle_far, frame).states
+        basis = BasisSet("repeated", (cats[1], cats[1], cats[0]))
+        n = _BLOCK + 5
+        sent = np.random.Generator(np.random.Philox(3)).integers(0, 3, size=n)
+        quiet = ChannelModel(seed=3)
+        stats = psk_link_simulate(n, basis, quiet)
+        assert stats.errors == psk_block_decoder_errors(n, basis, quiet)
+        assert stats.errors == np.count_nonzero(sent == 1)
+        loud = ChannelModel(additive_overlap_noise_sigma=1e308, seed=3)
+        with np.errstate(over="ignore"):
+            stats = psk_link_simulate(n, basis, loud)
+        assert stats.errors == np.count_nonzero(sent != 0)
+        wild = ChannelModel(rotation_jitter_sigma=1e308, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = psk_link_simulate(n, basis, wild)
+            assert stats.errors == psk_block_decoder_errors(n, basis, wild)
+
     def test_memory_stays_within_the_draws(self, frame, angle_bench):
-        # the decoder's temporaries are one block long: at n rounds the peak
-        # is the (m, n) real draw plus a few n-length arrays
+        # the (m, n) score array is the decoder's only n-scaled allocation
+        # besides the one-byte sent indices; every other temporary is one
+        # block long
         n = 200_000
         basis = build_basis("twelve_state", angle_bench, frame)
         channel = ChannelModel(
@@ -265,7 +319,7 @@ class TestKeying:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * (len(basis) + 6)
+        assert peak <= 8 * n * (len(basis) + 2)
 
     def test_four_cat_rotation_immunity(self, frame, angle_far):
         # the headline property: cat encodings ignore the common-mode

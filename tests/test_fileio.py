@@ -140,6 +140,22 @@ def test_pgm_bytes_and_copy_budget(tmp_path):
     assert path.read_bytes() == b"P5\n240 240\n255\n" + strided.astype("u1").tobytes()
 
 
+@pytest.mark.parametrize("maxval", [255, 4095])
+def test_pgm_read_budget(tmp_path, maxval):
+    # the payload is converted straight into the uint16 result
+    counts = (np.arange(480 * 720) % (maxval + 1)).astype(np.uint16).reshape(480, 720)
+    path = tmp_path / "t.pgm"
+    write_pgm(path, counts, maxval)
+    tracemalloc.start()
+    try:
+        back, _ = read_pgm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, counts) and back.dtype == np.uint16
+    assert peak <= back.nbytes + 2**16
+
+
 def test_pgm_validation(tmp_path):
     path = tmp_path / "t.pgm"
     with pytest.raises(ValidationError):
