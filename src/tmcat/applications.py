@@ -457,7 +457,8 @@ class DephasedMixture:
         alpha = self.angle.alpha
         # components centered at X = 0 and 2 alpha: mean alpha, variance 1/2 + alpha^2
         moments = ((alpha, 0.5 + alpha**2), (0.0, 0.5))
-        return _auto_map(self.frame, self.wigner_values, moments, n, False)
+        # each component is one coherent term, so sum |c|^2 = 1
+        return _auto_map(self.frame, self.wigner_values, moments, n, False, 1.0)
 
 
 def dephased_mixture(d: float, frame: ModeFrame) -> DephasedMixture:

@@ -8,6 +8,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap
 import os
@@ -46,16 +47,138 @@ def write_csv(path, headers: list[str], rows) -> None:
 def write_grid_csv(path, headers: list[str], xs, ps, values) -> None:
     """Write the rows (xs[i], ps[j], values[i, j]), i-major, as write_csv would.
 
-    The file is streamed one block of len(ps) lines per x.  The p column and
-    the value slots form one template, so each block is a single %-format.
+    The axes are formatted once each through format_number, and the cells
+    by _format_cells, 16 rows at a time, so the file holds exactly the bytes
+    of the per-cell format and memory does not grow with the grid.  Each
+    line is laid out in a fixed-width byte row padded with NUL bytes, which
+    are dropped before the chunk is written.
     """
     values = np.asarray(values, dtype=float)
-    # xs[i] is joined in front of every line; a formatted number holds no '%'
-    tails = [""] + [f",{format_number(p)},{_CELL}\n" for p in ps]
-    with Path(path).open("w") as fh:
-        fh.write(",".join(headers) + "\n")
-        for x, row in zip(xs, values):
-            fh.write(format_number(x).join(tails) % tuple(_unsigned_zero(row).tolist()))
+
+    def column(numbers):
+        text = np.array([format_number(v).encode() for v in numbers], dtype=bytes)
+        return text.view(np.uint8).reshape(len(text), text.itemsize)
+
+    x_col, p_col = column(xs), column(ps)
+    x_width, cell_at = x_col.shape[1], x_col.shape[1] + p_col.shape[1] + 2
+    line = np.zeros((_ROWS, len(p_col), cell_at + _CELL_WIDTH + 1), dtype=np.uint8)
+    line[:, :, x_width] = line[:, :, cell_at - 1] = ord(",")
+    line[:, :, x_width + 1 : cell_at - 1] = p_col
+    line[:, :, -1] = ord("\n")
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(headers) + "\n").encode())
+        for start in range(0, len(x_col), _ROWS):
+            block = values[start : start + _ROWS]
+            buf = line[: len(block)]
+            buf[:, :, :x_width] = x_col[start : start + _ROWS, None, :]
+            _format_cells(block.ravel(), buf.reshape(-1, buf.shape[-1])[:, cell_at:-1])
+            fh.write(buf[buf != 0])
+
+
+# Byte-exact '%.17g' for arrays.  A finite double v with 1e-280 < |v| < 1e290
+# is scaled by 10^(16 - e), e = floor(log10|v|), in double-double arithmetic
+# (Dekker's product against a (hi, lo) table of powers of ten), which leaves
+# its 17 significant digits as an int64 mantissa m and a remainder accurate
+# to about 1e-14.  A cell whose remainder lies near a tie, or whose m falls
+# on or outside (10^16, 10^17) because log10 or the rounding moved e, is
+# formatted by format_number instead, as are zeros, non-finite values and
+# magnitudes outside that range (Loitsch 2010; Adams 2018).
+_ROWS = 16  # grid rows formatted per chunk
+_CELL_WIDTH = 24  # the longest cell: -1.2345678901234567e-308
+_K_MIN = -280  # the power table holds 10^k for k in [_K_MIN, 300)
+# Columns of the per-cell source bytes that the templates index: 0 NUL,
+# 1 sign, 2-18 the 17 digits, 19 '.', 20 '0', 21-25 'e' and the exponent.
+_SIGN, _DIGITS, _DOT, _ZERO, _EXP = 1, 2, 19, 20, 21
+
+
+def _split(a):
+    """Veltkamp's split of a into halves of at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _cell_tables():
+    """Powers of ten, ASCII digit groups and exponents, and cell templates.
+
+    Built on the first grid write.  The powers 10^k are (hi, lo) pairs from
+    Python ints: hi is 10^k rounded, lo the rounded remainder 10^k - hi.
+    Template [t, s] lays out a cell of layout t (%g's fixed notation for
+    exponents -4..16, then the d.ddd form) with its last s digits, and a
+    '.' left bare, dropped.
+    """
+    hi, lo = [], []
+    for k in range(_K_MIN, 300):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi.append(num / den)  # int / int rounds correctly
+        h_num, h_den = hi[-1].as_integer_ratio()
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi, lo = np.array(hi), np.array(lo)
+    quads = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    quads = quads.astype(np.uint8).view(np.uint32)[:, 0]  # "0000" .. "9999"
+    exps = np.array([b"e%+03d" % e for e in range(-300, 300)], dtype="S5").view("V5")
+    digits = list(range(_DIGITS, _DIGITS + 17))
+    layouts = [
+        [_SIGN, *digits[: e + 1], _DOT, *digits[e + 1 :]] if e >= 0
+        else [_SIGN, _ZERO, _DOT, *[_ZERO] * (-e - 1), *digits]
+        for e in range(-4, 17)
+    ]
+    layouts.append([_SIGN, digits[0], _DOT, *digits[1:], *range(_EXP, _EXP + 5)])
+    fraction = [16 - e for e in range(-4, 17)] + [16]  # digits after the '.'
+    templates = np.zeros((len(layouts), 17, _CELL_WIDTH), dtype=np.intp)
+    for t, layout in enumerate(layouts):
+        for s in range(17):
+            dropped = set(digits[17 - s :]) | ({_DOT} if s == fraction[t] else set())
+            kept = [c for c in layout if c not in dropped]
+            templates[t, s, : len(kept)] = kept
+    return hi, *_split(hi), lo, quads, exps, np.array(fraction), templates
+
+
+def _format_cells(v: np.ndarray, out: np.ndarray) -> None:
+    """Write '%.17g' % (v + 0.0) of each cell into a NUL-padded row of out."""
+    hi, hi_hi, hi_lo, lo, quads, exps, fraction, templates = _cell_tables()
+    a = np.abs(v)
+    fast = (a > 1e-280) & (a < 1e290)
+    a[~fast] = 1.0  # no arithmetic on zeros, subnormals, inf or NaN
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k = 16 - e - _K_MIN
+    # a * 10^(16 - e) = p + rest, with the product's error exact (Dekker)
+    p = a * hi[k]
+    a_hi, a_lo = _split(a)
+    rest = ((a_hi * hi_hi[k] - p) + a_hi * hi_lo[k] + a_lo * hi_hi[k]) + a_lo * hi_lo[k]
+    rest += a * lo[k]
+    whole = np.floor(rest)
+    frac = rest - whole
+    m = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) > 1e-6) & (m > 10**16) & (m < 10**17)
+
+    src = np.zeros((len(v), _EXP + 5), dtype=np.uint8)
+    src[:, _SIGN] = (v < 0) * np.uint8(ord("-"))
+    lead, m = np.divmod(m, 10**16)
+    halves = np.stack(np.divmod(m, 10**8), 1).astype(np.int32)  # below 10^8
+    groups = np.stack(np.divmod(halves, 10**4), 2).reshape(-1, 4)
+    digits = src[:, _DIGITS : _DIGITS + 17]
+    digits[:, 0] = ord("0") + lead
+    digits[:, 1:] = quads[groups].view(np.uint8)
+    src[:, _DOT], src[:, _ZERO] = ord("."), ord("0")
+    src[:, _EXP:].view("V5")[:, 0] = exps[e + 300]
+    # group the cells by template, each group gathered with one index row
+    layout = np.where((e >= -4) & (e <= 16), e + 4, len(fraction) - 1)
+    trailing = (digits[:, ::-1] != ord("0")).argmax(1)
+    key = layout * 17 + np.minimum(trailing, fraction[layout])
+    order = np.argsort(key.astype(np.uint16), kind="stable")  # a radix sort
+    key, src = key[order], src[order]
+    cells = np.empty((len(v), _CELL_WIDTH), dtype=np.uint8)
+    bounds = np.flatnonzero(np.diff(key)) + 1
+    for first, last in zip([0, *bounds], [*bounds, len(v)]):
+        t, s = divmod(key[first], 17)
+        np.take(src[first:last], templates[t, s], axis=1, out=cells[first:last])
+    whole_cells = f"V{_CELL_WIDTH}"  # moved as one item each, not byte by byte
+    out.view(whole_cells)[order] = cells.view(whole_cells)
+    for i in np.flatnonzero(~fast):
+        text = format_number(v[i]).encode()
+        out[i] = np.frombuffer(text.ljust(_CELL_WIDTH, b"\0"), dtype=np.uint8)
 
 
 def write_json(path, payload: dict) -> None:

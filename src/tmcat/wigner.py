@@ -133,13 +133,16 @@ def quadrature_moments(
     return mean, var
 
 
-def _auto_map(frame: ModeFrame, evaluate, moments, n: int, si_units: bool) -> WignerMap:
+def _auto_map(
+    frame: ModeFrame, evaluate, moments, n: int, si_units: bool, weight: float
+) -> WignerMap:
     """Validated n x n map on a window centered on the centroid, covering the support.
 
     moments holds the (mean, variance) pairs of X and of P.  The window starts
     at +-4 sqrt(Var) (at least 4 vacuum widths) about the centroid and grows
     by x1.5 while any boundary cell exceeds 1e-8 of the map peak.
-    ``evaluate(x, p)`` gives SI Wigner values on SI axes.
+    ``evaluate(x, p)`` gives SI Wigner values on SI axes; weight is the
+    sum of |c|^2 over the normalized terms behind them, for _validate_map.
     """
     (mean_x, var_x), (mean_p, var_p) = moments
     half_x = 4.0 * max(math.sqrt(var_x), math.sqrt(0.5))
@@ -163,15 +166,20 @@ def _auto_map(frame: ModeFrame, evaluate, moments, n: int, si_units: bool) -> Wi
         mag = np.abs(vals)
         if max(mag[[0, -1], :].max(), mag[:, [0, -1]].max()) <= 1e-8 * mag.max():
             out = WignerMap(grid=grid, values=scale * vals)
-            _validate_map(out)
+            _validate_map(out, weight)
             return out
         half_x *= 1.5
         half_p *= 1.5
     raise NumericsError("auto grid did not localize the state after 12 expansions")
 
 
-def _validate_map(m: WignerMap) -> None:
-    """Refuse a map below -1/pi (-1/(pi hbar) in SI) or not integrating to 1."""
+def _validate_map(m: WignerMap, weight: float) -> None:
+    """Refuse a map below -1/pi (-1/(pi hbar) in SI) or not integrating to 1.
+
+    The pair sums of a state whose normalized terms carry sum |c|^2 = weight
+    round to about eps * weight, so once that nears the 1e-6 gate a failed
+    integral names the cancellation rather than the grid.
+    """
     floor = -1.0 / (math.pi * HBAR) if m.grid.si_units else -1.0 / math.pi
     if not (m.values.min() >= floor * (1.0 + 1e-9)):
         raise NumericsError(
@@ -179,9 +187,16 @@ def _validate_map(m: WignerMap) -> None:
         )
     total = m.integral()
     if not (abs(total - 1.0) <= 1e-6):
+        if np.finfo(float).eps * weight >= 1e-7:
+            cause = (
+                f"its terms cancel (sum |c|^2 = {weight:.3g}), "
+                "so rounding, not the grid, sets the error"
+            )
+        else:
+            cause = "a finer grid may pass"
         raise NumericsError(
             f"Wigner map on the {m.grid.nx}x{m.grid.np_} grid integrates to {total!r}, "
-            "not 1; a finer grid may pass"
+            f"not 1; {cause}"
         )
 
 
@@ -190,8 +205,9 @@ def wigner_map(
 ) -> WignerMap:
     """Closed-form Wigner map on an auto-sized, validated n x n grid."""
     moments = [quadrature_moments(state, t) for t in (0.0, math.pi / 2.0)]
+    weight = float(np.sum(np.abs(state.coeffs()) ** 2))
     return _auto_map(
-        state.frame, lambda x, p: wigner_of_state(state, x, p), moments, n, si_units
+        state.frame, lambda x, p: wigner_of_state(state, x, p), moments, n, si_units, weight
     )
 
 

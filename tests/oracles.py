@@ -13,10 +13,12 @@ maximum over basis rows it was first written as, and the CCD digitization
 as its float chain, with a full-frame temporary at every step.  The Wigner
 map of any superposition is also evaluated by quadrature of its defining
 chord integral, over mode fields and y-overlap weights written out here,
-not the library's.
+not the library's.  Grid CSVs are written by the per-cell '%.17g' loop the
+library's vectorized writer replaced.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from tmcat import (
     make_typical_state,
     rotate_phase_space,
 )
+from tmcat.fileio import _CELL, _unsigned_zero, format_number
 from tmcat.virtual_lab import _intensity_2d
 
 
@@ -320,3 +323,18 @@ def render_ccd_float_tail(state, plane, config) -> tuple[np.ndarray, float, bool
     if counts.min() >= config.max_count:
         raise ValidationError("every pixel saturated; exposure misconfigured")
     return counts, scale, saturated
+
+
+def write_grid_csv(path, headers: list[str], xs, ps, values) -> None:
+    """Write the rows (xs[i], ps[j], values[i, j]), i-major, as write_csv would.
+
+    The file is streamed one block of len(ps) lines per x.  The p column and
+    the value slots form one template, so each block is a single %-format.
+    """
+    values = np.asarray(values, dtype=float)
+    # xs[i] is joined in front of every line; a formatted number holds no '%'
+    tails = [""] + [f",{format_number(p)},{_CELL}\n" for p in ps]
+    with Path(path).open("w") as fh:
+        fh.write(",".join(headers) + "\n")
+        for x, row in zip(xs, values):
+            fh.write(format_number(x).join(tails) % tuple(_unsigned_zero(row).tolist()))

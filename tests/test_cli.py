@@ -272,6 +272,19 @@ def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("argv, cause", [
+    # the pair sums round to eps * sum |c|^2 = 2e-4 of the norm at alpha 1e-6
+    (("--alpha", "1e-6", "--grid", "128"),
+     "its terms cancel (sum |c|^2 = 1e+12), so rounding, not the grid, sets the error"),
+    (("--alpha", "1", "--grid", "6"), "a finer grid may pass"),
+], ids=["cancellation", "grid"])
+def test_wigner_integral_error_names_its_cause(argv, cause, tmp_path, capsys):
+    assert run("wigner", "--state", "cat_minus", *argv, "--outdir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E_NUMERIC: Wigner map on the ") and err.count("\n") == 1, err
+    assert err.endswith(f" not 1; {cause}\n"), err
+
+
 def test_wigner_artifacts(tmp_path):
     code = run(
         "wigner", "--T", "0.5", "--phi", "pi", "--d-over-w0", "1",
@@ -566,6 +579,20 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_builds_no_cell_tables():
+    # the grid-CSV formatter's tables are built on the first grid write, and
+    # from Python ints, so a command that writes no grid pays for neither
+    code = (
+        "import sys, tmcat.cli, tmcat.fileio as f; "
+        "print('fractions' in sys.modules, f._cell_tables.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tmcat.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "0"]
 
 
 # Small fixed runs per subcommand: every drawn option is appended, so it

@@ -1,6 +1,8 @@
 """Artifact writers: deterministic CSV/JSON/PGM round trips."""
 
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tmcat import ValidationError
+import oracles
+from tmcat import ValidationError, make_typical_state, wigner_map
 from tmcat.fileio import (
     format_number,
     read_json,
@@ -79,6 +82,46 @@ def test_grid_csv_matches_per_cell_rows(tmp_path_factory, case):
     assert "-0" not in cells  # signed zeros are written as 0
 
 
+def test_grid_csv_matches_oracle(tmp_path, frame, angle_w0):
+    # a real map, written in chunks with a short last one, and its rows strided
+    _, state = make_typical_state("cat_minus", angle_w0, frame)
+    m = wigner_map(state, n=40)
+    xs, ps = m.grid.x_axis(), m.grid.p_axis()
+    for values in (m.values, m.values[::-1].T, -1e-300 * m.values):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_grid_csv(new, ["X", "P", "W"], xs, ps, values)
+        oracles.write_grid_csv(old, ["X", "P", "W"], xs, ps, values)
+        assert new.read_bytes() == old.read_bytes()
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+_POWERS = 10.0 ** np.arange(-307, 309)
+_EDGES = np.array([1e-280, 1e290])
+
+
+# Each cell of any double, from its raw bits, must be written as '%.17g' of
+# v + 0.0, with no floating-point flag raised on the way.  The examples pin
+# every power of ten and both its neighbours, the edges of the fast path, a value
+# whose 17 digits round up to the next power (9.9999999999999995e-07), a
+# dyadic tie (the 18th digit an exact 5) and the specials.
+@given(hnp.arrays(np.uint64, st.integers(1, 200)))
+@example(_bits(*_POWERS, *np.nextafter(_POWERS, 0.0), *-np.nextafter(_POWERS, math.inf)))
+@example(_bits(*-np.nextafter(_POWERS, 0.0), *np.nextafter(_POWERS, math.inf)))
+@example(_bits(9.9999999999999995e-07, 2251799813685247.75, -0.125, 1e16, 1e17, 1e-5, 9.9999e-5))
+@example(_bits(*_EDGES, *np.nextafter(_EDGES, 0.0), *np.nextafter(_EDGES, math.inf)))
+@example(_bits(5e-324, -sys.float_info.max, 0.0, -0.0, math.inf, -math.inf, math.nan))
+def test_grid_cells_match_percent_format(tmp_path_factory, bits):
+    values = bits.view(np.float64)
+    path = tmp_path_factory.mktemp("cells") / "c.csv"
+    with np.errstate(all="raise"):
+        write_grid_csv(path, ["X", "P", "W"], [0.0], np.zeros(values.size), values[None, :])
+    cells = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert cells == ["%.17g" % (v + 0.0) for v in values.tolist()]
+
+
 def test_json_round_trip(tmp_path):
     path = tmp_path / "t.json"
     payload = {"z": 1, "a": [1.5, None], "m": {"k": "v"}}
@@ -138,6 +181,20 @@ def test_pgm_bytes_and_copy_budget(tmp_path):
     strided = counts[::2, ::3] % 256
     write_pgm(path, strided, 255)
     assert path.read_bytes() == b"P5\n240 240\n255\n" + strided.astype("u1").tobytes()
+
+
+def test_grid_csv_budget():
+    # cells are formatted 16 rows at a time, so the writer's memory does not
+    # grow with the grid: a 1024^2 map (8 MB of values) stays under 16 MB
+    values = np.random.default_rng(2).normal(size=(1024, 1024))
+    axis = np.linspace(-4.0, 4.0, 1024)
+    tracemalloc.start()
+    try:
+        write_grid_csv(os.devnull, ["X", "P", "W"], axis, axis, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 @pytest.mark.parametrize("maxval", [255, 4095])

@@ -260,7 +260,7 @@ def test_grid_validation():
     # and a NaN map must never pass as healthy
     grid = PhaseSpaceGrid(x_min=0.0, x_max=1.0, nx=4, p_min=0.0, p_max=1.0, np_=4)
     with pytest.raises(NumericsError):
-        _validate_map(WignerMap(grid=grid, values=np.full((4, 4), math.nan)))
+        _validate_map(WignerMap(grid=grid, values=np.full((4, 4), math.nan)), 1.0)
 
 
 def test_degenerate_params_rejected(frame):
