@@ -33,7 +33,6 @@ from .fileio import (
     read_json,
     read_pgm,
     write_csv,
-    write_grid_csv,
     write_json,
     write_pgm,
     write_scaled_pgm,
@@ -182,7 +181,7 @@ def _jsonable(value):
     return str(value) if isinstance(value, Path) else value
 
 
-def _write_manifest(outdir: Path, name: str, args: argparse.Namespace) -> None:
+def _write_manifest(name: str, args: argparse.Namespace) -> None:
     config = {
         key: _jsonable(val)
         for key, val in vars(args).items()
@@ -195,8 +194,7 @@ def _write_manifest(outdir: Path, name: str, args: argparse.Namespace) -> None:
         "config": config,
         "seed": config.get("seed"),
     }
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_json(outdir / f"{name}_manifest.json", payload)
+    write_json(_out_path(args, f"{name}_manifest.json"), payload)
 
 
 def _add_common(p: _Parser) -> None:
@@ -303,9 +301,9 @@ def _cmd_wigner(args) -> None:
     result = wigner_map(state, n=args.grid, si_units=args.si)
     headers = ["x", "p", "w"] if args.si else ["X", "P", "W"]
     out = _out_path(args, args.out)
-    write_grid_csv(out, headers, result.grid.x_axis(), result.grid.p_axis(), result.values)
+    g = result.grid
+    write_csv(out, headers, [g.x_axis()[:, None], g.p_axis()[None, :], result.values])
     if args.pgm:
-        g = result.grid
         write_scaled_pgm(
             out.with_suffix(".pgm"), result.values, x_min=g.x_min, x_max=g.x_max,
             p_min=g.p_min, p_max=g.p_max, si_units=g.si_units,
@@ -321,23 +319,22 @@ def _cmd_marginals(args) -> None:
     write_csv(
         _out_path(args, f"{args.prefix}_position.csv"),
         ["x", "density"],
-        zip(x, state.position_intensity(x)),
+        [x, state.position_intensity(x)],
     )
     write_csv(
         _out_path(args, f"{args.prefix}_momentum.csv"),
         ["p", "density"],
-        zip(p, state.momentum_intensity(p)),
+        [p, state.momentum_intensity(p)],
     )
 
 
 def _cmd_beam(args) -> None:
     frame = _frame(args)
     z_max = args.z_max if args.z_max is not None else 3.0 * frame.z_r
-    rows = []
-    for z in np.linspace(0.0, z_max, args.points):
-        b = beam_params_at(frame, float(z))
-        rows.append((b.z, b.width, b.curvature_radius, b.gouy))
-    write_csv(_out_path(args, args.out), ["z", "w", "R", "gouy"], rows)
+    beams = [beam_params_at(frame, float(z)) for z in np.linspace(0.0, z_max, args.points)]
+    fields = ("z", "width", "curvature_radius", "gouy")
+    columns = [[getattr(b, name) for b in beams] for name in fields]
+    write_csv(_out_path(args, args.out), ["z", "w", "R", "gouy"], columns)
 
 
 def _cmd_ccd(args) -> None:
@@ -353,30 +350,11 @@ def _cmd_ccd(args) -> None:
         visibility=args.visibility,
         seed=args.seed,
     )
-    plane = (
-        PlaneTag(kind="position")
-        if args.plane == "position"
-        else PlaneTag(kind="momentum", f=args.f)
-    )
+    plane = PlaneTag(args.plane, None if args.plane == "position" else args.f)
     image = render_ccd(state, plane, config, frame)
     out = _out_path(args, args.out)
     write_pgm(out, image.counts, config.max_count)
-    sidecar = {
-        "nx": config.nx,
-        "ny": config.ny,
-        "pitch": config.pitch,
-        "bit_depth": config.bit_depth,
-        "background": config.background,
-        "visibility": config.visibility,
-        "seed": config.seed,
-        "exposure_scale": image.exposure_scale,
-        "saturated": image.saturated,
-        "plane": plane.kind,
-        "f": plane.f,
-        "w0": frame.w0,
-        "wavelength": frame.wavelength,
-    }
-    write_json(_sidecar_path(out), sidecar)
+    write_json(_sidecar_path(out), image.sidecar(frame))
 
 
 def _image_from_files(path: Path) -> tuple[CcdImage, dict]:
@@ -389,37 +367,16 @@ def _image_from_files(path: Path) -> tuple[CcdImage, dict]:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ValidationError(f"image sidecar {sidecar_path} is not JSON: {exc}")
     try:
-        config = CcdConfig(
-            nx=int(sidecar["nx"]),
-            ny=int(sidecar["ny"]),
-            pitch=float(sidecar["pitch"]),
-            bit_depth=int(sidecar["bit_depth"]),
-            background=int(sidecar["background"]),
-            exposure_scale=float(sidecar["exposure_scale"]),
-            visibility=float(sidecar["visibility"]),
-            seed=sidecar["seed"],
-        )
-        if max_value != config.max_count:
-            raise _UsageError(
-                f"PGM max value {max_value} disagrees with sidecar bit depth"
-            )
-        plane = (
-            PlaneTag(kind="position")
-            if sidecar["plane"] == "position"
-            else PlaneTag(kind="momentum", f=float(sidecar["f"]))
-        )
-        image = CcdImage(
-            config=config,
-            plane=plane,
-            counts=counts,
-            exposure_scale=float(sidecar["exposure_scale"]),
-            saturated=bool(sidecar["saturated"]),
-        )
+        image = CcdImage.from_sidecar(counts, max_value, sidecar)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"image sidecar {sidecar_path} is malformed: {type(exc).__name__} {exc}"
-        )
+        raise _malformed(sidecar_path, exc)
     return image, sidecar
+
+
+def _malformed(sidecar_path: Path, exc: Exception) -> ValidationError:
+    return ValidationError(
+        f"image sidecar {sidecar_path} is malformed: {type(exc).__name__} {exc}"
+    )
 
 
 def _cmd_fit(args) -> None:
@@ -443,13 +400,17 @@ def _cmd_fit(args) -> None:
             raise _UsageError("phase fitting needs --d")
         if image.plane.kind != "momentum":
             raise _UsageError("phase fitting needs a momentum-plane image")
+        try:  # the beam is read from the sidecar only for a phase fit
+            w0, wavelength = float(sidecar["w0"]), float(sidecar["wavelength"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(_sidecar_path(args.image), exc)
         phi_hat = estimate_relative_phase(
             profile,
             d=args.d,
-            w0=float(sidecar["w0"]),
+            w0=w0,
             T=args.T,
             f=image.plane.f,
-            wavelength=float(sidecar["wavelength"]),
+            wavelength=wavelength,
             pitch=image.config.pitch,
         )
         payload = {
@@ -479,14 +440,9 @@ def _cmd_sweep(args) -> None:
     angle = _resolve_angle(args)
     path = _parse_path(args.path)
     series = profile_sweep(path, angle.displacement(frame.w0), frame)
-    rows = [
-        (pt.T, pt.phi, pt.delta_x, pt.mean_vx, pt.center_intensity) for pt in series
-    ]
-    write_csv(
-        _out_path(args, args.out),
-        ["T", "phi", "delta_x", "mean_vx", "center_intensity"],
-        rows,
-    )
+    headers = ["T", "phi", "delta_x", "mean_vx", "center_intensity"]
+    columns = [[getattr(pt, name) for pt in series] for name in headers]
+    write_csv(_out_path(args, args.out), headers, columns)
 
 
 def _cmd_mdm(args) -> None:
@@ -546,8 +502,9 @@ def _reproduce_fig2(args) -> None:
     for kind in TYPICAL_KINDS:
         _, state = make_typical_state(kind, angle, frame)
         values = HBAR * wigner_of_state(state, x_si, p_si)
-        write_grid_csv(
-            _out_path(args, f"fig2_{kind}.csv"), ["X", "P", "W"], coords, coords, values
+        write_csv(
+            _out_path(args, f"fig2_{kind}.csv"), ["X", "P", "W"],
+            [coords[:, None], coords[None, :], values],
         )
         write_scaled_pgm(
             _out_path(args, f"fig2_{kind}.pgm"), values, state=kind, half_range=half, n=n
@@ -561,7 +518,7 @@ def _reproduce_panels(args) -> None:
         write_csv(
             _out_path(args, f"{panel.name}.csv"),
             ["axis", "density", "sql"],
-            zip(panel.axis, panel.density, panel.sql),
+            [panel.axis, panel.density, panel.sql],
         )
 
 
@@ -695,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             args.handler(args)
         name = f"reproduce_{args.figure}" if args.command == "reproduce" else args.command
-        _write_manifest(args.outdir, name, args)
+        _write_manifest(name, args)
         return 0
     except _UsageError as exc:
         print(f"E_USAGE: {exc}", file=sys.stderr)

@@ -1,15 +1,17 @@
 """Deterministic file formats for run artifacts.
 
 CSV uses '.' decimals and 17 significant digits (round-trip exact for
-doubles), PGM is binary P5 with big-endian 16-bit samples above 8 bits,
-JSON is sorted-key with no timestamps, so identical inputs always produce
-byte-identical files.
+doubles), and every table and grid goes through the one write_csv.  PGM is
+binary P5 with big-endian 16-bit samples above 8 bits, JSON is sorted-key
+with no timestamps, so identical inputs always produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import mmap
 import os
 from pathlib import Path
@@ -20,59 +22,46 @@ from .errors import ValidationError
 
 
 _CELL = "%.17g"
-
-
-def _unsigned_zero(values):
-    """Cell values as written: adding 0.0 turns -0.0 into 0.0, shown as 0."""
-    return values + 0.0
+# write_csv formats at least 16 first-axis rows and about 4096 cells at a
+# time.  A call's temporaries take ~250 B a cell, and larger chunks of a
+# narrow grid (64 rows of 256) had them page-faulted afresh in every chunk.
+_CHUNK_ROWS, _CHUNK_CELLS = 16, 4096
 
 
 def format_number(value) -> str:
-    """Locale-independent cell formatting; floats keep full precision."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _CELL % _unsigned_zero(float(value))
+    """Locale-independent cell text: '%.17g', with -0.0 written as 0."""
+    return _CELL % (float(value) + 0.0)
 
 
-def write_csv(path, headers: list[str], rows) -> None:
-    """Write rows of numbers (or strings) under frozen column headers."""
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(
-            ",".join(v if isinstance(v, str) else format_number(v) for v in row)
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(path, headers: list[str], columns) -> None:
+    """Write one line per cell of the columns broadcast together, in C order.
 
-
-def write_grid_csv(path, headers: list[str], xs, ps, values) -> None:
-    """Write the rows (xs[i], ps[j], values[i, j]), i-major, as write_csv would.
-
-    The axes are formatted once each through format_number, and the cells
-    by _format_cells, 16 rows at a time, so the file holds exactly the bytes
-    of the per-cell format and memory does not grow with the grid.  Each
-    line is laid out in a fixed-width byte row padded with NUL bytes, which
-    are dropped before the chunk is written.
+    A table passes equal-length columns, a grid xs[:, None], ps[None, :] and
+    values.  Each cell is written as '%.17g' % (v + 0.0) by _format_cells: a
+    column that does not vary along the first axis once, the others one
+    chunk of first-axis rows at a time, so memory does not grow with the
+    number of rows.  Each line is laid out in fixed-width cell slots padded
+    with NUL bytes, which are dropped before the chunk is written.
     """
-    values = np.asarray(values, dtype=float)
-
-    def column(numbers):
-        text = np.array([format_number(v).encode() for v in numbers], dtype=bytes)
-        return text.view(np.uint8).reshape(len(text), text.itemsize)
-
-    x_col, p_col = column(xs), column(ps)
-    x_width, cell_at = x_col.shape[1], x_col.shape[1] + p_col.shape[1] + 2
-    line = np.zeros((_ROWS, len(p_col), cell_at + _CELL_WIDTH + 1), dtype=np.uint8)
-    line[:, :, x_width] = line[:, :, cell_at - 1] = ord(",")
-    line[:, :, x_width + 1 : cell_at - 1] = p_col
-    line[:, :, -1] = ord("\n")
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns)) or (1,)
+    columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]
+    rows = max(_CHUNK_ROWS, _CHUNK_CELLS // math.prod(shape[1:]))
+    # line[..., i, :] is column i's slot and the ',' (last, '\n') after it
+    line = np.zeros((min(rows, shape[0]), *shape[1:], len(columns), _CELL_WIDTH + 1), np.uint8)
+    line[..., -1] = ord(",")
+    line[..., -1, -1] = ord("\n")
+    for i, c in enumerate(columns):
+        if len(c) == 1:
+            line[..., i, :-1] = _format_cells(c[0])
     with Path(path).open("wb") as fh:
         fh.write((",".join(headers) + "\n").encode())
-        for start in range(0, len(x_col), _ROWS):
-            block = values[start : start + _ROWS]
-            buf = line[: len(block)]
-            buf[:, :, :x_width] = x_col[start : start + _ROWS, None, :]
-            _format_cells(block.ravel(), buf.reshape(-1, buf.shape[-1])[:, cell_at:-1])
-            fh.write(buf[buf != 0])
+        for start in range(0, shape[0], rows):
+            buf = line[: shape[0] - start]
+            for i, c in enumerate(columns):
+                if len(c) > 1:
+                    buf[..., i, :-1] = _format_cells(c[start : start + rows])
+            fh.write(buf.tobytes().translate(None, b"\0"))
 
 
 # Byte-exact '%.17g' for arrays.  A finite double v with 1e-280 < |v| < 1e290
@@ -83,7 +72,6 @@ def write_grid_csv(path, headers: list[str], xs, ps, values) -> None:
 # on or outside (10^16, 10^17) because log10 or the rounding moved e, is
 # formatted by format_number instead, as are zeros, non-finite values and
 # magnitudes outside that range (Loitsch 2010; Adams 2018).
-_ROWS = 16  # grid rows formatted per chunk
 _CELL_WIDTH = 24  # the longest cell: -1.2345678901234567e-308
 _K_MIN = -280  # the power table holds 10^k for k in [_K_MIN, 300)
 # Columns of the per-cell source bytes that the templates index: 0 NUL,
@@ -102,7 +90,7 @@ def _split(a):
 def _cell_tables():
     """Powers of ten, ASCII digit groups and exponents, and cell templates.
 
-    Built on the first grid write.  The powers 10^k are (hi, lo) pairs from
+    Built on the first CSV write.  The powers 10^k are (hi, lo) pairs from
     Python ints: hi is 10^k rounded, lo the rounded remainder 10^k - hi.
     Template [t, s] lays out a cell of layout t (%g's fixed notation for
     exponents -4..16, then the d.ddd form) with its last s digits, and a
@@ -135,9 +123,13 @@ def _cell_tables():
     return hi, *_split(hi), lo, quads, exps, np.array(fraction), templates
 
 
-def _format_cells(v: np.ndarray, out: np.ndarray) -> None:
-    """Write '%.17g' % (v + 0.0) of each cell into a NUL-padded row of out."""
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """'%.17g' % (v + 0.0) of each value as NUL-padded bytes, one row per value.
+
+    The result has the shape of values plus a last axis of _CELL_WIDTH bytes.
+    """
     hi, hi_hi, hi_lo, lo, quads, exps, fraction, templates = _cell_tables()
+    v = values.ravel()
     a = np.abs(v)
     fast = (a > 1e-280) & (a < 1e290)
     a[~fast] = 1.0  # no arithmetic on zeros, subnormals, inf or NaN
@@ -174,11 +166,13 @@ def _format_cells(v: np.ndarray, out: np.ndarray) -> None:
     for first, last in zip([0, *bounds], [*bounds, len(v)]):
         t, s = divmod(key[first], 17)
         np.take(src[first:last], templates[t, s], axis=1, out=cells[first:last])
+    out = np.empty_like(cells)
     whole_cells = f"V{_CELL_WIDTH}"  # moved as one item each, not byte by byte
     out.view(whole_cells)[order] = cells.view(whole_cells)
     for i in np.flatnonzero(~fast):
         text = format_number(v[i]).encode()
         out[i] = np.frombuffer(text.ljust(_CELL_WIDTH, b"\0"), dtype=np.uint8)
+    return out.reshape(*values.shape, _CELL_WIDTH)
 
 
 def write_json(path, payload: dict) -> None:

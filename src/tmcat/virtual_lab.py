@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -141,6 +141,48 @@ class CcdImage:
             )
         if self.counts.min() < 0 or self.counts.max() > self.config.max_count:
             raise ValidationError("counts fall outside the digitizer range")
+
+    def sidecar(self, frame: ModeFrame) -> dict:
+        """The JSON sidecar of the frame: sensor, exposure used, plane, beam."""
+        return {
+            **asdict(self.config),
+            "exposure_scale": self.exposure_scale,
+            "saturated": self.saturated,
+            "plane": self.plane.kind,
+            "f": self.plane.f,
+            "w0": frame.w0,
+            "wavelength": frame.wavelength,
+        }
+
+    @classmethod
+    def from_sidecar(cls, counts: np.ndarray, max_value: int, sidecar: dict) -> CcdImage:
+        """Rebuild the image from its PGM samples and sidecar.
+
+        The beam's w0 and wavelength are left in the sidecar for the caller.
+        A missing field raises KeyError, a mistyped one TypeError or
+        ValueError.
+        """
+        fields = {name: read(sidecar[name]) for name, read in _SIDECAR_FIELDS.items()}
+        plane = PlaneTag(fields.pop("plane"), fields.pop("f"))
+        saturated = fields.pop("saturated")
+        config = CcdConfig(**fields)
+        if max_value != config.max_count:
+            raise ValidationError(
+                f"PGM max value {max_value} disagrees with sidecar bit depth {config.bit_depth}"
+            )
+        return cls(config, plane, counts, config.exposure_scale, saturated)
+
+
+def _or_none(read):
+    return lambda value: None if value is None else read(value)
+
+
+# How each field of a CCD sidecar is read back, w0 and wavelength aside
+_SIDECAR_FIELDS = {
+    "nx": int, "ny": int, "pitch": float, "bit_depth": int, "background": int,
+    "exposure_scale": float, "visibility": float, "seed": _or_none(int),
+    "saturated": bool, "plane": str, "f": _or_none(float),
+}
 
 
 def _intensity_2d(

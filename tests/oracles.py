@@ -13,8 +13,8 @@ maximum over basis rows it was first written as, and the CCD digitization
 as its float chain, with a full-frame temporary at every step.  The Wigner
 map of any superposition is also evaluated by quadrature of its defining
 chord integral, over mode fields and y-overlap weights written out here,
-not the library's.  Grid CSVs are written by the per-cell '%.17g' loop the
-library's vectorized writer replaced.
+not the library's.  CSVs are written by the per-row and per-cell '%.17g'
+loops the library's one vectorized writer replaced.
 """
 
 import math
@@ -33,7 +33,6 @@ from tmcat import (
     make_typical_state,
     rotate_phase_space,
 )
-from tmcat.fileio import _CELL, _unsigned_zero, format_number
 from tmcat.virtual_lab import _intensity_2d
 
 
@@ -325,6 +324,24 @@ def render_ccd_float_tail(state, plane, config) -> tuple[np.ndarray, float, bool
     return counts, scale, saturated
 
 
+# every cell is written as '%.17g' of v + 0.0, which turns -0.0 into 0.0
+_CELL = "%.17g"
+
+
+def _cell(v) -> str:
+    return _CELL % (v + 0.0)
+
+
+def write_csv(path, headers: list[str], rows) -> None:
+    """Write rows of numbers (or strings) under frozen column headers."""
+    lines = [",".join(headers)]
+    for row in rows:
+        lines.append(
+            ",".join(v if isinstance(v, str) else _cell(v) for v in row)
+        )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_grid_csv(path, headers: list[str], xs, ps, values) -> None:
     """Write the rows (xs[i], ps[j], values[i, j]), i-major, as write_csv would.
 
@@ -333,8 +350,8 @@ def write_grid_csv(path, headers: list[str], xs, ps, values) -> None:
     """
     values = np.asarray(values, dtype=float)
     # xs[i] is joined in front of every line; a formatted number holds no '%'
-    tails = [""] + [f",{format_number(p)},{_CELL}\n" for p in ps]
+    tails = [""] + [f",{_cell(p)},{_CELL}\n" for p in ps]
     with Path(path).open("w") as fh:
         fh.write(",".join(headers) + "\n")
         for x, row in zip(xs, values):
-            fh.write(format_number(x).join(tails) % tuple(_unsigned_zero(row).tolist()))
+            fh.write(_cell(x).join(tails) % tuple((row + 0.0).tolist()))

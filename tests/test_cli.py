@@ -448,6 +448,15 @@ def test_ccd_fit_phase_round_trip(tmp_path, capsys):
         "--T", "0.5", "--d", str(d), "--outdir", str(tmp_path),
     ) == 2
     assert capsys.readouterr().err == "E_VALIDATION: w0 must be positive, got 0.0\n"
+    # a sidecar without its waist is malformed, as for any other field
+    fields = json.loads(sidecar.read_text())
+    del fields["w0"]
+    sidecar.write_text(json.dumps(fields))
+    assert run(
+        "fit", "--image", str(tmp_path / "fringe.pgm"), "--mode", "phase",
+        "--T", "0.5", "--d", str(d), "--outdir", str(tmp_path),
+    ) == 2
+    assert capsys.readouterr().err.startswith("E_VALIDATION: image sidecar ")
 
 
 def test_fit_mode_requirements(tmp_path, capsys):
@@ -477,12 +486,18 @@ def test_fit_mode_requirements(tmp_path, capsys):
         assert run("fit", "--image", str(image), "--outdir", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("E_VALIDATION:") and err.count("\n") == 1
-    # a corrupt sidecar is a validation error: malformed JSON, a missing field
+    # a corrupt sidecar is a validation error: malformed JSON, a missing field,
+    # a bit depth that the frame's max value disagrees with, an unknown plane
     image.write_bytes(whole)
     sidecar = tmp_path / "pos.pgm.json"
     fields = json.loads(sidecar.read_text())
-    del fields["ny"]
-    for text in ('{"nx": 720,', json.dumps(fields)):
+    missing = {key: value for key, value in fields.items() if key != "ny"}
+    for text in (
+        '{"nx": 720,',
+        json.dumps(missing),
+        json.dumps({**fields, "bit_depth": 12}),
+        json.dumps({**fields, "plane": "sideways", "f": 0.145}),
+    ):
         sidecar.write_text(text)
         assert run("fit", "--image", str(image), "--outdir", str(tmp_path)) == 2
         err = capsys.readouterr().err

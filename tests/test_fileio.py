@@ -18,7 +18,6 @@ from tmcat.fileio import (
     read_json,
     read_pgm,
     write_csv,
-    write_grid_csv,
     write_json,
     write_pgm,
     write_scaled_pgm,
@@ -38,11 +37,11 @@ def test_format_number():
 
 def test_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [(1, 2.5), (3, -0.0)])
+    write_csv(path, ["a", "b"], [(1, 3), (2.5, -0.0)])
     assert path.read_text() == "a,b\n1,2.5\n3,0\n"
 
 
-# Cells the grid writer must render exactly as format_number does: signed
+# Cells the CSV writer must render exactly as format_number does: signed
 # zeros, infinities, NaN, subnormals and magnitudes near the double range.
 CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -63,6 +62,26 @@ def grid_case(n_x, n_p):
 SHAPES = st.sampled_from([(1, 1), (1, 5), (5, 1), (3, 4)]).flatmap(lambda s: grid_case(*s))
 
 
+def table_case(n_columns):
+    return st.integers(1, 20).flatmap(
+        lambda n_rows: st.lists(
+            hnp.arrays(float, n_rows, elements=CELLS), min_size=n_columns, max_size=n_columns
+        )
+    )
+
+
+# A table's lines, chunked by the writer, are byte-equal to the row oracle.
+# The example spans ten chunks, the last one short.
+@given(st.integers(1, 4).flatmap(table_case))
+@example([np.linspace(-3.0, 3.0, 40_000), -np.geomspace(1e-300, 1e300, 40_000)])
+def test_csv_table_matches_row_oracle(tmp_path_factory, columns):
+    folder = tmp_path_factory.mktemp("table")
+    headers = [f"c{i}" for i in range(len(columns))]
+    write_csv(folder / "new.csv", headers, columns)
+    oracles.write_csv(folder / "old.csv", headers, zip(*columns))
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
 @given(SHAPES)
 @example((np.array([-0.0]), np.array([-0.0, 1.0]), np.array([[-0.0, -1e-320]]), False))
 def test_grid_csv_matches_per_cell_rows(tmp_path_factory, case):
@@ -70,7 +89,7 @@ def test_grid_csv_matches_per_cell_rows(tmp_path_factory, case):
     if transposed:
         values = values.T.copy().T  # the same table, rows no longer contiguous
     path = tmp_path_factory.mktemp("grid") / "g.csv"
-    write_grid_csv(path, ["X", "P", "W"], xs, ps, values)
+    write_csv(path, ["X", "P", "W"], [xs[:, None], ps[None, :], values])
     rows = [
         ",".join(format_number(v) for v in (xs[i], ps[j], values[i, j]))
         for i in range(xs.size)
@@ -89,7 +108,7 @@ def test_grid_csv_matches_oracle(tmp_path, frame, angle_w0):
     xs, ps = m.grid.x_axis(), m.grid.p_axis()
     for values in (m.values, m.values[::-1].T, -1e-300 * m.values):
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        write_grid_csv(new, ["X", "P", "W"], xs, ps, values)
+        write_csv(new, ["X", "P", "W"], [xs[:, None], ps[None, :], values])
         oracles.write_grid_csv(old, ["X", "P", "W"], xs, ps, values)
         assert new.read_bytes() == old.read_bytes()
 
@@ -117,7 +136,8 @@ def test_grid_cells_match_percent_format(tmp_path_factory, bits):
     values = bits.view(np.float64)
     path = tmp_path_factory.mktemp("cells") / "c.csv"
     with np.errstate(all="raise"):
-        write_grid_csv(path, ["X", "P", "W"], [0.0], np.zeros(values.size), values[None, :])
+        xs, ps = np.array([0.0]), np.zeros(values.size)
+        write_csv(path, ["X", "P", "W"], [xs[:, None], ps[None, :], values[None, :]])
     cells = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
     assert cells == ["%.17g" % (v + 0.0) for v in values.tolist()]
 
@@ -190,7 +210,7 @@ def test_grid_csv_budget():
     axis = np.linspace(-4.0, 4.0, 1024)
     tracemalloc.start()
     try:
-        write_grid_csv(os.devnull, ["X", "P", "W"], axis, axis, values)
+        write_csv(os.devnull, ["X", "P", "W"], [axis[:, None], axis[None, :], values])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,7 +1,9 @@
 """Sensor bench: rendering, profile analysis, phase recovery, figure panels."""
 
+import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,6 +189,27 @@ class TestRendering:
                 exposure_scale=image.exposure_scale,
                 saturated=False,
             )
+
+    def test_sidecar_round_trip(self, frame, angle_bench):
+        # the sidecar survives JSON and rebuilds the image, with the scale used
+        params, _ = make_typical_state("p_plus", angle_bench, frame)
+        for seed in (None, 7):
+            config = small_config(nx=32, ny=24, bit_depth=12, background=3, seed=seed)
+            for plane in (position_plane(), momentum_plane()):
+                image = render_ccd(params, plane, config, frame)
+                sidecar = json.loads(json.dumps(image.sidecar(frame)))
+                assert set(sidecar) == {
+                    "nx", "ny", "pitch", "bit_depth", "background", "exposure_scale",
+                    "visibility", "seed", "saturated", "plane", "f", "w0", "wavelength",
+                }
+                assert (sidecar["w0"], sidecar["wavelength"]) == (frame.w0, frame.wavelength)
+                back = CcdImage.from_sidecar(image.counts, config.max_count, sidecar)
+                assert back.config == replace(config, exposure_scale=image.exposure_scale)
+                assert back.plane == plane and back.counts is image.counts
+                assert (back.exposure_scale, back.saturated) == (
+                    image.exposure_scale, image.saturated
+                )
+                assert back.sidecar(frame) == sidecar
 
 
 class TestProfiles:
