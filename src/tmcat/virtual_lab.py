@@ -297,47 +297,54 @@ class GaussianFit:
     amplitude: float
 
 
+def _moment_start(t, weights):
+    """(center, radius) of a start: the mean and twice the RMS width, in pixels."""
+    total = weights.sum()
+    mean = float((t * weights).sum() / total)
+    var = float(((t - mean) ** 2 * weights).sum() / total)
+    return min(max(mean, float(t[0])), float(t[-1])), max(2.0 * math.sqrt(max(var, 0.0)), 1.0)
+
+
+def _fit_samples(profile, pitch: float) -> np.ndarray:
+    """A profile as the float array both fits take, after their common checks."""
+    if not (0.0 < pitch < math.inf):
+        raise ValidationError(f"pixel pitch must be positive and finite, got {pitch}")
+    profile = np.asarray(profile, dtype=float)
+    if profile.ndim != 1 or not np.isfinite(profile).all():
+        raise ValidationError("profile must be a 1-D array of finite samples")
+    if not profile.sum() > 0.0:
+        raise ValidationError("profile needs a positive sum to fit")
+    return profile
+
+
 def fit_gaussian_profile(profile: np.ndarray, pitch: float) -> GaussianFit:
     """Fit A exp(-2 (x - x0)^2 / r^2) to a column profile.
 
-    Initialization is moment-based (r0 = twice the RMS width); the solver is
-    bounded nonlinear least squares.  Needs at least 8 nonzero samples.
+    Least squares under A >= 0, x0 within the sensor and r >= pitch / 4.  A is
+    projected out: each trial (x0, r) takes its best A.  The descent starts
+    from the profile's moments (r0 = twice the RMS width) and again from the
+    moments of its part above half maximum, which finds a narrow peak on a
+    broad offset; the lower cost wins.  Needs at least 8 nonzero samples and
+    a positive sum; raises FitError when no start converges, as on a flat
+    profile, whose best radius is infinite.
     """
-    # scipy.optimize costs more to import than every other module of the
-    # package together; only the two fits need it.
-    from scipy.optimize import least_squares
+    # compiled on the first fit, so that import tmcat does no new work
+    from .gaussfit import descend
 
-    profile = np.asarray(profile, dtype=float)
-    if not (pitch > 0.0):
-        raise ValidationError(f"pixel pitch must be positive, got {pitch}")
+    profile = _fit_samples(profile, pitch)
     if np.count_nonzero(profile) < 8:
         raise ValidationError("profile needs at least 8 nonzero samples to fit")
-    x = (np.arange(profile.size) - (profile.size - 1) / 2.0) * pitch
-    total = profile.sum()
-    mean = float((x * profile).sum() / total)
-    var = float(((x - mean) ** 2 * profile).sum() / total)
-    r0 = max(2.0 * math.sqrt(var), pitch)
-    a0 = max(float(profile.max()), 1e-12)
-
-    def residual(p):
-        a, x0, r = p
-        return a * np.exp(-2.0 * (x - x0) ** 2 / r**2) - profile
-
-    res = least_squares(
-        residual,
-        x0=[a0, mean, r0],
-        bounds=([0.0, x.min(), pitch / 4.0], [np.inf, x.max(), np.inf]),
-        max_nfev=400,
-    )
-    if not res.success:
-        raise FitError(f"Gaussian fit did not converge; last iterate {res.x.tolist()}")
-    a, x0, r = res.x
-    return GaussianFit(
-        center=float(x0),
-        radius_1e2=float(r),
-        rss=float(np.sum(res.fun**2)),
-        amplitude=float(a),
-    )
+    t = np.arange(profile.size) - (profile.size - 1) / 2.0  # sample i sits at t_i * pitch
+    fits, failure = [], None
+    for weights in (profile, np.clip(profile - 0.5 * profile.max(), 0.0, None)):
+        try:
+            fits.append(descend(t, profile, *_moment_start(t, weights)))
+        except FitError as exc:
+            failure = exc
+    if not fits:
+        raise failure
+    a, c, s, cost = min(fits, key=lambda fit: fit[3])
+    return GaussianFit(center=c * pitch, radius_1e2=s * pitch, rss=cost, amplitude=a)
 
 
 def estimate_relative_phase(
@@ -358,6 +365,8 @@ def estimate_relative_phase(
     with amplitude as the only nuisance parameter, scanning 16 starting
     phases before polishing.  Returns phi_hat in (-pi, pi].
     """
+    # scipy.optimize costs more to import than the rest of the package
+    # together, and only this fit needs it
     from scipy.optimize import least_squares
 
     if not 0.0 < T < 1.0:
@@ -366,7 +375,7 @@ def estimate_relative_phase(
         raise ValidationError(f"phase estimation needs d > 0, got {d}")
     frame = ModeFrame(w0=w0, wavelength=wavelength)
     w_f = focal_waist(frame, f)
-    profile = np.asarray(momentum_profile, dtype=float)
+    profile = _fit_samples(momentum_profile, pitch)
     x = (np.arange(profile.size) - (profile.size - 1) / 2.0) * pitch
     kappa = frame.k * d / f
     depth = 2.0 * math.sqrt(T * (1.0 - T))

@@ -14,7 +14,9 @@ as its float chain, with a full-frame temporary at every step.  The Wigner
 map of any superposition is also evaluated by quadrature of its defining
 chord integral, over mode fields and y-overlap weights written out here,
 not the library's.  CSVs are written by the per-row and per-cell '%.17g'
-loops the library's one vectorized writer replaced.
+loops the library's one vectorized writer replaced, and Gaussian profiles
+are fitted by the bounded trust-region least squares of scipy that the
+library's own descent replaced.
 """
 
 import math
@@ -25,6 +27,8 @@ import numpy as np
 from tmcat import (
     HBAR,
     FiberSpec,
+    FitError,
+    GaussianFit,
     ModeFrame,
     OverlapAngle,
     QubitParams,
@@ -355,3 +359,46 @@ def write_grid_csv(path, headers: list[str], xs, ps, values) -> None:
         fh.write(",".join(headers) + "\n")
         for x, row in zip(xs, values):
             fh.write(_cell(x).join(tails) % tuple((row + 0.0).tolist()))
+
+
+def gaussian_fit_trf(profile: np.ndarray, pitch: float) -> GaussianFit:
+    """Fit A exp(-2 (x - x0)^2 / r^2) to a column profile.
+
+    Initialization is moment-based (r0 = twice the RMS width); the solver is
+    bounded nonlinear least squares.  Needs at least 8 nonzero samples.
+    """
+    # scipy.optimize costs more to import than every other module of the
+    # package together; only the two fits need it.
+    from scipy.optimize import least_squares
+
+    profile = np.asarray(profile, dtype=float)
+    if not (pitch > 0.0):
+        raise ValidationError(f"pixel pitch must be positive, got {pitch}")
+    if np.count_nonzero(profile) < 8:
+        raise ValidationError("profile needs at least 8 nonzero samples to fit")
+    x = (np.arange(profile.size) - (profile.size - 1) / 2.0) * pitch
+    total = profile.sum()
+    mean = float((x * profile).sum() / total)
+    var = float(((x - mean) ** 2 * profile).sum() / total)
+    r0 = max(2.0 * math.sqrt(var), pitch)
+    a0 = max(float(profile.max()), 1e-12)
+
+    def residual(p):
+        a, x0, r = p
+        return a * np.exp(-2.0 * (x - x0) ** 2 / r**2) - profile
+
+    res = least_squares(
+        residual,
+        x0=[a0, mean, r0],
+        bounds=([0.0, x.min(), pitch / 4.0], [np.inf, x.max(), np.inf]),
+        max_nfev=400,
+    )
+    if not res.success:
+        raise FitError(f"Gaussian fit did not converge; last iterate {res.x.tolist()}")
+    a, x0, r = res.x
+    return GaussianFit(
+        center=float(x0),
+        radius_1e2=float(r),
+        rss=float(np.sum(res.fun**2)),
+        amplitude=float(a),
+    )

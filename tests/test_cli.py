@@ -586,14 +586,40 @@ def test_version_flag(capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the fits need scipy.optimize, whose import costs more than the
-    # rest of the package; every other command starts without it
+    # only the phase fit needs scipy.optimize, whose import costs more than
+    # the rest of the package; every other command starts without it
     code = "import sys, tmcat.cli; print('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(tmcat.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_gaussian_fits_leave_scipy_optimize_unloaded(tmp_path):
+    # the Gaussian fit is numpy only, and its solver is compiled on first use;
+    # the phase fit is the one caller of scipy
+    assert run(
+        "ccd", "--T", "0.5", "--phi", "0.3", "--alpha", "1.1", "--plane", "momentum",
+        "--outdir", str(tmp_path), "--out", "fringe.pgm",
+    ) == 0
+    fit = ["fit", "--image", str(tmp_path / "fringe.pgm"), "--outdir", str(tmp_path)]
+    phase = fit + ["--mode", "phase", "--T", "0.5", "--d", "0.187mm"]
+    code = (
+        "import sys, numpy as np, tmcat, tmcat.cli\n"
+        "print('tmcat.gaussfit' in sys.modules)\n"
+        "x = np.arange(64) - 31.5\n"
+        "tmcat.fit_gaussian_profile(np.exp(-2.0 * (x / 8.0) ** 2), 6.5e-6)\n"
+        f"assert tmcat.cli.main({fit + ['--mode', 'gaussian']!r}) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        f"assert tmcat.cli.main({phase!r}) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tmcat.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_cli_import_builds_no_cell_tables():

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -33,10 +37,11 @@ from tmcat import (
 from tmcat.states import gaussian_mode_1d
 from tmcat.virtual_lab import _POISSON_MEAN_MAX, _intensity_2d
 
-from oracles import marginal_position, render_ccd_float_tail
+from oracles import gaussian_fit_trf, marginal_position, render_ccd_float_tail
 from strategies import BENCH_FRAME, superpositions
 
 PITCH = 6.5e-6
+EPS = float(np.finfo(float).eps)
 
 
 def small_config(**overrides) -> CcdConfig:
@@ -229,6 +234,15 @@ class TestProfiles:
             fit_gaussian_profile(np.zeros(64), PITCH)
         with pytest.raises(ValidationError):
             fit_gaussian_profile(np.array([0.0, 1.0, 0.0]), PITCH)
+        beam = np.exp(-2.0 * ((np.arange(64) - 31.5) / 8.0) ** 2)
+        refused = [(np.full(64, np.nan), PITCH), (-beam, PITCH), (np.outer(beam, beam), PITCH)]
+        refused += [(beam, pitch) for pitch in (math.inf, math.nan, 0.0, -PITCH)]
+        for profile, pitch in refused:
+            with pytest.raises(ValidationError):
+                fit_gaussian_profile(profile, pitch)
+        # the best Gaussian for a flat profile has an infinite radius
+        with pytest.raises(FitError, match="runs off to infinity"):
+            fit_gaussian_profile(np.ones(64), PITCH)
 
     def test_gaussian_fit_roundtrip(self):
         # the fitter frames pixel i at (i - (n-1)/2) * pitch
@@ -301,6 +315,154 @@ class TestPhaseEstimation:
             estimate_relative_phase(profile, d=-1e-4, w0=frame.w0, T=0.5, f=0.145)
         with pytest.raises(ValidationError):
             estimate_relative_phase(profile, d=1e-4, w0=frame.w0, T=0.5, f=0.0)
+
+    def test_fit_needs_signal(self, frame):
+        fringe = np.exp(-2.0 * ((np.arange(720) - 359.5) / 46.0) ** 2)
+        refused = [(np.zeros(720), PITCH), (np.full(720, np.nan), PITCH),
+                   (-fringe, PITCH), (fringe, math.inf), (fringe, 0.0)]
+        for profile, pitch in refused:
+            with pytest.raises(ValidationError):
+                estimate_relative_phase(
+                    profile, d=1e-4, w0=frame.w0, T=0.5, f=0.145, pitch=pitch
+                )
+
+
+def _beam_profile(n, w, d, T, phi, place, offset, counts, seed):
+    """(profile, truth) of one beam of 1/e^2 radius w pixels, or two at d.
+
+    The profile is |sqrt(T) g(t - c) + e^{i phi} sqrt(1 - T) g(t - c - d)|^2
+    for Gaussian fields g of waist w, peak 1, with both beams 2w inside the
+    sensor (place in [0, 1] sets c), plus a flat offset, then Poisson counts
+    at `counts` for the peak when counts is not None.  truth is (x0, r) in
+    meters for a clean single beam, else None.
+    """
+    t = np.arange(n) - (n - 1) / 2.0
+    span = n / 2.0 - 2.0 * w
+    c = -span + place * (2.0 * span - d)
+    g0, g1 = np.exp(-(((t - c) / w) ** 2)), np.exp(-(((t - c - d) / w) ** 2))
+    root = math.sqrt(T * (1.0 - T))
+    profile = T * g0**2 + (1.0 - T) * g1**2 + 2.0 * root * math.cos(phi) * g0 * g1
+    profile = profile / profile.max() + offset
+    if counts is not None:
+        profile = np.random.default_rng(seed).poisson(profile * counts) / counts
+    clean = d == 0.0 and offset == 0.0 and counts is None
+    return profile, ((c * PITCH, w * PITCH) if clean else None)
+
+
+@st.composite
+def beam_profiles(draw):
+    n = draw(st.integers(64, 720))
+    w = draw(st.floats(4.0, n / 10.0))
+    d = draw(st.one_of(st.just(0.0), st.floats(0.5 * w, 3.0 * w)))
+    T = draw(st.floats(0.05, 0.95)) if d else 1.0
+    return _beam_profile(
+        n, w, d, T, draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, 1.0)),
+        draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2))),
+        draw(st.one_of(st.none(), st.floats(200.0, 4000.0))),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@given(beam_profiles())
+# a beam near the edge on an offset: the best fit puts x0 on the sensor
+# edge, where the exact Hessian in r alone is indefinite
+@example(_beam_profile(192, 8.0, 0.0, 1.0, 0.0, 0.0, 0.1875, None, 0))
+# a narrow beam on an offset: the descent from the moments of the whole
+# profile ends in a broad fit of five times the cost
+@example(_beam_profile(268, 7.4, 0.0, 1.0, 0.0, 0.84, 0.07, None, 0))
+def test_gaussian_fit_against_trf(case):
+    """The fit costs no more than scipy's trust-region fit, ends at a
+    stationary point, and returns a clean single beam."""
+    profile, truth = case
+    fit = fit_gaussian_profile(profile, PITCH)
+    n = profile.size
+    peak = float(profile.max())
+    delta = 16.0 * EPS * peak  # the rounding of one residual
+    x = (np.arange(n) - (n - 1) / 2.0) * PITCH
+    u = (x - fit.center) / fit.radius_1e2
+    e = np.exp(-2.0 * u**2)
+    residual = fit.amplitude * e - profile
+    floor = delta * (n * delta + 2.0 * float(np.abs(residual).sum()))  # ... of the cost
+    assert fit.rss == pytest.approx(float(residual @ residual), rel=1e-9, abs=floor)
+    try:
+        reference = gaussian_fit_trf(profile, PITCH)
+    except FitError:
+        reference = None
+    if reference is not None:
+        assert fit.rss <= reference.rss * (1.0 + 1e-9) + floor
+    if fit.amplitude > 0.0 and x[0] < fit.center < x[-1] and fit.radius_1e2 > PITCH / 4.0:
+        # d rss / d(A, x0, r), scaled by (A, pitch, r)
+        w = 2.0 * residual * e
+        scaled = (
+            fit.amplitude * w.sum(),
+            4.0 * fit.amplitude * PITCH / fit.radius_1e2 * float(w @ u),
+            4.0 * fit.amplitude * float(w @ u**2),
+        )
+        assert max(map(abs, scaled)) <= 1e-8 * fit.rss + 4.0 * n * delta * peak
+    if truth is not None:
+        assert fit.center == pytest.approx(truth[0], abs=1e-7)
+        assert fit.radius_1e2 == pytest.approx(truth[1], rel=1e-6)
+        assert fit.rss < 1e-12
+
+
+def _dispatch_switchable() -> bool:
+    """Whether numpy dispatches to X86_V4 and X86_V3 here, so both can be switched off."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return False
+    return all(v in __cpu_dispatch__ and __cpu_features__.get(v) for v in ("X86_V4", "X86_V3"))
+
+
+_DISPATCH_CHILD = """
+import json, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from tmcat import fit_gaussian_profile
+fits = [fit_gaussian_profile(p, float(sys.argv[2])) for p in np.load(sys.argv[1])]
+print(json.dumps({"features": [__cpu_features__[k] for k in ("X86_V4", "X86_V3")],
+                  "fits": [[f.center, f.radius_1e2] for f in fits]}))
+"""
+
+
+def test_gaussian_fit_agrees_across_dispatch(tmp_path, frame):
+    """The fit ends at a stationary point to rounding, so numpy's SIMD level
+    and the BLAS kernel move x0 and r by no more than 1e-13 of r."""
+    if not _dispatch_switchable():
+        pytest.skip("needs x86-64 numpy with runtime dispatch to X86_V4 and X86_V3, "
+                    "and a CPU that has both, to switch them off")
+    profiles = []
+    for T, phi, alpha, seed in ((0.3, 2.2, 0.8, 11), (0.6, -0.9, 1.4, 12), (0.5, 0.4, 1.9, 13)):
+        d = math.sqrt(2.0) * alpha * frame.w0
+        state = make_qubit_state(QubitParams(T=T, phi=phi, d=d), frame)
+        config = CcdConfig(nx=720, ny=480, pitch=PITCH, bit_depth=12, seed=seed)
+        profiles.append(profile_from_image(render_ccd(state, position_plane(), config, frame)))
+    np.save(tmp_path / "profiles.npy", np.stack(profiles))
+
+    def child(**settings):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        env.pop("OPENBLAS_CORETYPE", None)
+        out = subprocess.run(
+            [sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "profiles.npy"), repr(PITCH)],
+            env=dict(env, **settings), capture_output=True, text=True, check=True,
+        )
+        return json.loads(out.stdout)
+
+    base = child()
+    assert base["features"] == [True, True]
+    reduced = [
+        (child(NPY_DISABLE_CPU_FEATURES="X86_V4"), [False, True]),
+        (child(NPY_DISABLE_CPU_FEATURES="X86_V4 X86_V3", OPENBLAS_CORETYPE="Prescott"),
+         [False, False]),
+    ]
+    for result, features in reduced:
+        assert result["features"] == features
+        for (x0, r), (x0_ref, r_ref) in zip(result["fits"], base["fits"]):
+            assert abs(x0 - x0_ref) <= 1e-13 * r_ref
+            assert abs(r - r_ref) <= 1e-13 * r_ref
 
 
 def test_pzt_tilt_shifts_focal_spot(frame, angle_bench):
