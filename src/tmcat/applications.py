@@ -26,6 +26,7 @@ from .states import (
     _check_seed,
     _gram,
     _two_beam,
+    _typical_params,
     coherent_overlap,
     make_qubit_state,
     make_typical_state,
@@ -70,21 +71,21 @@ def rotate_cat_phase(state: SuperpositionState, delta: float) -> SuperpositionSt
     )
 
 
-def _term_blocks(term_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficient blocks of term lists over all their terms, and the amplitudes.
+def _term_blocks(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient blocks of (coeffs, alphas_x, alphas_y) parts over all their terms.
 
-    blocks[i, t] is the coefficient of term t in list i, 0 for other lists.
+    blocks[i, t] is the coefficient of term t in part i, 0 for other parts;
+    the amplitudes are those of every part in turn.
     """
-    terms = [(i, t) for i, ts in enumerate(term_lists) for t in ts]
-    blocks = np.zeros((len(term_lists), len(terms)), dtype=complex)
-    blocks[[i for i, _ in terms], range(len(terms))] = [t.coeff for _, t in terms]
-    ax = np.array([t.alpha_x for _, t in terms])
-    ay = np.array([t.alpha_y for _, t in terms])
+    c, ax, ay = (np.concatenate(arrays) for arrays in zip(*parts))
+    owner = np.repeat(np.arange(len(parts)), [part[0].size for part in parts])
+    blocks = np.zeros((len(parts), c.size), dtype=complex)
+    blocks[owner, np.arange(c.size)] = c
     return blocks, ax, ay
 
 
 def _inner_products(bras, kets) -> np.ndarray:
-    """Matrix M[i, j] = <bra_i|ket_j> of two lists of term lists."""
+    """Matrix M[i, j] = <bra_i|ket_j> of two lists of term-array parts."""
     b, bx, by = _term_blocks(bras)
     k, kx, ky = _term_blocks(kets)
     # _gram[p, q] = <bra term q|ket term p>, so M = conj(B) G^T K^T
@@ -108,8 +109,8 @@ class BasisSet:
     @cached_property
     def gram(self) -> np.ndarray:
         """Hermitian matrix of pairwise inner products <b_i|b_j>."""
-        term_lists = [s.terms for s in self.states]
-        return _inner_products(term_lists, term_lists)
+        parts = [s._arrays for s in self.states]
+        return _inner_products(parts, parts)
 
     def overlap_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """(U, V) with <b_i| R(delta) |b_j> = U[i,j] + V[i,j] e^{-i delta}.
@@ -128,7 +129,8 @@ class BasisSet:
             key = frozenset({(ta.alpha_x, ta.alpha_y), (tb.alpha_x, tb.alpha_y)})
             if key not in odd_cats:
                 scale = 1.0 / math.sqrt(2.0 * (1.0 - _pair_overlap(state)))
-                odd_cats[key] = (replace(ta, coeff=scale), replace(tb, coeff=-scale))
+                _, ax, ay = state._arrays
+                odd_cats[key] = (np.array([scale, -scale], dtype=complex), ax, ay)
         if not odd_cats:
             raise ValidationError(
                 "phase jitter is undefined for a basis without cat decomposition"
@@ -137,7 +139,7 @@ class BasisSet:
         cross = _inner_products(cats, cats)[~np.eye(len(cats), dtype=bool)]
         if np.any(np.abs(cross) > 1e-12):
             raise ValidationError("odd cats of distinct beam pairs must be orthogonal")
-        projections = _inner_products(cats, [s.terms for s in self.states])
+        projections = _inner_products(cats, [s._arrays for s in self.states])
         v = np.conj(projections).T @ projections
         return self.gram - v, v
 
@@ -179,12 +181,11 @@ def build_basis(scheme: str, angle: OverlapAngle, frame: ModeFrame) -> BasisSet:
         raise ValidationError(
             f"unknown basis scheme {scheme!r}; expected one of {BASIS_SCHEMES}"
         )
-    states = []
-    for axis in ("x", "y"):
-        for kind in kinds:
-            params, x_state = make_typical_state(kind, angle, frame)
-            states.append(x_state if axis == "x" else _y_axis_state(params, angle, frame))
-    return BasisSet(name=scheme, states=tuple(states))
+    x_family = [make_typical_state(kind, angle, frame)[1] for kind in kinds]
+    y_family = [
+        _y_axis_state(_typical_params(kind, angle, frame), angle, frame) for kind in kinds
+    ]
+    return BasisSet(name=scheme, states=tuple(x_family + y_family))
 
 
 @dataclass(frozen=True)

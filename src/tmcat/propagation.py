@@ -28,7 +28,6 @@ from .states import (
     SuperpositionState,
     _d_kappa,
     _pair_sum,
-    coherent_overlap,
 )
 
 
@@ -230,10 +229,10 @@ def _waist_exponents(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, c) per term so the waist x-field is sum exp(-a x^2 + b x + c)."""
     w0 = state.frame.w0
-    d, kappa = _d_kappa(state.alphas_x(), w0)
+    d, kappa = _d_kappa(state._arrays.ax, w0)
     a = np.full(d.shape, 1.0 / w0**2, dtype=complex)
     b = 2.0 * d / w0**2 + 1j * kappa
-    log_n0 = np.log(state.coeffs() * (2.0 / (math.pi * w0**2)) ** 0.25)
+    log_n0 = np.log(state._arrays.c * (2.0 / (math.pi * w0**2)) ** 0.25)
     c = -(d**2) / w0**2 - 1j * kappa * d / 2.0 + log_n0
     return a, b, c
 
@@ -254,8 +253,7 @@ def propagate_analytic(state: SuperpositionState, z: float) -> PropagatedField:
     if not (0.0 <= z < math.inf):
         raise ValidationError(f"propagation distance must be finite and >= 0, got {z}")
     a, b, c = _waist_exponents(state)
-    ay = state.alphas_y()
-    weights = coherent_overlap(ay[:, None], ay[None, :])
+    weights = state._gram_y
     if z == 0.0:
         return PropagatedField(
             frame=state.frame, z=0.0, a=a, b=b, c=c, y_weights=weights

@@ -45,7 +45,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -292,9 +293,9 @@ def _gram(ax, ay, bx, by) -> np.ndarray:
     )
 
 
-def _pair_overlaps(c, ax, ay) -> np.ndarray:
-    """Two-axis pair weights c_j conj(c_k) <t_k|t_j>; they sum to <psi|psi>."""
-    return c[:, None] * np.conj(c)[None, :] * _gram(ax, ay, ax, ay)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _pair_sum(weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -316,6 +317,25 @@ def gaussian_mode_1d(alpha: complex, w0: float, x: np.ndarray) -> np.ndarray:
     return norm * np.exp(-((x - d) ** 2) / w0**2 + 1j * (kappa * x - kappa * d / 2.0))
 
 
+def _term_grams(ax: np.ndarray, ay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only y-mode overlaps <y_k|y_j> and two-axis Gram <t_k|t_j> of one term set."""
+    gram_y = _read_only(coherent_overlap(ay[:, None], ay[None, :]))
+    return gram_y, _read_only(coherent_overlap(ax[:, None], ax[None, :]) * gram_y)
+
+
+class _TermArrays(NamedTuple):
+    """Read-only coefficients and x and y amplitudes of a state's terms."""
+
+    c: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+
+
+def _weighted(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pair array c_j conj(c_k) g[j, k] of coefficients c over a term-pair matrix g."""
+    return c[:, None] * np.conj(c)[None, :] * g
+
+
 @dataclass(frozen=True)
 class SuperpositionState:
     """Finite complex-weighted sum of displaced-Gaussian terms.
@@ -323,6 +343,10 @@ class SuperpositionState:
     Use :meth:`from_terms`, which normalizes the sum and caches the
     pre-normalization <psi|psi> in ``norm``.  ``degenerate`` flags inputs
     whose terms coincided and were merged into a single Gaussian.
+
+    The term arrays and the pair matrices ``gram``, ``pair_overlaps`` and
+    ``pair_weights`` are computed once, on first use, and are read-only.
+    They are not fields, so equality and hashing see the terms alone.
     """
 
     frame: ModeFrame
@@ -346,7 +370,8 @@ class SuperpositionState:
         merged = {key: c for key, c in merged.items() if c != 0.0}
         ax, ay = np.array(list(merged), dtype=complex).reshape(-1, 2).T
         coeffs = np.array(list(merged.values()), dtype=complex)
-        raw = float(_pair_overlaps(coeffs, ax, ay).real.sum())
+        grams = _term_grams(ax, ay)
+        raw = float(_weighted(coeffs, grams[1]).real.sum())
         if raw <= 1e-15:
             raise ValidationError(
                 f"state norm {raw!r} vanishes; the requested superposition cancels"
@@ -356,29 +381,62 @@ class SuperpositionState:
             CoherentTerm(coeff=c * scale, alpha_x=a_x, alpha_y=a_y)
             for (a_x, a_y), c in merged.items()
         )
-        return cls(frame=frame, terms=normalized, norm=raw, degenerate=degenerate)
+        state = cls(frame=frame, terms=normalized, norm=raw, degenerate=degenerate)
+        # normalizing leaves the amplitudes, so their Grams carry over
+        vars(state)["_grams"] = grams
+        return state
+
+    @cached_property
+    def _arrays(self) -> _TermArrays:
+        terms = [(t.coeff, t.alpha_x, t.alpha_y) for t in self.terms]
+        rows = np.array(terms, dtype=complex).reshape(-1, 3).T.copy()
+        return _TermArrays(*_read_only(rows))
+
+    @cached_property
+    def _grams(self) -> tuple[np.ndarray, np.ndarray]:
+        return _term_grams(self._arrays.ax, self._arrays.ay)
+
+    @property
+    def _gram_y(self) -> np.ndarray:
+        """y-mode term overlaps <y_k|y_j>."""
+        return self._grams[0]
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Two-axis term overlaps G[j, k] = <t_k|t_j> (coefficients not included)."""
+        return self._grams[1]
+
+    @cached_property
+    def pair_overlaps(self) -> np.ndarray:
+        """Two-axis pair weights c_j conj(c_k) <t_k|t_j>; they sum to <psi|psi> = 1."""
+        return _read_only(_weighted(self._arrays.c, self.gram))
+
+    @cached_property
+    def pair_weights(self) -> np.ndarray:
+        """y-reduced pair weights W[j, k] = c_j conj(c_k) <y_k|y_j>."""
+        return _read_only(_weighted(self._arrays.c, self._gram_y))
 
     def coeffs(self) -> np.ndarray:
-        return np.array([t.coeff for t in self.terms])
+        return self._arrays.c
 
     def alphas_x(self) -> np.ndarray:
-        return np.array([t.alpha_x for t in self.terms])
+        return self._arrays.ax
 
     def alphas_y(self) -> np.ndarray:
-        return np.array([t.alpha_y for t in self.terms])
+        return self._arrays.ay
 
     def x_wavefunction(self, x: np.ndarray) -> np.ndarray:
         """1D wavefunction along x when every term shares one y mode."""
-        ay = self.alphas_y()
+        c, ax, ay = self._arrays
         if not np.all(ay == ay[0]):
             raise ValidationError(
                 "state is not separable in x and y; terms carry different alpha_y"
             )
-        return np.tensordot(self.coeffs(), self._fields(self.alphas_x(), x), axes=1)
+        return np.tensordot(c, self._fields(ax, x), axes=1)
 
     def position_intensity(self, x: np.ndarray) -> np.ndarray:
         """y-reduced position density: integrates to 1 over x."""
-        return self._density(self.alphas_x(), x)
+        return self._density(self._arrays.ax, x)
 
     def momentum_intensity(self, p: np.ndarray) -> np.ndarray:
         """y-reduced momentum density along p_x: integrates to 1 over p.
@@ -387,7 +445,7 @@ class SuperpositionState:
         so this is the turned position density at x = s p, s = w0^2 / (2 hbar).
         """
         s = self.frame.w0**2 / (2.0 * HBAR)
-        return s * self._density(-1j * self.alphas_x(), s * np.asarray(p, dtype=float))
+        return s * self._density(-1j * self._arrays.ax, s * np.asarray(p, dtype=float))
 
     def _fields(self, ax: np.ndarray, x) -> np.ndarray:
         """x-mode fields of the amplitudes ax at x, stacked on axis 0."""
@@ -397,22 +455,15 @@ class SuperpositionState:
     def _density(self, ax: np.ndarray, x) -> np.ndarray:
         """y-reduced density sum_jk W[j, k] f_j conj(f_k) of the x-mode fields."""
         fields = self._fields(ax, x)
-        return _pair_sum(_pair_weights(self), fields, fields).real
-
-
-def _pair_weights(state: SuperpositionState) -> np.ndarray:
-    """y-reduced pair weights W[j, k] = c_j conj(c_k) <y_k|y_j>."""
-    c = state.coeffs()
-    ay = state.alphas_y()
-    return c[:, None] * np.conj(c)[None, :] * coherent_overlap(ay[:, None], ay[None, :])
+        return _pair_sum(self.pair_weights, fields, fields).real
 
 
 def inner_product(a: SuperpositionState, b: SuperpositionState) -> complex:
     """Sesquilinear <a|b> over the shared mode frame."""
     if a.frame != b.frame:
         raise ValidationError("states live in different mode frames")
-    gram = _gram(b.alphas_x(), b.alphas_y(), a.alphas_x(), a.alphas_y())
-    return complex(b.coeffs() @ gram @ np.conj(a.coeffs()))
+    gram = _gram(b._arrays.ax, b._arrays.ay, a._arrays.ax, a._arrays.ay)
+    return complex(b._arrays.c @ gram @ np.conj(a._arrays.c))
 
 
 def _n_arb(T: float, phi: float, cos_theta_d: float) -> float:
@@ -483,6 +534,16 @@ _TYPICAL_TABLE = {
 TYPICAL_KINDS = tuple(_TYPICAL_TABLE)
 
 
+def _typical_params(kind: str, angle: OverlapAngle, frame: ModeFrame) -> QubitParams:
+    """The generating (T, phi, d) of a named special point (see make_typical_state)."""
+    if kind not in _TYPICAL_TABLE:
+        raise ValidationError(
+            f"unknown state kind {kind!r}; expected one of {TYPICAL_KINDS}"
+        )
+    t, phi = _TYPICAL_TABLE[kind](angle)
+    return QubitParams(T=t, phi=phi, d=angle.displacement(frame.w0))
+
+
 def make_typical_state(
     kind: str, angle: OverlapAngle, frame: ModeFrame
 ) -> tuple[QubitParams, SuperpositionState]:
@@ -492,12 +553,7 @@ def make_typical_state(
     (poles of the Bloch sphere, phi = pi), p_minus/p_plus (equator points
     (0, -1, 0)/(0, +1, 0), phi = -(pi - theta_d)/+(pi - theta_d)).
     """
-    if kind not in _TYPICAL_TABLE:
-        raise ValidationError(
-            f"unknown state kind {kind!r}; expected one of {TYPICAL_KINDS}"
-        )
-    t, phi = _TYPICAL_TABLE[kind](angle)
-    params = QubitParams(T=t, phi=phi, d=angle.displacement(frame.w0))
+    params = _typical_params(kind, angle, frame)
     return params, make_qubit_state(params, frame)
 
 

@@ -74,8 +74,13 @@ class CcdConfig:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValidationError("sensor needs at least 2 pixels per axis")
-        if not (self.pitch > 0.0):
-            raise ValidationError(f"pixel pitch must be positive, got {self.pitch}")
+        if not (0.0 < self.pitch < math.inf):
+            raise ValidationError(f"pixel pitch must be positive and finite, got {self.pitch}")
+        if not math.isfinite((max(self.nx, self.ny) - 1) / 2.0 * self.pitch):
+            raise ValidationError(
+                f"pixel pitch {self.pitch} puts the outer pixels of a "
+                f"{self.nx}x{self.ny} sensor beyond the floating-point range"
+            )
         if self.bit_depth not in (8, 12, 16):
             raise ValidationError(f"bit depth must be 8, 12 or 16, got {self.bit_depth}")
         if not 0.0 <= self.visibility <= 1.0:
@@ -194,9 +199,9 @@ def _intensity_2d(
     of one product over the pairs j <= k, the cross pairs doubled.
     """
     w0 = state.frame.w0
-    fx = gaussian_mode_1d(state.alphas_x()[:, None], w0, x)
-    fy = gaussian_mode_1d(state.alphas_y()[:, None], w0, y)
-    c = state.coeffs()
+    c, ax, ay = state._arrays
+    fx = gaussian_mode_1d(ax[:, None], w0, x)
+    fy = gaussian_mode_1d(ay[:, None], w0, y)
     j, k = np.triu_indices(c.size)
     weight = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0 * visibility)
     rows = np.ascontiguousarray((fy[j] * np.conj(fy[k])).T)

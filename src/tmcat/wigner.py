@@ -26,8 +26,6 @@ from .states import (
     ModeFrame,
     SuperpositionState,
     _d_kappa,
-    _pair_overlaps,
-    _pair_weights,
 )
 
 
@@ -94,9 +92,9 @@ def wigner_of_state(
     x = np.asarray(x, dtype=float).ravel()[:, None]
     p = np.asarray(p, dtype=float).ravel()[None, :]
     w0 = state.frame.w0
-    d, kappa = _d_kappa(state.alphas_x(), w0)
+    d, kappa = _d_kappa(state._arrays.ax, w0)
     j, k = np.triu_indices(d.size)
-    weight = _pair_weights(state)[j, k] * np.where(j == k, 1.0, 2.0)
+    weight = state.pair_weights[j, k] * np.where(j == k, 1.0, 2.0)
     weight = weight * np.exp(1j * (kappa[k] * d[j] - kappa[j] * d[k]) / 2.0)
     x_part = np.exp(
         -2.0 * (x - 0.5 * (d[j] + d[k])) ** 2 / w0**2 + 1j * (kappa[j] - kappa[k]) * x
@@ -120,8 +118,8 @@ def quadrature_moments(
     """
     e_m = complex(math.cos(theta_l), -math.sin(theta_l))
     e_p = np.conj(e_m)
-    ax = state.alphas_x()
-    w = _pair_overlaps(state.coeffs(), ax, state.alphas_y())
+    ax = state._arrays.ax
+    w = state.pair_overlaps
     amp = ax[:, None] * e_m + np.conj(ax)[None, :] * e_p
     total = w.sum()
     first = (w * amp).sum()
@@ -205,7 +203,7 @@ def wigner_map(
 ) -> WignerMap:
     """Closed-form Wigner map on an auto-sized, validated n x n grid."""
     moments = [quadrature_moments(state, t) for t in (0.0, math.pi / 2.0)]
-    weight = float(np.sum(np.abs(state.coeffs()) ** 2))
+    weight = float(np.sum(np.abs(state._arrays.c) ** 2))
     return _auto_map(
         state.frame, lambda x, p: wigner_of_state(state, x, p), moments, n, si_units, weight
     )

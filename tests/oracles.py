@@ -13,7 +13,8 @@ maximum over basis rows it was first written as, and the CCD digitization
 as its float chain, with a full-frame temporary at every step.  The Wigner
 map of any superposition is also evaluated by quadrature of its defining
 chord integral, over mode fields and y-overlap weights written out here,
-not the library's.  CSVs are written by the per-row and per-cell '%.17g'
+not the library's, and a state's cached Gram and pair matrices are
+written out from its terms.  CSVs are written by the per-row and per-cell '%.17g'
 loops the library's one vectorized writer replaced, and Gaussian profiles
 are fitted by the bounded trust-region least squares of scipy that the
 library's own descent replaced.
@@ -66,6 +67,30 @@ def wigner_closed_form(
 
     cross = 2.0 * root * w_vac(d / 2.0) * np.cos(params.phi - d * p / HBAR)
     return (params.T * w_vac(0.0) + (1.0 - params.T) * w_vac(d) + cross) / n_arb
+
+
+def pair_algebra(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram G[j, k] = <t_k|t_j>, the pair overlaps c_j conj(c_k) G[j, k]
+    and the y-reduced pair weights c_j conj(c_k) <y_k|y_j>, from state.terms.
+
+    Each is the library's numpy expression spelled out, so the cached
+    matrices of a state must equal them bit for bit.
+    """
+    c = np.array([complex(t.coeff) for t in state.terms])
+    ax = np.array([complex(t.alpha_x) for t in state.terms])
+    ay = np.array([complex(t.alpha_y) for t in state.terms])
+
+    def overlap(a):
+        # <a_k|a_j> = exp(-|a_j|^2 - |a_k|^2 + 2 conj(a_k) a_j)
+        return np.exp(
+            -np.abs(a[:, None]) ** 2 - np.abs(a[None, :]) ** 2
+            + 2.0 * np.conj(a[None, :]) * a[:, None]
+        )
+
+    y_overlap = overlap(ay)
+    gram = overlap(ax) * y_overlap
+    pairs = c[:, None] * np.conj(c)[None, :]
+    return gram, pairs * gram, pairs * y_overlap
 
 
 def wigner_chord_quadrature(state, grid) -> np.ndarray:

@@ -245,6 +245,8 @@ def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
     ("fit", "--T", "nan"),
     ("fit", "--mode", "phase", "--T", "inf", "--d", "0.17mm"),
     ("state", "--bloch", "nan,0,0", "--alpha", "1"),
+    # a pitch that puts the outer pixels at infinity (was E_NUMERIC overflow)
+    ("ccd", "--state", "vac", "--alpha", "1", "--nx", "32", "--ny", "24", "--pitch", "1e308"),
     # a valid map on too coarse a grid: the message names the grid
     ("wigner", "--state", "cat_minus", "--alpha", "1", "--grid", "16"),
 ], ids=" ".join)
@@ -266,6 +268,8 @@ def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
         assert err.startswith("E_VALIDATION: exposure scale 1e+300"), err
     if "--background" in argv:
         assert err == "E_VALIDATION: every pixel saturated; exposure misconfigured\n"
+    if "--pitch" in argv:
+        assert err.startswith("E_VALIDATION: pixel pitch "), err
     if "--grid" in argv:
         assert err.startswith("E_NUMERIC: Wigner map on the 16x16 grid integrates to "), err
         assert err.endswith("not 1; a finer grid may pass\n"), err

@@ -38,9 +38,10 @@ from tmcat import (
     wigner_of_state,
     wrap_phase,
 )
+import tmcat.states
 from tmcat.applications import BasisSet
 
-from oracles import wigner_chord_quadrature
+from oracles import pair_algebra, wigner_chord_quadrature
 from strategies import superpositions
 
 
@@ -425,6 +426,42 @@ def test_basis_gram_is_hermitian_with_unit_diagonal(states):
     # entry (i, j) is <b_i|b_j>, not its transpose
     direct = np.array([[inner_product(a, b) for b in states] for a in states])
     assert np.max(np.abs(gram - direct)) < 1e-12
+
+
+@given(superpositions())
+def test_pair_algebra_is_cached_read_only(state):
+    # the same fields with nothing cached, and two builds from the same terms
+    bare = SuperpositionState(state.frame, state.terms, state.norm, state.degenerate)
+    twin, again = (SuperpositionState.from_terms(state.frame, state.terms) for _ in range(2))
+    assert bare == state and hash(bare) == hash(state)
+    for s in (state, bare, twin):
+        for got, want in zip((s.gram, s.pair_overlaps, s.pair_weights), pair_algebra(s)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        arrays = (s.coeffs(), s.alphas_x(), s.alphas_y(), s.gram, s.pair_overlaps, s.pair_weights)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    # filled caches or not, equality and hashing see the fields alone
+    assert bare == state and hash(bare) == hash(state)
+    assert twin == again and hash(twin) == hash(again)
+    assert "pair_overlaps" in vars(twin) and "pair_overlaps" not in vars(again)
+
+
+def test_moments_reuse_the_pair_algebra(frame, angle_w0, monkeypatch):
+    overlap = tmcat.states.coherent_overlap
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return overlap(a, b)
+
+    monkeypatch.setattr(tmcat.states, "coherent_overlap", counted)
+    _, state = make_typical_state("p_plus", angle_w0, frame)
+    # the x and y overlaps behind the norm, kept for every later pair sum
+    assert len(calls) == 2
+    assert quadrature_moments(state, 0.3) == quadrature_moments(state, 0.3)
+    assert len(calls) == 2
 
 
 @given(superpositions())

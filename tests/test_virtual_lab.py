@@ -2,10 +2,6 @@
 
 import json
 import math
-import os
-import platform
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -37,6 +33,7 @@ from tmcat import (
 from tmcat.states import gaussian_mode_1d
 from tmcat.virtual_lab import _POISSON_MEAN_MAX, _intensity_2d
 
+import dispatch
 from oracles import gaussian_fit_trf, marginal_position, render_ccd_float_tail
 from strategies import BENCH_FRAME, superpositions
 
@@ -67,8 +64,13 @@ def test_focal_waist_value(frame):
 def test_config_validation():
     with pytest.raises(ValidationError):
         small_config(bit_depth=10)
-    with pytest.raises(ValidationError):
-        small_config(pitch=-1.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match=f"pixel pitch must be positive and finite, got {bad}"):
+            small_config(pitch=bad)
+    # the outermost pixel centre, (max(nx, ny) - 1) / 2 * pitch, must be finite
+    with pytest.raises(ValidationError, match="pixel pitch 1e[+]308 puts the outer pixels"):
+        CcdConfig(nx=32, ny=24, pitch=1e308)
+    assert CcdConfig(nx=3, ny=2, pitch=1e308).column_positions()[-1] == 1e308
     with pytest.raises(ValidationError):
         small_config(visibility=1.2)
     with pytest.raises(ValidationError):
@@ -405,34 +407,20 @@ def test_gaussian_fit_against_trf(case):
         assert fit.rss < 1e-12
 
 
-def _dispatch_switchable() -> bool:
-    """Whether numpy dispatches to X86_V4 and X86_V3 here, so both can be switched off."""
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        return False
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:
-        return False
-    return all(v in __cpu_dispatch__ and __cpu_features__.get(v) for v in ("X86_V4", "X86_V3"))
-
-
 _DISPATCH_CHILD = """
 import json, sys
 import numpy as np
-from numpy._core._multiarray_umath import __cpu_features__
 from tmcat import fit_gaussian_profile
 fits = [fit_gaussian_profile(p, float(sys.argv[2])) for p in np.load(sys.argv[1])]
-print(json.dumps({"features": [__cpu_features__[k] for k in ("X86_V4", "X86_V3")],
-                  "fits": [[f.center, f.radius_1e2] for f in fits]}))
+print(json.dumps({"features": features, "fits": [[f.center, f.radius_1e2] for f in fits]}))
 """
 
 
 def test_gaussian_fit_agrees_across_dispatch(tmp_path, frame):
     """The fit ends at a stationary point to rounding, so numpy's SIMD level
     and the BLAS kernel move x0 and r by no more than 1e-13 of r."""
-    if not _dispatch_switchable():
-        pytest.skip("needs x86-64 numpy with runtime dispatch to X86_V4 and X86_V3, "
-                    "and a CPU that has both, to switch them off")
+    if not dispatch.switchable():
+        pytest.skip(dispatch.SKIP_REASON)
     profiles = []
     for T, phi, alpha, seed in ((0.3, 2.2, 0.8, 11), (0.6, -0.9, 1.4, 12), (0.5, 0.4, 1.9, 13)):
         d = math.sqrt(2.0) * alpha * frame.w0
@@ -440,25 +428,12 @@ def test_gaussian_fit_agrees_across_dispatch(tmp_path, frame):
         config = CcdConfig(nx=720, ny=480, pitch=PITCH, bit_depth=12, seed=seed)
         profiles.append(profile_from_image(render_ccd(state, position_plane(), config, frame)))
     np.save(tmp_path / "profiles.npy", np.stack(profiles))
+    args = (str(tmp_path / "profiles.npy"), repr(PITCH))
 
-    def child(**settings):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        env.pop("OPENBLAS_CORETYPE", None)
-        out = subprocess.run(
-            [sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "profiles.npy"), repr(PITCH)],
-            env=dict(env, **settings), capture_output=True, text=True, check=True,
-        )
-        return json.loads(out.stdout)
-
-    base = child()
+    base = dispatch.run_child(_DISPATCH_CHILD, *args)
     assert base["features"] == [True, True]
-    reduced = [
-        (child(NPY_DISABLE_CPU_FEATURES="X86_V4"), [False, True]),
-        (child(NPY_DISABLE_CPU_FEATURES="X86_V4 X86_V3", OPENBLAS_CORETYPE="Prescott"),
-         [False, False]),
-    ]
-    for result, features in reduced:
+    for settings, features in dispatch.REDUCED:
+        result = dispatch.run_child(_DISPATCH_CHILD, *args, **settings)
         assert result["features"] == features
         for (x0, r), (x0_ref, r_ref) in zip(result["fits"], base["fits"]):
             assert abs(x0 - x0_ref) <= 1e-13 * r_ref
