@@ -1,10 +1,11 @@
 """Command-line front end producing plot-ready CSV, PGM, and JSON artifacts.
 
-Every run writes a JSON manifest echoing the fully resolved configuration
-and the tool version; no output embeds timestamps, so identical invocations
-produce byte-identical files.  Exit codes: 0 success, 1 usage error,
-2 validation/numeric/fit error (single-line code-prefixed message on
-stderr in both error cases).
+Each command computes its artifacts as (name, writer, *content) tuples and
+writes nothing; ``main`` then writes them under --outdir, followed by a JSON
+manifest echoing the fully resolved configuration and the tool version.  No
+output embeds timestamps, so identical invocations produce byte-identical
+files.  Exit codes: 0 success, 1 usage error, 2 validation/numeric/fit error
+(single-line code-prefixed message on stderr in both error cases).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -177,24 +179,19 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return [rest[0]] + _read_config_tokens(found.config[0]) + rest[1:]
 
 
-def _jsonable(value):
-    return str(value) if isinstance(value, Path) else value
-
-
-def _write_manifest(name: str, args: argparse.Namespace) -> None:
+def _manifest(name: str, args: argparse.Namespace) -> dict:
     config = {
-        key: _jsonable(val)
+        key: str(val) if isinstance(val, Path) else val
         for key, val in vars(args).items()
         if key not in ("handler", "command")
     }
-    payload = {
+    return {
         "tool": "tmcat",
         "version": __version__,
         "command": name,
         "config": config,
         "seed": config.get("seed"),
     }
-    write_json(_out_path(args, f"{name}_manifest.json"), payload)
 
 
 def _add_common(p: _Parser) -> None:
@@ -275,14 +272,7 @@ def _fmt_pi(value: float) -> str:
     return f"{value / math.pi:.4f}".rstrip("0").rstrip(".") + "pi"
 
 
-def _out_path(args, name: str) -> Path:
-    """Where an artifact goes: name under --outdir (created here) unless absolute."""
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    path = Path(name)
-    return path if path.is_absolute() else args.outdir / path
-
-
-def _cmd_state(args) -> None:
+def _cmd_state(args) -> list:
     frame, angle, params = _resolve_params(args)
     bloch = params_to_bloch(params, angle)
     n_arb = normalization_factor(params.T, params.phi, angle)
@@ -293,51 +283,52 @@ def _cmd_state(args) -> None:
     print(f"alpha = {angle.alpha:.6g}")
     print(f"d = {params.d:.6g} m")
     print(f"bloch = ({bloch.xq:.6g}, {bloch.yq:.6g}, {bloch.zq:.6g})")
+    return []
 
 
-def _cmd_wigner(args) -> None:
+def _cmd_wigner(args) -> list:
     frame, _, params = _resolve_params(args)
     state = make_qubit_state(params, frame)
     result = wigner_map(state, n=args.grid, si_units=args.si)
     headers = ["x", "p", "w"] if args.si else ["X", "P", "W"]
-    out = _out_path(args, args.out)
     g = result.grid
-    write_csv(out, headers, [g.x_axis()[:, None], g.p_axis()[None, :], result.values])
+    columns = [g.x_axis()[:, None], g.p_axis()[None, :], result.values]
+    artifacts = [(args.out, write_csv, headers, columns)]
     if args.pgm:
-        write_scaled_pgm(
-            out.with_suffix(".pgm"), result.values, x_min=g.x_min, x_max=g.x_max,
-            p_min=g.p_min, p_max=g.p_max, si_units=g.si_units,
-        )
+        out = Path(args.out)
+        if not out.name:  # no file to take the .pgm suffix (nor to hold the CSV)
+            raise _UsageError(f"--out {args.out!r} names no file")
+        fields = dict(x_min=g.x_min, x_max=g.x_max, p_min=g.p_min, p_max=g.p_max,
+                      si_units=g.si_units)
+        artifacts.append((out.with_suffix(".pgm"), partial(write_scaled_pgm, **fields),
+                          result.values))
+    return artifacts
 
 
-def _cmd_marginals(args) -> None:
+def _cmd_marginals(args) -> list:
     frame, _, params = _resolve_params(args)
     state = make_qubit_state(params, frame)
     w0 = frame.w0
     x = np.linspace(-4.5 * w0, params.d + 4.5 * w0, args.points)
     p = np.linspace(-8.0 * HBAR / w0, 8.0 * HBAR / w0, args.points)
-    write_csv(
-        _out_path(args, f"{args.prefix}_position.csv"),
-        ["x", "density"],
-        [x, state.position_intensity(x)],
-    )
-    write_csv(
-        _out_path(args, f"{args.prefix}_momentum.csv"),
-        ["p", "density"],
-        [p, state.momentum_intensity(p)],
-    )
+    return [
+        (f"{args.prefix}_position.csv", write_csv, ["x", "density"],
+         [x, state.position_intensity(x)]),
+        (f"{args.prefix}_momentum.csv", write_csv, ["p", "density"],
+         [p, state.momentum_intensity(p)]),
+    ]
 
 
-def _cmd_beam(args) -> None:
+def _cmd_beam(args) -> list:
     frame = _frame(args)
     z_max = args.z_max if args.z_max is not None else 3.0 * frame.z_r
     beams = [beam_params_at(frame, float(z)) for z in np.linspace(0.0, z_max, args.points)]
     fields = ("z", "width", "curvature_radius", "gouy")
     columns = [[getattr(b, name) for b in beams] for name in fields]
-    write_csv(_out_path(args, args.out), ["z", "w", "R", "gouy"], columns)
+    return [(args.out, write_csv, ["z", "w", "R", "gouy"], columns)]
 
 
-def _cmd_ccd(args) -> None:
+def _cmd_ccd(args) -> list:
     frame, _, params = _resolve_params(args)
     state = make_qubit_state(params, frame, tilt_alpha=args.tilt_alpha)
     config = CcdConfig(
@@ -352,9 +343,10 @@ def _cmd_ccd(args) -> None:
     )
     plane = PlaneTag(args.plane, None if args.plane == "position" else args.f)
     image = render_ccd(state, plane, config, frame)
-    out = _out_path(args, args.out)
-    write_pgm(out, image.counts, config.max_count)
-    write_json(_sidecar_path(out), image.sidecar(frame))
+    return [
+        (args.out, write_pgm, image.counts, config.max_count),
+        (_sidecar_path(Path(args.out)), write_json, image.sidecar(frame)),
+    ]
 
 
 def _image_from_files(path: Path) -> tuple[CcdImage, dict]:
@@ -379,7 +371,7 @@ def _malformed(sidecar_path: Path, exc: Exception) -> ValidationError:
     )
 
 
-def _cmd_fit(args) -> None:
+def _cmd_fit(args) -> list:
     if args.T is not None and not math.isfinite(args.T):
         raise ValidationError(f"T must be finite, got {args.T}")
     image, sidecar = _image_from_files(Path(args.image))
@@ -418,7 +410,7 @@ def _cmd_fit(args) -> None:
             "phi_hat_rad": phi_hat,
             "phi_hat_over_pi": phi_hat / math.pi,
         }
-    write_json(_out_path(args, args.out), payload)
+    return [(args.out, write_json, payload)]
 
 
 def _parse_path(text: str) -> list[tuple[float, float]]:
@@ -435,17 +427,17 @@ def _parse_path(text: str) -> list[tuple[float, float]]:
     return points
 
 
-def _cmd_sweep(args) -> None:
+def _cmd_sweep(args) -> list:
     frame = _frame(args)
     angle = _resolve_angle(args)
     path = _parse_path(args.path)
     series = profile_sweep(path, angle.displacement(frame.w0), frame)
     headers = ["T", "phi", "delta_x", "mean_vx", "center_intensity"]
     columns = [[getattr(pt, name) for pt in series] for name in headers]
-    write_csv(_out_path(args, args.out), headers, columns)
+    return [(args.out, write_csv, headers, columns)]
 
 
-def _cmd_mdm(args) -> None:
+def _cmd_mdm(args) -> list:
     frame = _frame(args)
     angle = _resolve_angle(args)
     basis = build_basis(args.scheme, angle, frame)
@@ -455,43 +447,39 @@ def _cmd_mdm(args) -> None:
         seed=args.seed,
     )
     stats = psk_link_simulate(args.n, basis, channel, seed=args.seed)
-    write_json(
-        _out_path(args, args.out),
-        {
-            "scheme": args.scheme,
-            "n": stats.rounds,
-            "sifted": stats.sifted,
-            "errors": stats.errors,
-            "ber": stats.ber,
-            "sigma_theta": args.sigma_theta,
-            "sigma_add": args.sigma_add,
-            "seed": args.seed,
-        },
-    )
+    payload = {
+        "scheme": args.scheme,
+        "n": stats.rounds,
+        "sifted": stats.sifted,
+        "errors": stats.errors,
+        "ber": stats.ber,
+        "sigma_theta": args.sigma_theta,
+        "sigma_add": args.sigma_add,
+        "seed": args.seed,
+    }
+    return [(args.out, write_json, payload)]
 
 
-def _cmd_qkd(args) -> None:
+def _cmd_qkd(args) -> list:
     _frame(args)  # the signal states' frame: refused where mdm refuses it
     fiber = FiberSpec(period_length=args.period)
     angle = _resolve_angle(args)
     stats = qkd_simulate(args.n, angle, args.sigma_z, fiber, seed=args.seed)
-    write_json(
-        _out_path(args, args.out),
-        {
-            "n": stats.rounds,
-            "sifted": stats.sifted,
-            "errors": stats.errors,
-            # no sifted round leaves the error rate undefined
-            "qber": stats.qber if stats.sifted else None,
-            "sift_rate": stats.sift_rate,
-            "sigma_z": args.sigma_z,
-            "period": args.period,
-            "seed": args.seed,
-        },
-    )
+    payload = {
+        "n": stats.rounds,
+        "sifted": stats.sifted,
+        "errors": stats.errors,
+        # no sifted round leaves the error rate undefined
+        "qber": stats.qber if stats.sifted else None,
+        "sift_rate": stats.sift_rate,
+        "sigma_z": args.sigma_z,
+        "period": args.period,
+        "seed": args.seed,
+    }
+    return [(args.out, write_json, payload)]
 
 
-def _reproduce_fig2(args) -> None:
+def _reproduce_fig2(args) -> list:
     frame = _frame(args)
     angle = OverlapAngle.from_displacement(frame.w0, frame.w0)
     half = 4.0
@@ -499,34 +487,31 @@ def _reproduce_fig2(args) -> None:
     coords = np.linspace(-half, half, n)
     x_si = frame.w0 / 2.0 + frame.x_scale * coords
     p_si = frame.p_scale * coords
+    artifacts = []
     for kind in TYPICAL_KINDS:
         _, state = make_typical_state(kind, angle, frame)
         values = HBAR * wigner_of_state(state, x_si, p_si)
-        write_csv(
-            _out_path(args, f"fig2_{kind}.csv"), ["X", "P", "W"],
-            [coords[:, None], coords[None, :], values],
-        )
-        write_scaled_pgm(
-            _out_path(args, f"fig2_{kind}.pgm"), values, state=kind, half_range=half, n=n
-        )
+        artifacts += [
+            (f"fig2_{kind}.csv", write_csv, ["X", "P", "W"],
+             [coords[:, None], coords[None, :], values]),
+            (f"fig2_{kind}.pgm", partial(write_scaled_pgm, state=kind, half_range=half, n=n),
+             values),
+        ]
+    return artifacts
 
 
-def _reproduce_panels(args) -> None:
+def _reproduce_panels(args) -> list:
     frame = _frame(args)
     report = scenario_reports(frame=frame, f=args.f, theta_d=LAB_THETA_D)
-    for panel in report[args.figure]:
-        write_csv(
-            _out_path(args, f"{panel.name}.csv"),
-            ["axis", "density", "sql"],
-            [panel.axis, panel.density, panel.sql],
-        )
+    return [
+        (f"{panel.name}.csv", write_csv, ["axis", "density", "sql"],
+         [panel.axis, panel.density, panel.sql])
+        for panel in report[args.figure]
+    ]
 
 
-def _cmd_reproduce(args) -> None:
-    if args.figure == "fig2":
-        _reproduce_fig2(args)
-    else:
-        _reproduce_panels(args)
+def _cmd_reproduce(args) -> list:
+    return _reproduce_fig2(args) if args.figure == "fig2" else _reproduce_panels(args)
 
 
 def build_parser() -> _Parser:
@@ -650,9 +635,14 @@ def main(argv: list[str] | None = None) -> int:
         # an overflow, 0/0 or x/0 no input check foresaw raises, and lands
         # in E_NUMERIC below; underflow to zero is expected (exp(-large))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            args.handler(args)
-        name = f"reproduce_{args.figure}" if args.command == "reproduce" else args.command
-        _write_manifest(name, args)
+            artifacts = args.handler(args)
+            name = f"reproduce_{args.figure}" if args.command == "reproduce" else args.command
+            artifacts.append((f"{name}_manifest.json", write_json, _manifest(name, args)))
+            # every artifact is computed before any is written; an absolute
+            # name stays as it is under pathlib's join
+            args.outdir.mkdir(parents=True, exist_ok=True)
+            for path, writer, *content in artifacts:
+                writer(args.outdir / path, *content)
         return 0
     except _UsageError as exc:
         print(f"E_USAGE: {exc}", file=sys.stderr)

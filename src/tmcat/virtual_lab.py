@@ -229,19 +229,27 @@ def render_ccd(
     """
     if isinstance(state, QubitParams):
         state = make_qubit_state(state, frame)
-    x = config.column_positions()
-    y = config.row_positions()
-    if plane.kind == "position":
-        signal = _intensity_2d(state, x, y, config.visibility)
-    else:
-        s = state.frame.k * state.frame.w0**2 / (2.0 * plane.f)
+    w0 = state.frame.w0
+    s = 1.0  # meters in the sampled plane per meter on the sensor
+    if plane.kind == "momentum":
+        s = state.frame.k * w0**2 / (2.0 * plane.f)
         if not (sys.float_info.min <= s * s < math.inf):
             raise ValidationError(
                 f"focal scale k w0^2 / (2 f) = {s} (f = {plane.f} m) is outside "
                 "the normal floating-point range"
             )
-        rotated = rotate_phase_space(state, math.pi / 2.0)
-        signal = _intensity_2d(rotated, s * x, s * y, config.visibility)
+        state = rotate_phase_space(state, math.pi / 2.0)
+    # the modes square each sample's position, in meters and in waist units
+    reach = s * (max(config.nx, config.ny) - 1) / 2.0 * config.pitch * max(1.0, 1.0 / w0)
+    if not math.isfinite(reach * reach):
+        raise ValidationError(
+            f"pixel pitch {config.pitch} puts the outer pixels of a {config.nx}x{config.ny} "
+            f"sensor beyond the floating-point range of their squares in the {plane.kind} plane"
+        )
+    x = config.column_positions()
+    y = config.row_positions()
+    signal = _intensity_2d(state, s * x, s * y, config.visibility)
+    if plane.kind == "momentum":
         np.multiply(s**2, signal, out=signal)
     peak = float(signal.max())
     if not (peak > 0.0):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -25,6 +26,7 @@ from tmcat.cli import (
     parse_length,
 )
 from tmcat.fileio import read_json, read_pgm
+from tmcat.states import TYPICAL_KINDS
 
 
 def run(*argv):
@@ -247,6 +249,10 @@ def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
     ("state", "--bloch", "nan,0,0", "--alpha", "1"),
     # a pitch that puts the outer pixels at infinity (was E_NUMERIC overflow)
     ("ccd", "--state", "vac", "--alpha", "1", "--nx", "32", "--ny", "24", "--pitch", "1e308"),
+    # finite outer pixels whose squares, in waist units, overflow (were E_NUMERIC
+    # overflow in square, or in divide at 1e150)
+    *(("ccd", *_STATE, "--nx", "32", "--ny", "24", "--pitch", pitch, "--plane", plane)
+      for pitch in ("1e150", "1e160", "1e300", "1e307") for plane in ("position", "momentum")),
     # a valid map on too coarse a grid: the message names the grid
     ("wigner", "--state", "cat_minus", "--alpha", "1", "--grid", "16"),
 ], ids=" ".join)
@@ -580,6 +586,69 @@ def test_reproduce_fig2_inventory(tmp_path):
     # odd cat approaches the -1/pi negativity floor; the even-sized grid
     # straddles the exact minimum point, so allow a half-cell of slack
     assert sidecar["value_min"] == pytest.approx(-1.0 / math.pi, abs=1e-3)
+
+
+def test_compute_before_write(tmp_path, capsys, monkeypatch):
+    # a failure in the third of eight fig2 maps leaves no file behind: every
+    # artifact is computed before the first is written
+    calls = []
+
+    def third_fails(*args, real=tmcat.cli.wigner_of_state):
+        calls.append(1)
+        if len(calls) == 3:
+            raise tmcat.ValidationError("third map refused")
+        return real(*args)
+
+    monkeypatch.setattr(tmcat.cli, "wigner_of_state", third_fails)
+    assert run("reproduce", "fig2", "--outdir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "E_VALIDATION: third map refused\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_absolute_out_keeps_its_path(tmp_path):
+    # an absolute --out is written where it names; the manifest goes under --outdir
+    outdir = tmp_path / "D"
+    assert run(
+        "wigner", *_STATE, "--grid", "32", "--pgm", "--out", str(tmp_path / "w.csv"),
+        "--outdir", str(outdir),
+    ) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "w.csv", "w.pgm", "w.pgm.json"]
+    assert [p.name for p in outdir.iterdir()] == ["wigner_manifest.json"]
+    assert read_json(tmp_path / "w.pgm.json")["levels"] == 65535
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argv of each ``tmcat ...`` line of README's "More examples" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("More examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("tmcat ")]
+
+
+# the files each README example adds, in the block's order
+_README_INVENTORY = [
+    ["out/wigner.csv", "out/wigner.pgm", "out/wigner.pgm.json", "out/wigner_manifest.json"],
+    ["out/marginal_position.csv", "out/marginal_momentum.csv", "out/marginals_manifest.json"],
+    ["out/ccd.pgm", "out/ccd.pgm.json", "out/ccd_manifest.json"],
+    ["out/fit.json", "out/fit_manifest.json"],
+    ["out/sweep.csv", "out/sweep_manifest.json"],
+    ["out/mdm.json", "out/mdm_manifest.json"],
+    ["out/qkd.json", "out/qkd_manifest.json"],
+    [*(f"out/fig2/fig2_{kind}{ext}" for kind in TYPICAL_KINDS
+       for ext in (".csv", ".pgm", ".pgm.json")), "out/fig2/reproduce_fig2_manifest.json"],
+]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # in order, in one directory: fit reads the frame ccd wrote
+    examples = _readme_examples()
+    assert len(examples) == len(_README_INVENTORY)
+    monkeypatch.chdir(tmp_path)
+    before = set()
+    for argv, expected in zip(examples, _README_INVENTORY):
+        assert main(argv) == 0, argv
+        after = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after - before == set(expected), argv
+        before = after
 
 
 def test_version_flag(capsys):
