@@ -62,6 +62,8 @@ def rotate_cat_phase(state: SuperpositionState, delta: float) -> SuperpositionSt
     is real and positive (a displacement-symmetric pair).  The new weights
     are (c_a + c_b)/2 +- e^{-i delta} (c_a - c_b)/2.
     """
+    if not math.isfinite(delta):
+        raise ValidationError(f"phase offset delta must be finite, got {delta!r}")
     _pair_overlap(state)
     ta, tb = state.terms
     even = (ta.coeff + tb.coeff) / 2.0
@@ -377,7 +379,12 @@ def expected_qber(sigma_theta: float) -> float:
     E[(1 - cos delta) / 2] over delta ~ N(0, sigma_theta^2) is
     (1 - e^{-sigma_theta^2 / 2}) / 2, written with expm1 to keep small-sigma
     digits; a path jitter sigma_z enters as fiber.rotation_angle(sigma_z).
+    sigma_theta = inf gives the fully dephased limit 1/2.
     """
+    if not (sigma_theta >= 0.0):
+        raise ValidationError(
+            f"rotation jitter sigma_theta must be >= 0 and not NaN, got {sigma_theta!r}"
+        )
     return -math.expm1(-sigma_theta * sigma_theta / 2.0) / 2.0
 
 

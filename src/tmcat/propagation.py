@@ -57,8 +57,18 @@ def beam_params_at(frame: ModeFrame, z: float) -> BeamParams:
         raise ValidationError(f"distance must be finite, got {z}")
     z_r = frame.z_r
     ratio = z / z_r
-    width = frame.w0 * math.sqrt(1.0 + ratio**2)
-    curvature = math.inf if z == 0.0 else z * (1.0 + (z_r / z) ** 2)
+    try:
+        ratio_sq = ratio**2
+        inverse_sq = 0.0 if z == 0.0 else (z_r / z) ** 2
+    except OverflowError:
+        ratio_sq = inverse_sq = math.inf
+    if not (math.isfinite(ratio_sq) and math.isfinite(inverse_sq)):
+        raise ValidationError(
+            f"distance z = {z!r} m is out of range: (z/z_R)^2 or (z_R/z)^2 "
+            f"overflows at z_R = {z_r!r} m"
+        )
+    width = frame.w0 * math.sqrt(1.0 + ratio_sq)
+    curvature = math.inf if z == 0.0 else z * (1.0 + inverse_sq)
     return BeamParams(
         z=z,
         width=width,
@@ -83,7 +93,7 @@ class RayMatrix:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-12:
+        if not (abs(det - 1.0) <= 1e-12):
             raise ValidationError(f"ray matrix must be unimodular, det = {det!r}")
 
     def compose(self, other: "RayMatrix") -> "RayMatrix":

@@ -346,7 +346,9 @@ class SuperpositionState:
 
     The term arrays and the pair matrices ``gram``, ``pair_overlaps`` and
     ``pair_weights`` are computed once, on first use, and are read-only.
-    They are not fields, so equality and hashing see the terms alone.
+    ``_memo`` keeps what other modules derive from the state (its latest
+    Wigner map, its quadrature moments) for the state's lifetime.  None of
+    these are fields, so equality and hashing see the terms alone.
     """
 
     frame: ModeFrame
@@ -391,6 +393,10 @@ class SuperpositionState:
         terms = [(t.coeff, t.alpha_x, t.alpha_y) for t in self.terms]
         rows = np.array(terms, dtype=complex).reshape(-1, 3).T.copy()
         return _TermArrays(*_read_only(rows))
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
 
     @cached_property
     def _grams(self) -> tuple[np.ndarray, np.ndarray]:

@@ -115,7 +115,13 @@ def quadrature_moments(
     Uses the bilinear matrix elements between displaced-Gaussian terms,
     <beta| X_theta |alpha> = (alpha e^{-i theta} + conj(beta) e^{i theta}) <beta|alpha>,
     <beta| X_theta^2 |alpha> = [( . )^2 + 1/2] <beta|alpha>.
+    Each state keeps the moments of every theta_l it was asked for.
     """
+    if not math.isfinite(theta_l):
+        raise ValidationError(f"quadrature angle theta_l must be finite, got {theta_l!r}")
+    kept = state._memo.setdefault("moments", {})
+    if theta_l in kept:
+        return kept[theta_l]
     e_m = complex(math.cos(theta_l), -math.sin(theta_l))
     e_p = np.conj(e_m)
     ax = state._arrays.ax
@@ -128,6 +134,7 @@ def quadrature_moments(
         raise NumericsError(f"state norm drifted to {total!r} in moment evaluation")
     mean = first.real
     var = second.real - mean**2
+    kept[theta_l] = mean, var
     return mean, var
 
 
@@ -161,11 +168,13 @@ def _auto_map(
             si_units=si_units,
         )
         vals = evaluate(ex * grid.x_axis(), ep * grid.p_axis())
-        mag = np.abs(vals)
-        if max(mag[[0, -1], :].max(), mag[:, [0, -1]].max()) <= 1e-8 * mag.max():
-            out = WignerMap(grid=grid, values=scale * vals)
+        edge = max(np.abs(vals[[0, -1], :]).max(), np.abs(vals[:, [0, -1]]).max())
+        if edge <= 1e-8 * max(vals.max(), -vals.min()):
+            vals *= scale
+            out = WignerMap(grid=grid, values=vals)
             _validate_map(out, weight)
             return out
+        del vals  # free this window before the next one is evaluated
         half_x *= 1.5
         half_p *= 1.5
     raise NumericsError("auto grid did not localize the state after 12 expansions")
@@ -201,18 +210,34 @@ def _validate_map(m: WignerMap, weight: float) -> None:
 def wigner_map(
     state: SuperpositionState, n: int = 256, si_units: bool = False
 ) -> WignerMap:
-    """Closed-form Wigner map on an auto-sized, validated n x n grid."""
+    """Closed-form Wigner map on an auto-sized, validated n x n grid.
+
+    Each state keeps its latest map, with read-only values, so a long-lived
+    state holds one map.  A repeat call with the same n and si_units returns
+    that map without evaluating again; a map that fails validation is not kept.
+    """
+    key = (n, si_units)
+    kept_key, kept = state._memo.get("wigner_map", (None, None))
+    if kept_key == key:
+        return kept
     moments = [quadrature_moments(state, t) for t in (0.0, math.pi / 2.0)]
     weight = float(np.sum(np.abs(state._arrays.c) ** 2))
-    return _auto_map(
+    out = _auto_map(
         state.frame, lambda x, p: wigner_of_state(state, x, p), moments, n, si_units, weight
     )
+    out.values.flags.writeable = False
+    state._memo["wigner_map"] = key, out
+    return out
 
 
 def negativity_scan(
     state: SuperpositionState, n: int = 256
 ) -> tuple[float, tuple[float, float], float]:
-    """Grid minimum, its location, and the magnitude of the negative volume."""
+    """Grid minimum, its location, and the magnitude of the negative volume.
+
+    Reads wigner_map(state, n), the latest map each state keeps (read-only),
+    so a scan right after that call evaluates no Wigner values.
+    """
     m = wigner_map(state, n=n)
     x = m.grid.x_axis()
     p = m.grid.p_axis()

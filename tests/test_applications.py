@@ -78,6 +78,12 @@ class TestCatPhaseRotation:
         with pytest.raises(ValidationError):
             rotate_cat_phase(vac, 0.3)
 
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_offset_named(self, frame, angle_w0, delta):
+        _, cat = make_typical_state("cat_plus", angle_w0, frame)
+        with pytest.raises(ValidationError, match="phase offset delta must be finite"):
+            rotate_cat_phase(cat, delta)
+
 
 _unit = st.floats(-1.0, 1.0)
 
@@ -507,6 +513,9 @@ class TestQkd:
         assert expected_qber(1e-9) == pytest.approx(2.5e-19, rel=1e-14)
         assert expected_qber(math.inf) == 0.5
         assert expected_qber(1.0) == pytest.approx((1.0 - math.exp(-0.5)) / 2.0, rel=1e-14)
+        for sigma in (math.nan, -1e-9, -math.inf):
+            with pytest.raises(ValidationError, match="sigma_theta must be >= 0"):
+                expected_qber(sigma)
 
     @given(
         st.integers(1, 3000),

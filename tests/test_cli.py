@@ -255,6 +255,8 @@ def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
       for pitch in ("1e150", "1e160", "1e300", "1e307") for plane in ("position", "momentum")),
     # a valid map on too coarse a grid: the message names the grid
     ("wigner", "--state", "cat_minus", "--alpha", "1", "--grid", "16"),
+    # a distance whose (z/z_R)^2 overflows (was E_NUMERIC naming no input)
+    ("beam", "--z-max", "1e200m"),
 ], ids=" ".join)
 def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
     if argv[0] == "fit":
@@ -279,6 +281,8 @@ def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
     if "--grid" in argv:
         assert err.startswith("E_NUMERIC: Wigner map on the 16x16 grid integrates to "), err
         assert err.endswith("not 1; a finer grid may pass\n"), err
+    if "--z-max" in argv:
+        assert err.startswith("E_VALIDATION: distance z = "), err
     assert not list(tmp_path.glob("*.json"))
 
 

@@ -6,6 +6,7 @@ matrix products.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,10 @@ class TestRayMatrices:
     def test_determinant_enforced(self):
         with pytest.raises(ValidationError):
             RayMatrix(1.0, 0.5, 0.0, 2.0)
+        # a NaN entry fails every ordered comparison, so the check fails closed
+        for entries in ((math.nan, 0.0, 0.0, 1.0), (1.0, math.inf, 0.0, 1.0)):
+            with pytest.raises(ValidationError, match="unimodular"):
+                RayMatrix(*entries)
         m = RayMatrix(1.0, 0.25, 0.0, 1.0)
         assert m.determinant() == pytest.approx(1.0, abs=1e-15)
 
@@ -227,6 +232,19 @@ class TestAnalyticPropagation:
                 propagate_analytic(vac, z)
             with pytest.raises(ValidationError):
                 beam_params_at(frame, z)
+        # finite distances whose (z/z_R)^2 or (z_R/z)^2 overflows (were an
+        # OverflowError, or width = inf at 1e308)
+        for z in (1e200, -1e200, 1e-160, 5e-324, 1e308):
+            with pytest.raises(ValidationError, match=re.escape(f"distance z = {z!r} m")):
+                beam_params_at(frame, z)
+
+    @given(st.floats(-1e150, 1e150))
+    def test_valid_distances_keep_their_bits(self, frame, z):
+        b = beam_params_at(frame, z)
+        z_r = frame.z_r
+        assert b.width == frame.w0 * math.sqrt(1.0 + (z / z_r) ** 2)
+        if z != 0.0:
+            assert b.curvature_radius == z * (1.0 + (z_r / z) ** 2)
 
 
 class TestKernelPropagation:

@@ -5,12 +5,15 @@ form: it never sees the pair-sum formula, only wavefunction products.
 """
 
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tmcat.wigner
 from tmcat import (
     CoherentTerm,
     HBAR,
@@ -234,6 +237,80 @@ def test_heisenberg_floor(frame, angle_w0):
         _, var_x = quadrature_moments(state, 0.0)
         _, var_p = quadrature_moments(state, math.pi / 2.0)
         assert var_x * var_p >= 0.25 - 1e-12
+        # each state keeps its moments: a repeat call returns them as they are
+        assert quadrature_moments(state, math.pi / 2.0) is quadrature_moments(
+            state, math.pi / 2.0
+        )
+
+
+@pytest.mark.parametrize("theta_l", [math.nan, math.inf, -math.inf])
+def test_moments_refuse_non_finite_angles(frame, angle_w0, theta_l):
+    _, state = make_typical_state("cat_plus", angle_w0, frame)
+    with pytest.raises(ValidationError, match="theta_l must be finite"):
+        quadrature_moments(state, theta_l)
+
+
+@pytest.fixture
+def counted_evals(monkeypatch):
+    """Grid sizes of every wigner_of_state call the maps make."""
+    calls = []
+
+    def counted(state, x, p):
+        calls.append((np.size(x), np.size(p)))
+        return wigner_of_state(state, x, p)
+
+    monkeypatch.setattr(tmcat.wigner, "wigner_of_state", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["cat_minus", "p_plus"])
+def test_each_state_keeps_its_latest_map(frame, angle_w0, counted_evals, kind):
+    _, state = make_typical_state(kind, angle_w0, frame)
+    m = wigner_map(state, 128)
+    evals = len(counted_evals)
+    assert evals >= 1
+    # the scan and a repeat call read the kept map: no evaluation, same object
+    assert negativity_scan(state, 128)[:2] == (m.min_value(), m.min_location())
+    assert wigner_map(state, n=128) is m
+    assert len(counted_evals) == evals
+    assert not m.values.flags.writeable
+    # an equal state keeps nothing yet, and its map has the same bits
+    _, fresh = make_typical_state(kind, angle_w0, frame)
+    assert fresh == state and hash(fresh) == hash(state)
+    assert wigner_map(fresh, 128).values.tobytes() == m.values.tobytes()
+    # another grid, or SI units, evaluates again
+    for kwargs in ({"n": 96}, {"n": 128, "si_units": True}):
+        evals = len(counted_evals)
+        assert wigner_map(state, **kwargs) is not m
+        assert len(counted_evals) > evals
+
+
+def test_failed_map_is_not_kept(frame, counted_evals):
+    state = make_qubit_state(QubitParams(T=0.5, phi=math.pi, d=math.sqrt(2.0) * frame.w0), frame)
+    for _ in range(2):
+        evals = len(counted_evals)
+        with pytest.raises(NumericsError, match="16x16 grid integrates to"):
+            wigner_map(state, n=16)
+        assert len(counted_evals) > evals
+
+
+def test_large_map_memory(frame, angle_w0):
+    # the 8 MB map beside the 16 MB complex pair product it is taken from;
+    # no full-size magnitude, scaled copy or previous window besides
+    _, state = make_typical_state("cat_minus", angle_w0, frame)
+    tracemalloc.start()
+    try:
+        wigner_map(state, n=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26e6
+
+
+def test_map_functions_stay_plain_module_functions():
+    # perfbench's tracer counts calls only of the module's plain functions
+    for fn in (wigner_map, negativity_scan, quadrature_moments):
+        assert isinstance(fn, types.FunctionType) and fn.__module__ == "tmcat.wigner"
 
 
 def test_negativity_scan(frame, angle_w0):
