@@ -286,7 +286,9 @@ def test_each_state_keeps_its_latest_map(frame, angle_w0, counted_evals, kind):
 
 
 def test_failed_map_is_not_kept(frame, counted_evals):
-    state = make_qubit_state(QubitParams(T=0.5, phi=math.pi, d=math.sqrt(2.0) * frame.w0), frame)
+    # cat_minus at alpha = 1 on a grid too coarse for its integral
+    params = QubitParams(T=0.5, phi=math.pi, d=math.sqrt(2.0) * frame.w0)
+    state = make_qubit_state(params, frame)
     for _ in range(2):
         evals = len(counted_evals)
         with pytest.raises(NumericsError, match="16x16 grid integrates to"):
