@@ -356,6 +356,11 @@ def qkd_simulate(
         )
     _check_seed(seed)
     sigma_theta = fiber.rotation_angle(path_jitter_sigma)
+    if not math.isfinite(sigma_theta):
+        raise ValidationError(
+            f"path jitter sigma_z = {path_jitter_sigma!r} m over the self-image period "
+            f"{fiber.period_length!r} m gives a rotation jitter that is not finite"
+        )
     rng = np.random.Generator(np.random.Philox(0 if seed is None else seed))
     basis_s = rng.integers(0, 2, size=n)  # 0: x basis, 1: p basis
     bits = rng.integers(0, 2, size=n)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,8 @@ from .states import (
     ModeFrame,
     SuperpositionState,
     _d_kappa,
-    _pair_sum,
+    _pair_contract,
+    _pairs,
 )
 
 
@@ -119,8 +121,8 @@ def ray_free(z: float) -> RayMatrix:
 
 def ray_lens(f: float) -> RayMatrix:
     """Thin lens of focal length f."""
-    if f == 0.0:
-        raise ValidationError("lens focal length must be nonzero")
+    if f == 0.0 or not math.isfinite(1.0 / f):
+        raise ValidationError(f"lens focal length f = {f!r} m needs a finite power 1/f")
     return RayMatrix(1.0, 0.0, -1.0 / f, 1.0)
 
 
@@ -201,7 +203,8 @@ class PropagatedField:
     def intensity(self, x: np.ndarray) -> np.ndarray:
         """y-reduced intensity sum_jk E_j(x) conj(E_k(x)) <y_k|y_j>."""
         fields = np.moveaxis(self._term_fields(x), -1, 0)
-        return _pair_sum(self.y_weights, fields, fields).real
+        j, k, _ = _pairs(len(fields))
+        return _pair_contract(self.y_weights, None, fields[j], np.conj(fields[k]))
 
     def _pair_moments(self) -> tuple[float, float, float]:
         """Exact integrals of 1, x and x^2 against the intensity."""
@@ -258,7 +261,8 @@ def propagate_analytic(state: SuperpositionState, z: float) -> PropagatedField:
         c -> c + b^2 / (4 a') + ln( sqrt(k / (2 pi i z)) sqrt(pi / a') )
 
     z = 0 returns the waist field unchanged; a negative or non-finite z is
-    rejected.
+    rejected, and so is a z whose z^2 is not a normal float or whose
+    exponents leave the floating-point range.
     """
     if not (0.0 <= z < math.inf):
         raise ValidationError(f"propagation distance must be finite and >= 0, got {z}")
@@ -269,12 +273,22 @@ def propagate_analytic(state: SuperpositionState, z: float) -> PropagatedField:
             frame=state.frame, z=0.0, a=a, b=b, c=c, y_weights=weights
         )
     k = state.frame.k
-    ap = a - 1j * k / (2.0 * z)
-    half_ik = 1j * k / (2.0 * z)
-    a_out = k**2 / (4.0 * ap * z**2) - half_ik
-    b_out = -1j * b * k / (2.0 * ap * z)
-    prefactor = np.sqrt(k / (2.0j * math.pi * z)) * np.sqrt(math.pi / ap)
-    c_out = c + b**2 / (4.0 * ap) + np.log(prefactor)
+    with np.errstate(all="ignore"):  # out-of-range exponents are refused below
+        try:
+            z_sq = z**2
+        except OverflowError:
+            z_sq = math.inf
+        ap = a - 1j * k / (2.0 * z)
+        half_ik = 1j * k / (2.0 * z)
+        a_out = k**2 / (4.0 * ap * z_sq) - half_ik
+        b_out = -1j * b * k / (2.0 * ap * z)
+        prefactor = np.sqrt(k / (2.0j * math.pi * z)) * np.sqrt(math.pi / ap)
+        c_out = c + b**2 / (4.0 * ap) + np.log(prefactor)
+    if not (sys.float_info.min <= z_sq < math.inf and np.all(a_out.real > 0.0)):
+        raise ValidationError(
+            f"propagation distance z = {z!r} m is out of range: the Fresnel "
+            f"exponents at w0 = {state.frame.w0!r} m leave the floating-point range"
+        )
     return PropagatedField(
         frame=state.frame, z=z, a=a_out, b=b_out, c=c_out, y_weights=weights
     )
@@ -411,17 +425,21 @@ class FiberSpec:
     period_length: float
 
     def __post_init__(self):
-        if not (self.period_length > 0.0):
+        if not (0.0 < self.period_length < math.inf):
             raise ValidationError(
-                f"self-image period must be positive, got {self.period_length}"
+                f"self-image period must be positive and finite, got {self.period_length}"
             )
 
     @classmethod
     def from_omega(cls, omega_gi: float) -> "FiberSpec":
         """Build from the transverse oscillation frequency (rad/s)."""
-        if not (omega_gi > 0.0):
-            raise ValidationError(f"omega_GI must be positive, got {omega_gi}")
-        return cls(period_length=2.0 * math.pi * C_LIGHT / omega_gi)
+        period = 2.0 * math.pi * C_LIGHT / omega_gi if omega_gi > 0.0 else math.nan
+        if not (0.0 < period < math.inf):
+            raise ValidationError(
+                f"omega_GI = {omega_gi!r} rad/s must be positive and give a finite, "
+                "nonzero self-image period 2 pi c / omega_GI"
+            )
+        return cls(period_length=period)
 
     def rotation_angle(self, length: float) -> float:
         return 2.0 * math.pi * length / self.period_length

@@ -45,7 +45,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -298,9 +298,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pair_sum(weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_jk weights[j, k] f_j conj(g_k) over term-stacked arrays (term axis 0)."""
-    return (f * np.tensordot(weights, np.conj(g), axes=1)).sum(axis=0)
+@cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only term pairs j <= k of n terms, and their counts: 1 if j == k, else 2."""
+    j, k = np.triu_indices(n)
+    return _read_only(j), _read_only(k), _read_only(np.where(j == k, 1.0, 2.0))
+
+
+def _pair_contract(weights: np.ndarray, left: np.ndarray | None, *right: np.ndarray):
+    """Re sum_jk W[j, k] L_jk R_jk, the one pair sum beneath every map and density.
+
+    Pair (k, j) is the conjugate of pair (j, k), so the sum runs over the pairs
+    j <= k of ``_pairs``, cross pairs counted twice, on axis 0 of each factor
+    (the last axis of ``left``).  The right factors multiply the pair weights
+    in the order given; with ``left`` None the pairs are summed without BLAS.
+    """
+    j, k, count = _pairs(len(weights))
+    pair = (weights[j, k] * count).reshape((-1,) + (1,) * (right[0].ndim - 1))
+    for factor in right:
+        pair = pair * factor
+    return (pair.sum(axis=0) if left is None else left @ pair).real
 
 
 def gaussian_mode_1d(alpha: complex, w0: float, x: np.ndarray) -> np.ndarray:
@@ -315,12 +332,6 @@ def gaussian_mode_1d(alpha: complex, w0: float, x: np.ndarray) -> np.ndarray:
     d, kappa = _d_kappa(alpha, w0)
     norm = (2.0 / (math.pi * w0**2)) ** 0.25
     return norm * np.exp(-((x - d) ** 2) / w0**2 + 1j * (kappa * x - kappa * d / 2.0))
-
-
-def _term_grams(ax: np.ndarray, ay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only y-mode overlaps <y_k|y_j> and two-axis Gram <t_k|t_j> of one term set."""
-    gram_y = _read_only(coherent_overlap(ay[:, None], ay[None, :]))
-    return gram_y, _read_only(coherent_overlap(ax[:, None], ax[None, :]) * gram_y)
 
 
 class _TermArrays(NamedTuple):
@@ -369,23 +380,21 @@ class SuperpositionState:
             merged[key] = merged.get(key, 0.0 + 0.0j) + complex(t.coeff)
         degenerate = len(merged) < len(given)
         # a term whose weights cancel exactly carries nothing; drop it
-        merged = {key: c for key, c in merged.items() if c != 0.0}
-        ax, ay = np.array(list(merged), dtype=complex).reshape(-1, 2).T
-        coeffs = np.array(list(merged.values()), dtype=complex)
-        grams = _term_grams(ax, ay)
-        raw = float(_weighted(coeffs, grams[1]).real.sum())
+        kept = tuple(CoherentTerm(c, *key) for key, c in merged.items() if c != 0.0)
+        unscaled = cls(frame=frame, terms=kept, norm=math.nan, degenerate=degenerate)
+        raw = float(unscaled.pair_overlaps.real.sum())
         if raw <= 1e-15:
             raise ValidationError(
                 f"state norm {raw!r} vanishes; the requested superposition cancels"
             )
         scale = 1.0 / math.sqrt(raw)
         normalized = tuple(
-            CoherentTerm(coeff=c * scale, alpha_x=a_x, alpha_y=a_y)
-            for (a_x, a_y), c in merged.items()
+            CoherentTerm(coeff=t.coeff * scale, alpha_x=t.alpha_x, alpha_y=t.alpha_y)
+            for t in kept
         )
         state = cls(frame=frame, terms=normalized, norm=raw, degenerate=degenerate)
         # normalizing leaves the amplitudes, so their Grams carry over
-        vars(state)["_grams"] = grams
+        vars(state).update(_gram_y=unscaled._gram_y, gram=unscaled.gram)
         return state
 
     @cached_property
@@ -399,18 +408,16 @@ class SuperpositionState:
         return {}
 
     @cached_property
-    def _grams(self) -> tuple[np.ndarray, np.ndarray]:
-        return _term_grams(self._arrays.ax, self._arrays.ay)
-
-    @property
     def _gram_y(self) -> np.ndarray:
         """y-mode term overlaps <y_k|y_j>."""
-        return self._grams[0]
+        ay = self._arrays.ay
+        return _read_only(coherent_overlap(ay[:, None], ay[None, :]))
 
-    @property
+    @cached_property
     def gram(self) -> np.ndarray:
         """Two-axis term overlaps G[j, k] = <t_k|t_j> (coefficients not included)."""
-        return self._grams[1]
+        ax = self._arrays.ax
+        return _read_only(coherent_overlap(ax[:, None], ax[None, :]) * self._gram_y)
 
     @cached_property
     def pair_overlaps(self) -> np.ndarray:
@@ -461,7 +468,8 @@ class SuperpositionState:
     def _density(self, ax: np.ndarray, x) -> np.ndarray:
         """y-reduced density sum_jk W[j, k] f_j conj(f_k) of the x-mode fields."""
         fields = self._fields(ax, x)
-        return _pair_sum(self.pair_weights, fields, fields).real
+        j, k, _ = _pairs(ax.size)
+        return _pair_contract(self.pair_weights, None, fields[j], np.conj(fields[k]))
 
 
 def inner_product(a: SuperpositionState, b: SuperpositionState) -> complex:

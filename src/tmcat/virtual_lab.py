@@ -26,6 +26,9 @@ from .states import (
     QubitParams,
     SuperpositionState,
     _check_seed,
+    _pair_contract,
+    _pairs,
+    _weighted,
     gaussian_mode_1d,
     make_qubit_state,
     make_typical_state,
@@ -193,19 +196,15 @@ _SIDECAR_FIELDS = {
 def _intensity_2d(
     state: SuperpositionState, x: np.ndarray, y: np.ndarray, visibility: float
 ) -> np.ndarray:
-    """|Psi(x, y)|^2 with the interference (cross) part scaled by visibility.
-
-    Pair (k, j) is the conjugate of pair (j, k), so the frame is the real part
-    of one product over the pairs j <= k, the cross pairs doubled.
-    """
+    """|Psi(x, y)|^2 with the interference (cross) part scaled by visibility."""
     w0 = state.frame.w0
     c, ax, ay = state._arrays
     fx = gaussian_mode_1d(ax[:, None], w0, x)
     fy = gaussian_mode_1d(ay[:, None], w0, y)
-    j, k = np.triu_indices(c.size)
-    weight = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0 * visibility)
+    j, k, _ = _pairs(c.size)
+    weights = _weighted(c, np.where(np.eye(c.size, dtype=bool), 1.0, visibility))
     rows = np.ascontiguousarray((fy[j] * np.conj(fy[k])).T)
-    return (rows @ (weight[:, None] * fx[j] * np.conj(fx[k]))).real
+    return _pair_contract(weights, rows, fx[j], np.conj(fx[k]))
 
 
 def render_ccd(

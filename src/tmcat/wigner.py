@@ -26,6 +26,8 @@ from .states import (
     ModeFrame,
     SuperpositionState,
     _d_kappa,
+    _pair_contract,
+    _pairs,
 )
 
 
@@ -85,17 +87,16 @@ def wigner_of_state(
     the two term centers in x and at hbar times the mean tilt in p, carrying
     the interference phase (kappa_j - kappa_k) x - (d_j - d_k) p / hbar +
     (kappa_k d_j - kappa_j d_k)/2, all weighted by the y-mode overlap.  The
-    pair term factors into an x vector times a p vector, and pair (k, j) is
-    the conjugate of pair (j, k), so the map is one complex matrix product
-    over the pairs j <= k.  Returns shape (len(x), len(p)).
+    pair term factors into an x vector times a p vector, so the map is the
+    pair contraction of the x parts with the weighted p parts.  Returns
+    shape (len(x), len(p)).
     """
     x = np.asarray(x, dtype=float).ravel()[:, None]
     p = np.asarray(p, dtype=float).ravel()[None, :]
     w0 = state.frame.w0
     d, kappa = _d_kappa(state._arrays.ax, w0)
-    j, k = np.triu_indices(d.size)
-    weight = state.pair_weights[j, k] * np.where(j == k, 1.0, 2.0)
-    weight = weight * np.exp(1j * (kappa[k] * d[j] - kappa[j] * d[k]) / 2.0)
+    j, k, _ = _pairs(d.size)
+    phase = np.exp(1j * (kappa[k] * d[j] - kappa[j] * d[k]) / 2.0)
     x_part = np.exp(
         -2.0 * (x - 0.5 * (d[j] + d[k])) ** 2 / w0**2 + 1j * (kappa[j] - kappa[k]) * x
     )
@@ -103,7 +104,7 @@ def wigner_of_state(
         -(w0**2) * (p / HBAR - 0.5 * (kappa[j] + kappa[k])[:, None]) ** 2 / 2.0
         - 1j * (d[j] - d[k])[:, None] * p / HBAR
     )
-    return (x_part @ (weight[:, None] * p_part)).real / (math.pi * HBAR)
+    return _pair_contract(state.pair_weights, x_part, phase[:, None], p_part) / (math.pi * HBAR)
 
 
 def quadrature_moments(

@@ -1,7 +1,8 @@
 """Child processes that run tmcat with numpy's SIMD dispatch cut back.
 
 The dispatch tests compare a default child with children run at reduced
-numpy SIMD levels, one of them also on OpenBLAS's generic kernel.  The
+numpy SIMD levels, one of them also on OpenBLAS's generic kernel, and with
+children that switch the OpenBLAS kernel alone.  The
 switches are set in each child's environment only: they are process-wide
 settings that belong to the caller, and the library never sets them.
 Each child script prints one JSON object on stdout, with the
@@ -23,6 +24,11 @@ REDUCED = (
     ({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, [False, True]),
     ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3", "OPENBLAS_CORETYPE": "Prescott"},
      [False, False]),
+)
+# Child settings that change only the OpenBLAS kernel, at full SIMD.
+BLAS_ONLY = (
+    ({"OPENBLAS_CORETYPE": "Prescott"}, [True, True]),
+    ({"OPENBLAS_CORETYPE": "Sandybridge"}, [True, True]),
 )
 FEATURES = (
     "from numpy._core._multiarray_umath import __cpu_features__\n"

@@ -14,7 +14,10 @@ as its float chain, with a full-frame temporary at every step.  The Wigner
 map of any superposition is also evaluated by quadrature of its defining
 chord integral, over mode fields and y-overlap weights written out here,
 not the library's, and a state's cached Gram and pair matrices are
-written out from its terms.  CSVs are written by the per-row and per-cell '%.17g'
+written out from its terms.  The Wigner map and the CCD frame are kept as
+the j <= k matrix products they were first written as, which the library's
+pair contraction must match byte for byte, and the densities as the sum
+over all n^2 pairs.  CSVs are written by the per-row and per-cell '%.17g'
 loops the library's one vectorized writer replaced, and Gaussian profiles
 are fitted by the bounded trust-region least squares of scipy that the
 library's own descent replaced.
@@ -38,6 +41,7 @@ from tmcat import (
     make_typical_state,
     rotate_phase_space,
 )
+from tmcat.states import gaussian_mode_1d
 from tmcat.virtual_lab import _intensity_2d
 
 
@@ -91,6 +95,52 @@ def pair_algebra(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gram = overlap(ax) * y_overlap
     pairs = c[:, None] * np.conj(c)[None, :]
     return gram, pairs * gram, pairs * y_overlap
+
+
+def wigner_pair_product(state, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """wigner_of_state as one BLAS product over the pairs j <= k, as first written.
+
+    x_part @ (weight[:, None] * p_part) with the pair weight
+    W[j, k] (2 - delta_jk) e^{i (kappa_k d_j - kappa_j d_k) / 2}.
+    """
+    x = np.asarray(x, dtype=float).ravel()[:, None]
+    p = np.asarray(p, dtype=float).ravel()[None, :]
+    w0 = state.frame.w0
+    ax = state.alphas_x()
+    d = math.sqrt(2.0) * w0 * ax.real
+    kappa = 2.0 * math.sqrt(2.0) * ax.imag / w0
+    j, k = np.triu_indices(d.size)
+    weight = state.pair_weights[j, k] * np.where(j == k, 1.0, 2.0)
+    weight = weight * np.exp(1j * (kappa[k] * d[j] - kappa[j] * d[k]) / 2.0)
+    x_part = np.exp(
+        -2.0 * (x - 0.5 * (d[j] + d[k])) ** 2 / w0**2 + 1j * (kappa[j] - kappa[k]) * x
+    )
+    p_part = np.exp(
+        -(w0**2) * (p / HBAR - 0.5 * (kappa[j] + kappa[k])[:, None]) ** 2 / 2.0
+        - 1j * (d[j] - d[k])[:, None] * p / HBAR
+    )
+    return (x_part @ (weight[:, None] * p_part)).real / (math.pi * HBAR)
+
+
+def intensity_2d_pair_product(state, x, y, visibility: float) -> np.ndarray:
+    """The CCD frame as one BLAS product over the pairs j <= k, as first written.
+
+    rows @ (weight[:, None] * fx[j] * conj(fx[k])) with rows fy[j] conj(fy[k])
+    and weight c_j conj(c_k) times 1 on the diagonal, 2 visibility off it.
+    """
+    w0 = state.frame.w0
+    c = state.coeffs()
+    fx = gaussian_mode_1d(state.alphas_x()[:, None], w0, x)
+    fy = gaussian_mode_1d(state.alphas_y()[:, None], w0, y)
+    j, k = np.triu_indices(c.size)
+    weight = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0 * visibility)
+    rows = np.ascontiguousarray((fy[j] * np.conj(fy[k])).T)
+    return (rows @ (weight[:, None] * fx[j] * np.conj(fx[k]))).real
+
+
+def full_pair_sum(weights: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Re sum_jk weights[j, k] f_j conj(f_k) over all n^2 pairs (term axis 0)."""
+    return (fields * np.tensordot(weights, np.conj(fields), axes=1)).sum(axis=0).real
 
 
 def wigner_chord_quadrature(state, grid) -> np.ndarray:

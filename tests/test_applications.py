@@ -1,6 +1,7 @@
 """Protocol layer: cat-phase rotations, keying bases, QKD, sweeps, mixtures."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -429,17 +430,28 @@ _PAIR_CORE_CHILD = """
 import json, math, sys
 import numpy as np
 import tmcat as tm
+from tmcat.virtual_lab import _intensity_2d
 frame = tm.ModeFrame(w0=0.12e-3, wavelength=780e-9)
 angle = tm.OverlapAngle.from_alpha(1.1)
 qubit = tm.make_qubit_state(tm.QubitParams(T=0.35, phi=2.1, d=angle.displacement(frame.w0)), frame)
 mixed = tm.SuperpositionState.from_terms(frame, [
     tm.CoherentTerm(0.8, 0.0, 0.0), tm.CoherentTerm(-0.5j, 1.2 + 0.3j, 0.4),
     tm.CoherentTerm(0.3 + 0.4j, -0.7 - 0.5j, -0.2j), tm.CoherentTerm(0.6, 0.5, 0.1 + 0.3j)])
+rng = np.random.default_rng(7)
+randoms = [tm.SuperpositionState.from_terms(frame, [
+    tm.CoherentTerm(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1.5, 1.5, 2)),
+                    complex(*rng.uniform(-0.5, 0.5, 2))) for _ in range(rng.integers(2, 5))])
+    for _ in range(8)]
 x = np.linspace(-5.0 * frame.w0, 5.0 * frame.w0, 2001)
+p = np.linspace(-5.0 * tm.HBAR / frame.w0, 5.0 * tm.HBAR / frame.w0, 2001)
 maps = {}
-for name, state in (("qubit", qubit), ("mixed", mixed)):
-    maps[name + "_wigner"] = tm.wigner_map(state, n=256).values
-    maps[name + "_density"] = state.position_intensity(x)
+for i, state in enumerate([qubit, mixed] + randoms):
+    if i < 2:
+        maps[f"{i}_wigner"] = tm.wigner_map(state, n=256).values
+        maps[f"{i}_frame"] = _intensity_2d(state, x[::20], x[::30], 0.9)
+    maps[f"{i}_density"] = state.position_intensity(x)
+    maps[f"{i}_momentum"] = state.momentum_intensity(p)
+    maps[f"{i}_propagated"] = tm.propagate_analytic(state, 0.03).intensity(x)
 np.savez(sys.argv[1], **maps)
 channel = tm.ChannelModel(rotation_jitter_sigma=0.05 * math.pi, additive_overlap_noise_sigma=0.1)
 psk = tm.psk_link_simulate(100_000, tm.build_basis("twelve_state", angle, frame), channel, seed=5)
@@ -450,16 +462,17 @@ print(json.dumps({"features": features, "counts": [psk.errors, qkd.sifted, qkd.e
 
 def test_pair_core_agrees_across_dispatch(tmp_path):
     """Protocol counts are equal at every SIMD level and BLAS kernel, and
-    Wigner maps and densities agree to 1e-14 of their peak.  The largest
-    moves measured for these two states were 1.4e-15 of the peak (the
-    qubit's map with X86_V4 and X86_V3 off); random 2-4 term states moved
-    by up to 1.1e-14."""
+    Wigner maps, CCD frames and densities agree to 1e-14 of their peak.  The
+    largest moves measured for the two fixed states were 1.4e-15 of the peak
+    (the qubit's map with X86_V4 and X86_V3 off); random 2-4 term states
+    moved by up to 1.1e-14.  Densities sum their pairs without BLAS, so a
+    change of the BLAS kernel alone leaves every bit of them."""
     if not dispatch.switchable():
         pytest.skip(dispatch.SKIP_REASON)
     base = dispatch.run_child(_PAIR_CORE_CHILD, str(tmp_path / "base.npz"))
     assert base["features"] == [True, True]
     ref = np.load(tmp_path / "base.npz")
-    for i, (settings, features) in enumerate(dispatch.REDUCED):
+    for i, (settings, features) in enumerate(dispatch.REDUCED + dispatch.BLAS_ONLY):
         path = tmp_path / f"reduced{i}.npz"
         result = dispatch.run_child(_PAIR_CORE_CHILD, str(path), **settings)
         assert result["features"] == features
@@ -468,6 +481,10 @@ def test_pair_core_agrees_across_dispatch(tmp_path):
         for name in ref.files:
             peak = np.max(np.abs(ref[name]))
             assert np.max(np.abs(values[name] - ref[name])) <= 1e-14 * peak, name
+            if settings.keys() == {"OPENBLAS_CORETYPE"} and name.endswith(
+                ("density", "momentum", "propagated")
+            ):
+                assert values[name].tobytes() == ref[name].tobytes(), (settings, name)
 
 
 class TestQkd:
@@ -558,6 +575,14 @@ class TestQkd:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError):
                 qkd_simulate(100, angle_bench, bad, self.FIBER)
+        # finite jitters whose rotation angle 2 pi sigma_z / period overflows
+        # (were a FloatingPointError or NaN counts from cos(inf))
+        for sigma_z, period in ((20e-6, 1e-320), (1e305, 1e-5), (1e306, 1e-3)):
+            fiber = FiberSpec(period_length=period)
+            with pytest.raises(ValidationError, match=re.escape(
+                f"sigma_z = {sigma_z!r} m over the self-image period {period!r} m"
+            )):
+                qkd_simulate(100, angle_bench, sigma_z, fiber)
 
 
 class TestSweep:

@@ -257,6 +257,9 @@ def test_extreme_frames_give_one_line_errors(argv, tmp_path, capsys):
     ("wigner", "--state", "cat_minus", "--alpha", "1", "--grid", "16"),
     # a distance whose (z/z_R)^2 overflows (was E_NUMERIC naming no input)
     ("beam", "--z-max", "1e200m"),
+    # rotation jitters 2 pi sigma_z / period that overflow (were E_NUMERIC from cos)
+    ("qkd", "--alpha", "1", "--n", "1000", "--sigma-z", "20um", "--period", "1e-320m"),
+    ("qkd", "--alpha", "1", "--n", "1000", "--sigma-z", "1e305m", "--period", "1e-5m"),
 ], ids=" ".join)
 def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
     if argv[0] == "fit":
@@ -283,6 +286,9 @@ def test_numeric_extremes_give_one_line_errors(argv, tmp_path, capsys):
         assert err.endswith("not 1; a finer grid may pass\n"), err
     if "--z-max" in argv:
         assert err.startswith("E_VALIDATION: distance z = "), err
+    if argv[0] == "qkd":
+        assert err.startswith("E_VALIDATION: path jitter sigma_z = "), err
+        assert "m over the self-image period " in err, err
     assert not list(tmp_path.glob("*.json"))
 
 

@@ -114,8 +114,13 @@ class TestRayMatrices:
         assert v1 == pytest.approx(2e-3, rel=1e-15)
 
     def test_lens_validation(self):
-        with pytest.raises(ValidationError):
-            ray_lens(0.0)
+        # a power 1/f that overflows was refused only as det = nan
+        for f in (0.0, -0.0, 1e-320, -5e-324, math.nan):
+            with pytest.raises(ValidationError, match=re.escape(f"focal length f = {f!r} m")):
+                ray_lens(f)
+        # the smallest focal lengths with a finite power keep their matrix
+        for f in (1e-300, -3e-308):
+            assert ray_lens(f).c == -1.0 / f
 
 
 class TestLensSystem:
@@ -232,6 +237,19 @@ class TestAnalyticPropagation:
                 propagate_analytic(vac, z)
             with pytest.raises(ValidationError):
                 beam_params_at(frame, z)
+        # finite distances whose z^2 or Fresnel exponents leave the float range
+        # (were a divide-by-zero warning, a bare OverflowError from z**2, or
+        # exponents that overflowed to a field of zero width)
+        for z in (5e-324, 1e-300, 1e-160, 1e150, 1e200, 1e300, 1.7e308):
+            with pytest.raises(ValidationError, match=re.escape(f"distance z = {z!r} m")):
+                propagate_analytic(vac, z)
+        # distances just inside both ends keep the bits of the closed form
+        k = frame.k
+        waist = propagate_analytic(vac, 0.0).a
+        for z in (1e-150, 0.03, 1e140):
+            ap = waist - 1j * k / (2.0 * z)
+            want = k**2 / (4.0 * ap * z**2) - 1j * k / (2.0 * z)
+            assert propagate_analytic(vac, z).a.tobytes() == want.tobytes()
         # finite distances whose (z/z_R)^2 or (z_R/z)^2 overflows (were an
         # OverflowError, or width = inf at 1e308)
         for z in (1e200, -1e200, 1e-160, 5e-324, 1e308):
@@ -413,10 +431,14 @@ class TestFiber:
         assert abs(inner_product(state, evolved)) == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            FiberSpec(period_length=0.0)
-        with pytest.raises(ValidationError):
-            FiberSpec.from_omega(-1.0)
+        for period in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="self-image period"):
+                FiberSpec(period_length=period)
+        # a frequency whose period 2 pi c / omega overflows or vanishes (a
+        # period of inf made a fiber that never rotates)
+        for omega in (-1.0, 0.0, 1e-320, math.inf, math.nan):
+            with pytest.raises(ValidationError, match=re.escape(f"omega_GI = {omega!r} rad/s")):
+                FiberSpec.from_omega(omega)
         fiber = FiberSpec(period_length=1e-3)
         with pytest.raises(ValidationError):
             gi_fiber_evolve(None, -1e-6, fiber)

@@ -40,8 +40,17 @@ from tmcat import (
 )
 import tmcat.states
 from tmcat.applications import BasisSet
+from tmcat.propagation import propagate_analytic
+from tmcat.states import gaussian_mode_1d
+from tmcat.virtual_lab import _intensity_2d
 
-from oracles import pair_algebra, wigner_chord_quadrature
+from oracles import (
+    full_pair_sum,
+    intensity_2d_pair_product,
+    pair_algebra,
+    wigner_chord_quadrature,
+    wigner_pair_product,
+)
 from strategies import superpositions
 
 
@@ -471,6 +480,40 @@ def test_intensities_integrate_to_one(state):
     p = np.linspace(-16.0 * HBAR / w0, 16.0 * HBAR / w0, 2001)
     assert np.trapezoid(state.position_intensity(x), x) == pytest.approx(1.0, abs=1e-9)
     assert np.trapezoid(state.momentum_intensity(p), p) == pytest.approx(1.0, abs=1e-9)
+
+
+@given(superpositions(), st.floats(0.0, 1.0))
+def test_maps_and_frames_keep_the_bits_of_the_pair_product(state, visibility):
+    # the pair contraction multiplies the factors in the order of the one
+    # BLAS product it replaced, so maps and frames, and with them the counts
+    # of seeded CCD frames, keep every bit
+    w0 = state.frame.w0
+    x = np.linspace(-5.0 * w0, 5.0 * w0, 37)
+    p = np.linspace(-6.0 * HBAR / w0, 6.0 * HBAR / w0, 29)
+    y = np.linspace(-3.0 * w0, 3.0 * w0, 23)
+    assert wigner_of_state(state, x, p).tobytes() == wigner_pair_product(state, x, p).tobytes()
+    frame = _intensity_2d(state, x, y, visibility)
+    assert frame.tobytes() == intensity_2d_pair_product(state, x, y, visibility).tobytes()
+
+
+@given(superpositions(), st.floats(1e-4, 0.2))
+def test_densities_match_the_full_pair_sum(state, z):
+    # densities sum the pairs j <= k without BLAS; the n^2 BLAS pair sum they
+    # replaced agrees to rounding
+    w0 = state.frame.w0
+    x = np.linspace(-9.0 * w0, 9.0 * w0, 401)
+    s = w0**2 / (2.0 * HBAR)
+    p = np.linspace(-16.0 * HBAR / w0, 16.0 * HBAR / w0, 401)
+    cases = (
+        (state.position_intensity(x), state.alphas_x(), x, 1.0),
+        (state.momentum_intensity(p), -1j * state.alphas_x(), s * p, s),
+    )
+    for got, ax, at, scale in cases:
+        want = scale * full_pair_sum(state.pair_weights, gaussian_mode_1d(ax[:, None], w0, at))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+    field = propagate_analytic(state, z)
+    want = full_pair_sum(field.y_weights, np.moveaxis(field._term_fields(x), -1, 0))
+    assert np.max(np.abs(field.intensity(x) - want)) <= 1e-14 * np.max(want)
 
 
 @given(superpositions())
