@@ -33,6 +33,7 @@ from tmcat import (
     make_typical_state,
     normalization_factor,
     params_to_bloch,
+    propagate_analytic,
     quadrature_moments,
     signed_phase,
     wigner_of_state,
@@ -40,7 +41,6 @@ from tmcat import (
 )
 import tmcat.states
 from tmcat.applications import BasisSet
-from tmcat.propagation import propagate_analytic
 from tmcat.states import gaussian_mode_1d
 from tmcat.virtual_lab import _intensity_2d
 
