@@ -27,7 +27,6 @@ from .states import (
     _gram,
     _two_beam,
     _typical_params,
-    coherent_overlap,
     make_qubit_state,
     make_typical_state,
 )
@@ -37,17 +36,14 @@ BASIS_SCHEMES = ("four_cat", "twelve_state", "four_hg_reference")
 
 
 def _pair_overlap(state: SuperpositionState) -> float:
-    """Overlap <t_b|t_a> of a two-beam state's terms, checked real and in (0, 1).
+    """Overlap <t_a|t_b> = G[1, 0] of a two-beam state's terms, checked real and in (0, 1).
 
     A real overlap (a displacement-symmetric pair) makes the even and odd
     cats t_a +- t_b orthogonal, so the cat-phase rotation is defined.
     """
     if len(state.terms) != 2:
         raise ValidationError("cat-phase rotation needs exactly two beams")
-    ta, tb = state.terms
-    mu = coherent_overlap(tb.alpha_x, ta.alpha_x) * coherent_overlap(
-        tb.alpha_y, ta.alpha_y
-    )
+    mu = state.gram[1, 0]
     if abs(mu.imag) > 1e-12 * max(abs(mu), 1.0) or not (0.0 < mu.real < 1.0):
         raise ValidationError("cat-phase rotation needs a displacement-symmetric pair")
     return float(mu.real)

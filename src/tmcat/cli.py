@@ -194,65 +194,22 @@ def _manifest(name: str, args: argparse.Namespace) -> dict:
     }
 
 
-def _add_common(p: _Parser) -> None:
-    default_outdir = os.environ.get("TMCAT_OUTDIR", ".")
-    p.add_argument("--outdir", type=Path, default=Path(default_outdir),
-                   help="output directory (default: $TMCAT_OUTDIR or .)")
-    p.add_argument("--config", metavar="FILE",
-                   help="key = value file supplying defaults for any flag")
-    p.add_argument("--w0", type=parse_length, default=0.12e-3,
-                   help="beam waist, length with unit suffix (default 0.12mm)")
-    p.add_argument("--wavelength", type=parse_length, default=780e-9,
-                   help="light wavelength (default 780nm)")
-
-
-def _add_angle_flags(p: _Parser) -> None:
-    p.add_argument("--theta-d", type=parse_angle, default=None,
-                   help="overlap angle, e.g. 0.4pi")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="displacement amplitude alpha = d/(sqrt(2) w0)")
-    p.add_argument("--d-over-w0", type=float, default=None,
-                   help="beam separation in waist units")
-
-
-def _add_state_flags(p: _Parser) -> None:
-    p.add_argument("--T", type=float, default=None, help="vacuum weight T in [0,1]")
-    p.add_argument("--phi", type=parse_angle, default=None,
-                   help="relative phase, e.g. 0.98pi")
-    p.add_argument("--state", choices=TYPICAL_KINDS, default=None,
-                   help="named special state instead of --T/--phi")
-    p.add_argument("--bloch", default=None, metavar="X,Y,Z",
-                   help="unit Bloch vector instead of --T/--phi")
-
-
 def _frame(args) -> ModeFrame:
     return ModeFrame(w0=args.w0, wavelength=args.wavelength)
 
 
 def _resolve_angle(args) -> OverlapAngle:
-    given = [
-        args.theta_d is not None,
-        args.alpha is not None,
-        args.d_over_w0 is not None,
-    ]
-    if sum(given) > 1:
-        raise _UsageError("give only one of --theta-d, --alpha, --d-over-w0")
     if args.theta_d is not None:
         return OverlapAngle.from_theta(args.theta_d)
     if args.alpha is not None:
         return OverlapAngle.from_alpha(args.alpha)
-    if args.d_over_w0 is not None:
-        return OverlapAngle.from_alpha(args.d_over_w0 / math.sqrt(2.0))
-    raise _UsageError("give one of --theta-d, --alpha, --d-over-w0")
+    return OverlapAngle.from_alpha(args.d_over_w0 / math.sqrt(2.0))
 
 
 def _resolve_params(args) -> tuple[ModeFrame, OverlapAngle, QubitParams]:
     """The frame, overlap angle and qubit parameters, refused in that order."""
     frame = _frame(args)
     angle = _resolve_angle(args)
-    modes = [args.bloch is not None, args.state is not None, args.T is not None]
-    if sum(modes) > 1:
-        raise _UsageError("give only one of --bloch, --state, --T/--phi")
     if args.bloch is not None:
         try:
             x, y, z = (float(part) for part in args.bloch.split(","))
@@ -261,7 +218,7 @@ def _resolve_params(args) -> tuple[ModeFrame, OverlapAngle, QubitParams]:
         params = bloch_to_params(BlochVector(xq=x, yq=y, zq=z), angle, frame)
     elif args.state is not None:
         params, _ = make_typical_state(args.state, angle, frame)
-    elif args.T is None or args.phi is None:
+    elif args.phi is None:
         raise _UsageError("give --T and --phi (or --state, or --bloch)")
     else:
         params = QubitParams(T=args.T, phi=args.phi, d=angle.displacement(frame.w0))
@@ -519,42 +476,64 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"tmcat {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
-    p = sub.add_parser("state", help="resolve a qubit state and print its invariants")
-    _add_common(p)
-    _add_angle_flags(p)
-    _add_state_flags(p)
+    # flag groups shared by several subcommands, copied in through parents=
+    common = _Parser(add_help=False)
+    common.add_argument("--outdir", type=Path, default=Path(os.environ.get("TMCAT_OUTDIR", ".")),
+                        help="output directory (default: $TMCAT_OUTDIR or .)")
+    common.add_argument("--config", metavar="FILE",
+                        help="key = value file supplying defaults for any flag")
+    common.add_argument("--w0", type=parse_length, default=0.12e-3,
+                        help="beam waist, length with unit suffix (default 0.12mm)")
+    common.add_argument("--wavelength", type=parse_length, default=780e-9,
+                        help="light wavelength (default 780nm)")
+
+    angle = _Parser(add_help=False)
+    one_of = angle.add_mutually_exclusive_group(required=True)
+    one_of.add_argument("--theta-d", type=parse_angle, default=None,
+                        help="overlap angle, e.g. 0.4pi")
+    one_of.add_argument("--alpha", type=float, default=None,
+                        help="displacement amplitude alpha = d/(sqrt(2) w0)")
+    one_of.add_argument("--d-over-w0", type=float, default=None,
+                        help="beam separation in waist units")
+
+    state = _Parser(add_help=False)
+    one_of = state.add_mutually_exclusive_group(required=True)
+    one_of.add_argument("--T", type=float, default=None, help="vacuum weight T in [0,1]")
+    one_of.add_argument("--state", choices=TYPICAL_KINDS, default=None,
+                        help="named special state instead of --T/--phi")
+    one_of.add_argument("--bloch", default=None, metavar="X,Y,Z",
+                        help="unit Bloch vector instead of --T/--phi")
+    # --phi goes with --T, and _resolve_params refuses --T without it
+    state.add_argument("--phi", type=parse_angle, default=None,
+                       help="relative phase, e.g. 0.98pi")
+
+    p = sub.add_parser("state", parents=[common, angle, state],
+                       help="resolve a qubit state and print its invariants")
     p.set_defaults(handler=_cmd_state)
 
-    p = sub.add_parser("wigner", help="write a Wigner map as CSV (optionally PGM)")
-    _add_common(p)
-    _add_angle_flags(p)
-    _add_state_flags(p)
+    p = sub.add_parser("wigner", parents=[common, angle, state],
+                       help="write a Wigner map as CSV (optionally PGM)")
     p.add_argument("--grid", type=int, default=256, help="points per axis")
     p.add_argument("--si", action="store_true", help="SI units instead of (X, P)")
     p.add_argument("--pgm", action="store_true", help="also write a scaled PGM")
     p.add_argument("--out", default="wigner.csv")
     p.set_defaults(handler=_cmd_wigner)
 
-    p = sub.add_parser("marginals", help="write position/momentum densities as CSV")
-    _add_common(p)
-    _add_angle_flags(p)
-    _add_state_flags(p)
+    p = sub.add_parser("marginals", parents=[common, angle, state],
+                       help="write position/momentum densities as CSV")
     p.add_argument("--points", type=_point_count, default=481)
     p.add_argument("--prefix", default="marginal")
     p.set_defaults(handler=_cmd_marginals)
 
-    p = sub.add_parser("beam", help="tabulate w(z), R(z), Gouy phase")
-    _add_common(p)
+    p = sub.add_parser("beam", parents=[common], help="tabulate w(z), R(z), Gouy phase")
     p.add_argument("--z-max", type=parse_length, default=None,
                    help="table end (default 3 z_R)")
     p.add_argument("--points", type=_point_count, default=61)
     p.add_argument("--out", default="beam.csv")
     p.set_defaults(handler=_cmd_beam)
 
-    p = sub.add_parser("ccd", help="render a synthetic sensor frame to PGM")
-    _add_common(p)
-    _add_angle_flags(p)
-    _add_state_flags(p)
+    p = sub.add_parser("ccd", parents=[common, angle, state],
+                       help="render a synthetic sensor frame to PGM")
     p.add_argument("--plane", choices=("position", "momentum"), default="position")
     p.add_argument("--f", type=parse_length, default=LAB_FOCAL_LENGTH,
                    help="transform lens focal length (default 145mm)")
@@ -573,8 +552,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="ccd.pgm")
     p.set_defaults(handler=_cmd_ccd)
 
-    p = sub.add_parser("fit", help="analyze a rendered PGM frame")
-    _add_common(p)
+    p = sub.add_parser("fit", parents=[common], help="analyze a rendered PGM frame")
     p.add_argument("--image", required=True, help="PGM written by the ccd command")
     p.add_argument("--mode", choices=("gaussian", "phase"), default="gaussian")
     p.add_argument("--T", type=float, default=None, help="T used when rendering")
@@ -583,17 +561,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="fit.json")
     p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("sweep", help="beam statistics along a (T, phi) path")
-    _add_common(p)
-    _add_angle_flags(p)
+    p = sub.add_parser("sweep", parents=[common, angle],
+                       help="beam statistics along a (T, phi) path")
     p.add_argument("--path", required=True,
                    help="comma-separated T:phi pairs, e.g. 0.5:0,0.5:0.5pi")
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("mdm", help="multimode keying error-rate simulation")
-    _add_common(p)
-    _add_angle_flags(p)
+    p = sub.add_parser("mdm", parents=[common, angle],
+                       help="multimode keying error-rate simulation")
     p.add_argument("--scheme", choices=BASIS_SCHEMES, default="four_cat")
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--sigma-theta", type=parse_angle, default=0.0,
@@ -604,9 +580,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="mdm.json")
     p.set_defaults(handler=_cmd_mdm)
 
-    p = sub.add_parser("qkd", help="two-basis key-exchange simulation")
-    _add_common(p)
-    _add_angle_flags(p)
+    p = sub.add_parser("qkd", parents=[common, angle], help="two-basis key-exchange simulation")
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--sigma-z", type=parse_length, default=0.0,
                    help="path-length jitter, e.g. 780nm")
@@ -616,8 +590,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="qkd.json")
     p.set_defaults(handler=_cmd_qkd)
 
-    p = sub.add_parser("reproduce", help="regenerate the reference figures")
-    _add_common(p)
+    p = sub.add_parser("reproduce", parents=[common], help="regenerate the reference figures")
     p.add_argument("figure", choices=("fig2", "fig4", "fig5"))
     p.add_argument("--f", type=parse_length, default=LAB_FOCAL_LENGTH)
     p.set_defaults(handler=_cmd_reproduce)

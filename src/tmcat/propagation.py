@@ -149,8 +149,8 @@ class LensSystem:
     theta_l: float
 
     def __post_init__(self):
-        if not (self.f > 0.0):
-            raise ValidationError(f"focal length must be positive, got {self.f}")
+        if not (0.0 < self.f < math.inf):
+            raise ValidationError(f"focal length f = {self.f!r} m must be positive and finite")
         if not (0.0 < self.theta_l <= math.pi):
             raise ValidationError(
                 f"rotation angle must lie in (0, pi], got {self.theta_l}"
@@ -406,6 +406,8 @@ def rotate_phase_space(state: SuperpositionState, theta: float) -> Superposition
     pi/2 maps the position distribution onto the momentum distribution.  Both
     transverse axes rotate together.  A global phase is dropped.
     """
+    if not math.isfinite(theta):
+        raise ValidationError(f"rotation angle theta must be finite, got {theta!r}")
     phase = cmath.exp(-1j * theta)
     terms = [
         CoherentTerm(coeff=t.coeff, alpha_x=t.alpha_x * phase, alpha_y=t.alpha_y * phase)
@@ -449,6 +451,12 @@ def gi_fiber_evolve(
     state: SuperpositionState, length: float, fiber: FiberSpec
 ) -> SuperpositionState:
     """Evolve through a graded-index segment: rotation by 2 pi L / (c T')."""
-    if length < 0.0:
-        raise ValidationError(f"fiber length must be >= 0, got {length}")
-    return rotate_phase_space(state, fiber.rotation_angle(length))
+    if not (0.0 <= length < math.inf):
+        raise ValidationError(f"fiber length must be finite and >= 0, got {length!r}")
+    theta = fiber.rotation_angle(length)
+    if not math.isfinite(theta):
+        raise ValidationError(
+            f"fiber length {length!r} m over the self-image period "
+            f"{fiber.period_length!r} m gives a rotation angle that is not finite"
+        )
+    return rotate_phase_space(state, theta)

@@ -1,5 +1,6 @@
 """Command-line front end: parsing, exit codes, artifacts, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -71,16 +72,175 @@ def test_state_bloch_example(tmp_path, capsys):
     assert manifest["config"]["alpha"] == 1.1
 
 
+# The CLI's flag inventory, a documented interface: per subcommand and dest,
+# the option strings, default, type name, choices, required and action kind
+# (with $TMCAT_OUTDIR held at "inv-outdir"); then the members of each
+# "exactly one of" rule.
+def _store(option, default=None, type_name=None, choices=None, required=False):
+    return ((option,), default, type_name, choices, required, "_StoreAction")
+
+
+_COMMON_FLAGS = {
+    "help": (("-h", "--help"), argparse.SUPPRESS, None, None, False, "_HelpAction"),
+    "outdir": _store("--outdir", Path("inv-outdir"), "Path"),
+    "config": _store("--config"),
+    "w0": _store("--w0", 0.12e-3, "parse_length"),
+    "wavelength": _store("--wavelength", 780e-9, "parse_length"),
+}
+_ANGLE_FLAGS = {
+    "theta_d": _store("--theta-d", None, "parse_angle"),
+    "alpha": _store("--alpha", None, "float"),
+    "d_over_w0": _store("--d-over-w0", None, "float"),
+}
+_STATE_FLAGS = {
+    "T": _store("--T", None, "float"),
+    "phi": _store("--phi", None, "parse_angle"),
+    "state": _store("--state", None, None, ("vac", "coh", "cat_plus", "cat_minus",
+                                            "x_minus", "x_plus", "p_minus", "p_plus")),
+    "bloch": _store("--bloch"),
+}
+_QUBIT_FLAGS = {**_COMMON_FLAGS, **_ANGLE_FLAGS, **_STATE_FLAGS}
+
+_FLAGS = {
+    "state": _QUBIT_FLAGS,
+    "wigner": {
+        **_QUBIT_FLAGS,
+        "grid": _store("--grid", 256, "int"),
+        "si": (("--si",), False, None, None, False, "_StoreTrueAction"),
+        "pgm": (("--pgm",), False, None, None, False, "_StoreTrueAction"),
+        "out": _store("--out", "wigner.csv"),
+    },
+    "marginals": {
+        **_QUBIT_FLAGS,
+        "points": _store("--points", 481, "_point_count"),
+        "prefix": _store("--prefix", "marginal"),
+    },
+    "beam": {
+        **_COMMON_FLAGS,
+        "z_max": _store("--z-max", None, "parse_length"),
+        "points": _store("--points", 61, "_point_count"),
+        "out": _store("--out", "beam.csv"),
+    },
+    "ccd": {
+        **_QUBIT_FLAGS,
+        "plane": _store("--plane", "position", None, ("position", "momentum")),
+        "f": _store("--f", 0.145, "parse_length"),
+        "nx": _store("--nx", 720, "int"),
+        "ny": _store("--ny", 480, "int"),
+        "pitch": _store("--pitch", 6.5e-6, "parse_length"),
+        "bits": _store("--bits", 8, "int", (8, 12, 16)),
+        "background": _store("--background", 0, "int"),
+        "exposure": _store("--exposure", None, "float"),
+        "visibility": _store("--visibility", 1.0, "float"),
+        "seed": _store("--seed", None, "int"),
+        "tilt_alpha": _store("--tilt-alpha", 0.0, "float"),
+        "out": _store("--out", "ccd.pgm"),
+    },
+    "fit": {
+        **_COMMON_FLAGS,
+        "image": _store("--image", required=True),
+        "mode": _store("--mode", "gaussian", None, ("gaussian", "phase")),
+        "T": _store("--T", None, "float"),
+        "d": _store("--d", None, "parse_length"),
+        "out": _store("--out", "fit.json"),
+    },
+    "sweep": {
+        **_COMMON_FLAGS,
+        **_ANGLE_FLAGS,
+        "path": _store("--path", required=True),
+        "out": _store("--out", "sweep.csv"),
+    },
+    "mdm": {
+        **_COMMON_FLAGS,
+        **_ANGLE_FLAGS,
+        "scheme": _store("--scheme", "four_cat", None,
+                         ("four_cat", "twelve_state", "four_hg_reference")),
+        "n": _store("--n", 100000, "int"),
+        "sigma_theta": _store("--sigma-theta", 0.0, "parse_angle"),
+        "sigma_add": _store("--sigma-add", 0.0, "float"),
+        "seed": _store("--seed", 0, "int"),
+        "out": _store("--out", "mdm.json"),
+    },
+    "qkd": {
+        **_COMMON_FLAGS,
+        **_ANGLE_FLAGS,
+        "n": _store("--n", 100000, "int"),
+        "sigma_z": _store("--sigma-z", 0.0, "parse_length"),
+        "period": _store("--period", 1e-3, "parse_length"),
+        "seed": _store("--seed", 0, "int"),
+        "out": _store("--out", "qkd.json"),
+    },
+    "reproduce": {
+        **_COMMON_FLAGS,
+        "figure": ((), None, None, ("fig2", "fig4", "fig5"), True, "_StoreAction"),
+        "f": _store("--f", 0.145, "parse_length"),
+    },
+}
+_SEPARATION = ("--theta-d", "--alpha", "--d-over-w0")
+_STATE_SOURCE = ("--T", "--state", "--bloch")  # --phi goes with --T
+_ONE_OF = {
+    "state": [_SEPARATION, _STATE_SOURCE],
+    "wigner": [_SEPARATION, _STATE_SOURCE],
+    "marginals": [_SEPARATION, _STATE_SOURCE],
+    "ccd": [_SEPARATION, _STATE_SOURCE],
+    "sweep": [_SEPARATION],
+    "mdm": [_SEPARATION],
+    "qkd": [_SEPARATION],
+}
+
+
+def test_flag_inventory(monkeypatch):
+    monkeypatch.setenv("TMCAT_OUTDIR", "inv-outdir")
+    parser = build_parser()
+    assert [a.option_strings for a in parser._actions][:2] == [["-h", "--help"], ["--version"]]
+    subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+    assert list(subparsers.choices) == list(_FLAGS)
+    for command, sub in subparsers.choices.items():
+        flags = {
+            a.dest: (
+                tuple(a.option_strings),
+                a.default,
+                getattr(a.type, "__name__", None),
+                None if a.choices is None else tuple(a.choices),
+                a.required,
+                type(a).__name__,
+            )
+            for a in sub._actions
+        }
+        assert flags == _FLAGS[command], command
+        one_of = [
+            (group.required, tuple(a.option_strings[0] for a in group._group_actions))
+            for group in sub._mutually_exclusive_groups
+        ]
+        assert one_of == [(True, members) for members in _ONE_OF.get(command, [])], command
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("nonsense") == 1
     assert "E_USAGE:" in capsys.readouterr().err
-    # missing separation specification
-    assert run("state", "--T", "0.5", "--phi", "0") == 1
-    assert "E_USAGE:" in capsys.readouterr().err
-    # conflicting separation flags
-    assert run("state", "--T", "0.5", "--phi", "0", "--alpha", "1", "--d-over-w0", "2") == 1
-    assert "E_USAGE:" in capsys.readouterr().err
     out = str(tmp_path)
+    # none or two of a one-of rule's flags; refused before an invalid waist
+    # or period is read
+    for argv, message in (
+        (("state", "--T", "0.5", "--phi", "0"),
+         "one of the arguments --theta-d --alpha --d-over-w0 is required"),
+        (("state", "--T", "0.5", "--phi", "0", "--alpha", "1", "--d-over-w0", "2"),
+         "argument --d-over-w0: not allowed with argument --alpha"),
+        (("ccd", "--alpha", "1"), "one of the arguments --T --state --bloch is required"),
+        (("wigner", "--alpha", "1", "--phi", "0", "--state", "vac", "--bloch", "1,0,0"),
+         "argument --bloch: not allowed with argument --state"),
+        (("marginals", "--alpha", "1", "--T", "0.5"),
+         "give --T and --phi (or --state, or --bloch)"),
+        (("state", "--w0", "0", "--T", "0.5", "--phi", "0"),
+         "one of the arguments --theta-d --alpha --d-over-w0 is required"),
+        (("qkd", "--period", "-1m", "--n", "10"),
+         "one of the arguments --theta-d --alpha --d-over-w0 is required"),
+    ):
+        assert run(*argv, "--outdir", out) == 1, argv
+        assert capsys.readouterr().err == f"E_USAGE: {message}\n", argv
+    # --phi beside --state is read by neither rule and refused by neither
+    assert run("state", "--alpha", "1", "--state", "vac", "--phi", "0.3", "--outdir", out) == 0
+    capsys.readouterr()
     for argv in (
         # non-finite angles and lengths
         ("state", "--alpha", "1", "--T", "0.5", "--phi", "inf"),
@@ -377,6 +537,17 @@ def test_config_file_precedence(tmp_path):
         manifest = read_json(tmp_path / "wigner_manifest.json")
         assert manifest["config"]["config"] is None
         assert manifest["config"]["d_over_w0"] == 1.0  # read from the file
+    # a boolean flag is set by true, yes or on, and left unset by off
+    for value, pgm in (("true", True), ("yes", True), ("on", True), ("off", False)):
+        cfg.write_text(f"grid = 16\nd_over_w0 = 1\npgm = {value}\n")
+        (tmp_path / "wigner.pgm").unlink(missing_ok=True)
+        code = run(
+            "wigner", "--config", str(cfg), "--T", "0.5", "--phi", "pi",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0, value
+        assert (tmp_path / "wigner.pgm").exists() is pgm, value
+        assert read_json(tmp_path / "wigner_manifest.json")["config"]["pgm"] is pgm, value
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

@@ -161,6 +161,15 @@ def test_pgm_round_trip(tmp_path, maxval):
     back, got_max = read_pgm(path)
     assert got_max == maxval
     assert np.array_equal(back, counts)
+    # '#' comments after the magic and between header fields are skipped
+    payload = path.read_bytes()[len(f"P5\n17 12\n{maxval}\n"):]
+    path.write_bytes(
+        b"P5\n# made by hand\n17 # width\n# height:\n12\n#max\n"
+        + f"{maxval}\n".encode() + payload
+    )
+    back, got_max = read_pgm(path)
+    assert got_max == maxval
+    assert np.array_equal(back, counts)
 
 
 def pgm_case(maxval):

@@ -121,6 +121,11 @@ class TestRayMatrices:
         # the smallest focal lengths with a finite power keep their matrix
         for f in (1e-300, -3e-308):
             assert ray_lens(f).c == -1.0 / f
+        # a relay refuses an infinite or NaN focal length by name, not in
+        # matrix() as det = nan
+        for f in (math.inf, math.nan, -math.inf, 0.0, -0.1):
+            with pytest.raises(ValidationError, match=re.escape(f"focal length f = {f!r} m")):
+                LensSystem(f=f, theta_l=1.0)
 
 
 class TestLensSystem:
@@ -404,6 +409,14 @@ class TestPhaseSpaceRotation:
             assert m1 == pytest.approx(m2, abs=1e-9)
             assert v1 == pytest.approx(v2, abs=1e-9)
 
+    def test_non_finite_angle_is_named(self, frame, angle_w0):
+        # the angle is named, not left to the NaN amplitudes it would build
+        _, state = make_typical_state("cat_minus", angle_w0, frame)
+        for theta in (math.nan, math.inf, -math.inf):
+            match = re.escape(f"theta must be finite, got {theta!r}")
+            with pytest.raises(ValidationError, match=match):
+                rotate_phase_space(state, theta)
+
 
 class TestFiber:
     def test_period_from_omega(self):
@@ -430,7 +443,7 @@ class TestFiber:
         evolved = gi_fiber_evolve(state, 1e-3, fiber)
         assert abs(inner_product(state, evolved)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_validation(self):
+    def test_validation(self, frame, angle_w0):
         for period in (0.0, math.inf, math.nan):
             with pytest.raises(ValidationError, match="self-image period"):
                 FiberSpec(period_length=period)
@@ -439,9 +452,19 @@ class TestFiber:
         for omega in (-1.0, 0.0, 1e-320, math.inf, math.nan):
             with pytest.raises(ValidationError, match=re.escape(f"omega_GI = {omega!r} rad/s")):
                 FiberSpec.from_omega(omega)
+        # a length is named, not left to the NaN amplitudes an infinite one
+        # would build; `length < 0` let NaN through
+        _, state = make_typical_state("cat_minus", angle_w0, frame)
         fiber = FiberSpec(period_length=1e-3)
-        with pytest.raises(ValidationError):
-            gi_fiber_evolve(None, -1e-6, fiber)
+        for length in (-1e-6, -math.inf, math.inf, math.nan):
+            match = re.escape(f"fiber length must be finite and >= 0, got {length!r}")
+            with pytest.raises(ValidationError, match=match):
+                gi_fiber_evolve(state, length, fiber)
+        # a finite length whose rotation angle 2 pi L / period overflows
+        match = re.escape("fiber length 1e+308 m over the self-image period 0.001 m")
+        with pytest.raises(ValidationError, match=match):
+            gi_fiber_evolve(state, 1e308, fiber)
+        assert gi_fiber_evolve(state, 1e300, fiber).terms
 
 
 # ----------------------------------------------------------------------
