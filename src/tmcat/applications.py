@@ -24,6 +24,7 @@ from .states import (
     QubitParams,
     SuperpositionState,
     _check_seed,
+    _generator,
     _gram,
     _two_beam,
     _typical_params,
@@ -262,10 +263,7 @@ def psk_link_simulate(
         u, v = basis.overlap_matrices()
     else:
         u, v = basis.gram, np.zeros_like(basis.gram)
-    if seed is None:
-        seed = channel.seed if channel.seed is not None else 0
-    _check_seed(seed)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _generator(channel.seed if seed is None else seed)
     m = len(basis)
     # The draws keep their order: sent (one call, as bounded integers cannot
     # be split without moving the stream), the jitter, every real part of
@@ -350,14 +348,13 @@ def qkd_simulate(
         raise ValidationError(
             f"path jitter must be finite and >= 0, got {path_jitter_sigma}"
         )
-    _check_seed(seed)
+    rng = _generator(seed)
     sigma_theta = fiber.rotation_angle(path_jitter_sigma)
     if not math.isfinite(sigma_theta):
         raise ValidationError(
             f"path jitter sigma_z = {path_jitter_sigma!r} m over the self-image period "
             f"{fiber.period_length!r} m gives a rotation jitter that is not finite"
         )
-    rng = np.random.Generator(np.random.Philox(0 if seed is None else seed))
     basis_s = rng.integers(0, 2, size=n)  # 0: x basis, 1: p basis
     bits = rng.integers(0, 2, size=n)
     matched = basis_s == rng.integers(0, 2, size=n)  # the receiver's basis

@@ -133,13 +133,13 @@ def _point_count(text: str) -> int:
     return n
 
 
-def _read_config_tokens(path: str) -> list[str]:
-    """'key = value' lines to synthetic flag tokens ('#' starts a comment)."""
+def _read_config_tokens(path: str) -> list[list[str]]:
+    """'key = value' lines to synthetic flag tokens, one list a key ('#' starts a comment)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}")
-    tokens: list[str] = []
+    tokens: list[list[str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -151,21 +151,29 @@ def _read_config_tokens(path: str) -> list[str]:
             raise _UsageError(f"{path}:{lineno}: empty key")
         flag = "--" + key.replace("_", "-")
         if value.lower() in ("true", "yes", "on"):
-            tokens.append(flag)
-        elif value.lower() in ("false", "no", "off"):
-            continue
-        else:
-            tokens.extend([flag, value])
+            tokens.append([flag])
+        elif value.lower() not in ("false", "no", "off"):
+            tokens.append([flag, value])
     return tokens
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
+def _sets_group(group, tokens: list[str]) -> bool:
+    """Whether tokens give a member of a mutually exclusive group, found as argparse finds it."""
+    finder = _Parser(add_help=False)
+    for action in group._group_actions:
+        finder.add_argument(*action.option_strings, dest=action.dest)
+    found, _ = finder.parse_known_args(tokens)
+    return any(value is not None for value in vars(found).values())
+
+
+def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     """Strip --config FILE and splice its tokens in after the subcommand.
 
     The flag is found the way argparse finds it, so ``--config=FILE`` and
     abbreviations such as ``--conf FILE`` count; giving it twice is a usage
     error.  File-provided flags precede explicit ones, so the command line
-    wins whenever both set the same key.
+    wins whenever both set the same key, and a file flag of a mutually
+    exclusive group is dropped when the command line gives one of that group.
     """
     finder = _Parser(add_help=False)
     finder.add_argument("--config", action="append")
@@ -176,7 +184,14 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise _UsageError("--config given more than once")
     if not rest or rest[0].startswith("-"):
         raise _UsageError("--config requires a subcommand")
-    return [rest[0]] + _read_config_tokens(found.config[0]) + rest[1:]
+    command, given = rest[0], rest[1:]
+    tokens = _read_config_tokens(found.config[0])
+    subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+    if command in subparsers.choices:
+        for group in subparsers.choices[command]._mutually_exclusive_groups:
+            if _sets_group(group, given):
+                tokens = [t for t in tokens if not _sets_group(group, t)]
+    return [command] + [token for key in tokens for token in key] + given
 
 
 def _manifest(name: str, args: argparse.Namespace) -> dict:
@@ -602,8 +617,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _apply_config_file(list(argv))
         parser = build_parser()
+        argv = _apply_config_file(parser, list(argv))
         args = parser.parse_args(argv)
         # an overflow, 0/0 or x/0 no input check foresaw raises, and lands
         # in E_NUMERIC below; underflow to zero is expected (exp(-large))

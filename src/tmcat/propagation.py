@@ -6,31 +6,23 @@ Three complementary views of the same paraxial optics:
   accumulated longitudinal phase.
 * ABCD ray matrices, including the symmetric lens relay that realizes a
   clean phase-space rotation by an adjustable angle.
-* Field propagation, either analytically (superpositions of displaced
-  Gaussians stay Gaussian under the Fresnel integral) or by kernel
-  quadrature for arbitrary sampled fields, evaluated as a chirp-z FFT
-  convolution.
+* Field propagation, either analytically (free flight turns a state in
+  phase space by the Gouy angle, magnified by w(z)/w0, under the wavefront
+  chirp) or by kernel quadrature for arbitrary sampled fields, evaluated
+  as a chirp-z FFT convolution.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .states import (
-    C_LIGHT,
-    CoherentTerm,
-    ModeFrame,
-    SuperpositionState,
-    _d_kappa,
-    _pair_contract,
-    _pairs,
-)
+from .states import C_LIGHT, CoherentTerm, ModeFrame, SuperpositionState
+from .wigner import quadrature_moments
 
 
 @dataclass(frozen=True)
@@ -177,121 +169,67 @@ class LensSystem:
 
 @dataclass(frozen=True)
 class PropagatedField:
-    """Analytic x-field at one plane: sum of exp(-a x^2 + b x + c) terms.
+    """The state's x-field at the plane ``beam`` lies in, a distance z past the waist.
 
-    The y mode is carried along only through the pairwise overlaps that weight
-    the y-reduced intensity; free propagation is unitary on the y mode so
-    those overlaps are the ones fixed at the waist.
+    Free flight over z is the phase-space rotation by the Gouy angle
+    theta = arctan(z/z_R), alpha -> alpha e^{-i theta}, magnified by
+    m = w(z)/w0 and times the wavefront chirp e^{i k x^2 / (2 R)}: the
+    fractional-Fourier form of the Fresnel integral.  So the field, the
+    density and the moments are those of the turned state, read at x / m.
+    The y mode does not move; free flight is unitary on it.
     """
 
-    frame: ModeFrame
-    z: float
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    y_weights: np.ndarray
+    state: SuperpositionState
+    beam: BeamParams
 
-    def _term_fields(self, x: np.ndarray) -> np.ndarray:
-        """Per-term x-fields exp(-a x^2 + b x + c), term axis last."""
-        xcol = np.asarray(x, dtype=float)[..., None]
-        return np.exp(-self.a * xcol**2 + self.b * xcol + self.c)
+    @property
+    def z(self) -> float:
+        return self.beam.z
+
+    def _turned(self) -> tuple[np.ndarray, float]:
+        """The turned amplitudes alpha e^{i gouy} and the magnification w(z)/w0."""
+        turn = cmath.exp(1j * self.beam.gouy)
+        return self.state._arrays.ax * turn, self.beam.width / self.state.frame.w0
 
     def field(self, x: np.ndarray) -> np.ndarray:
         """Complex x-field (valid picture when all terms share one y mode)."""
-        return np.sum(self._term_fields(x), axis=-1)
+        x = np.asarray(x, dtype=float)
+        ax, m = self._turned()
+        scale = cmath.exp(0.5j * self.beam.gouy) / math.sqrt(m)
+        psi = np.tensordot(self.state._arrays.c * scale, self.state._fields(ax, x / m), axes=1)
+        if self.beam.z == 0.0:  # a flat wavefront; a unit chirp could flip signed zeros
+            return psi
+        return psi * np.exp(0.5j * self.state.frame.k / self.beam.curvature_radius * x**2)
 
     def intensity(self, x: np.ndarray) -> np.ndarray:
-        """y-reduced intensity sum_jk E_j(x) conj(E_k(x)) <y_k|y_j>."""
-        fields = np.moveaxis(self._term_fields(x), -1, 0)
-        j, k, _ = _pairs(len(fields))
-        return _pair_contract(self.y_weights, None, fields[j], np.conj(fields[k]))
-
-    def _pair_moments(self) -> tuple[float, float, float]:
-        """Exact integrals of 1, x and x^2 against the intensity."""
-        s = self.a[:, None] + np.conj(self.a)[None, :]
-        m = self.b[:, None] + np.conj(self.b)[None, :]
-        c = self.c[:, None] + np.conj(self.c)[None, :]
-        base = np.sqrt(np.pi / s) * np.exp(m**2 / (4.0 * s) + c) * self.y_weights
-        mean = m / (2.0 * s)
-        return tuple(
-            float(np.sum(base * f).real) for f in (1.0, mean, 1.0 / (2.0 * s) + mean**2)
-        )
+        """y-reduced intensity: the turned state's position density at x / m, over m."""
+        ax, m = self._turned()
+        return self.state._density(ax, np.asarray(x, dtype=float) / m) / m
 
     def power(self) -> float:
-        """Exact integral of the intensity over the whole axis."""
-        return self._pair_moments()[0]
-
-    def _moments(self) -> tuple[float, float]:
-        """Intensity-weighted mean and variance of x, exactly."""
-        mom0, mom1, mom2 = self._pair_moments()
-        mean = mom1 / mom0
-        return mean, mom2 / mom0 - mean**2
+        """Integral of the intensity over the whole axis; free flight keeps the norm."""
+        return float(self.state.pair_overlaps.sum().real)
 
     def centroid(self) -> float:
-        """Intensity-weighted mean position."""
-        return self._moments()[0]
+        """Intensity-weighted mean position, (w(z) / sqrt(2)) <X_theta>."""
+        mean, _ = quadrature_moments(self.state, -self.beam.gouy)
+        return self.beam.width / math.sqrt(2.0) * mean
 
     def rms_width(self) -> float:
         """Twice the RMS spread of the intensity: equals w(z) for one Gaussian."""
-        _, var = self._moments()
-        return 2.0 * math.sqrt(var)
-
-
-def _waist_exponents(
-    state: SuperpositionState,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, c) per term so the waist x-field is sum exp(-a x^2 + b x + c)."""
-    w0 = state.frame.w0
-    d, kappa = _d_kappa(state._arrays.ax, w0)
-    a = np.full(d.shape, 1.0 / w0**2, dtype=complex)
-    b = 2.0 * d / w0**2 + 1j * kappa
-    log_n0 = np.log(state._arrays.c * (2.0 / (math.pi * w0**2)) ** 0.25)
-    c = -(d**2) / w0**2 - 1j * kappa * d / 2.0 + log_n0
-    return a, b, c
+        _, var = quadrature_moments(self.state, -self.beam.gouy)
+        return math.sqrt(2.0) * self.beam.width * math.sqrt(var)
 
 
 def propagate_analytic(state: SuperpositionState, z: float) -> PropagatedField:
-    """Fresnel-propagate a displaced-Gaussian superposition a distance z.
+    """Fresnel-propagate a displaced-Gaussian superposition a distance z >= 0.
 
-    Pulls each term through the Fresnel integral in closed form: with
-    a' = a - i k/(2 z), the exponent parameters map as
-
-        a -> k^2 / (4 a' z^2) - i k / (2 z)
-        b -> -i b k / (2 a' z)
-        c -> c + b^2 / (4 a') + ln( sqrt(k / (2 pi i z)) sqrt(pi / a') )
-
-    z = 0 returns the waist field unchanged; a negative or non-finite z is
-    rejected, and so is a z whose z^2 is not a normal float or whose
-    exponents leave the floating-point range.
+    z = 0 returns the waist field; a z that ``beam_params_at`` refuses is
+    refused here too.
     """
-    if not (0.0 <= z < math.inf):
-        raise ValidationError(f"propagation distance must be finite and >= 0, got {z}")
-    a, b, c = _waist_exponents(state)
-    weights = state._gram_y
-    if z == 0.0:
-        return PropagatedField(
-            frame=state.frame, z=0.0, a=a, b=b, c=c, y_weights=weights
-        )
-    k = state.frame.k
-    with np.errstate(all="ignore"):  # out-of-range exponents are refused below
-        try:
-            z_sq = z**2
-        except OverflowError:
-            z_sq = math.inf
-        ap = a - 1j * k / (2.0 * z)
-        half_ik = 1j * k / (2.0 * z)
-        a_out = k**2 / (4.0 * ap * z_sq) - half_ik
-        b_out = -1j * b * k / (2.0 * ap * z)
-        prefactor = np.sqrt(k / (2.0j * math.pi * z)) * np.sqrt(math.pi / ap)
-        c_out = c + b**2 / (4.0 * ap) + np.log(prefactor)
-    if not (sys.float_info.min <= z_sq < math.inf and np.all(a_out.real > 0.0)):
-        raise ValidationError(
-            f"propagation distance z = {z!r} m is out of range: the Fresnel "
-            f"exponents at w0 = {state.frame.w0!r} m leave the floating-point range"
-        )
-    return PropagatedField(
-        frame=state.frame, z=z, a=a_out, b=b_out, c=c_out, y_weights=weights
-    )
+    if not z >= 0.0:
+        raise ValidationError(f"propagation distance must be >= 0, got {z}")
+    return PropagatedField(state, beam_params_at(state.frame, z))
 
 
 def _chirp_step(k: float, z: float, span: float) -> float:

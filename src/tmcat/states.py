@@ -81,6 +81,12 @@ def _check_seed(seed: int | None) -> None:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _generator(seed: int | None) -> np.random.Generator:
+    """The Philox generator behind every sampled result; seed None draws as seed 0."""
+    _check_seed(seed)
+    return np.random.Generator(np.random.Philox(0 if seed is None else seed))
+
+
 @dataclass(frozen=True)
 class ModeFrame:
     """Beam waist and wavelength; fixes the unit system for everything else.

@@ -26,6 +26,7 @@ from .states import (
     QubitParams,
     SuperpositionState,
     _check_seed,
+    _generator,
     _pair_contract,
     _pairs,
     _weighted,
@@ -263,7 +264,7 @@ def render_ccd(
         )
     np.multiply(signal, scale, out=signal)  # a view of the complex product
     if config.seed is not None:
-        rng = np.random.Generator(np.random.Philox(config.seed))
+        rng = _generator(config.seed)
         counts = rng.poisson(signal)
         del signal  # frees the complex product before the uint16 copy
         # k >= 0 is an integer, so floor(k + background + 0.5) is k + background;

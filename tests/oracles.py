@@ -20,7 +20,9 @@ pair contraction must match byte for byte, and the densities as the sum
 over all n^2 pairs.  CSVs are written by the per-row and per-cell '%.17g'
 loops the library's one vectorized writer replaced, and Gaussian profiles
 are fitted by the bounded trust-region least squares of scipy that the
-library's own descent replaced.
+library's own descent replaced.  The propagated field is kept as the
+closed-form Fresnel map of each term's Gaussian exponents it was first
+written as, beside the Gouy-angle rotation of the state that replaced it.
 """
 
 import math
@@ -141,6 +143,37 @@ def intensity_2d_pair_product(state, x, y, visibility: float) -> np.ndarray:
 def full_pair_sum(weights: np.ndarray, fields: np.ndarray) -> np.ndarray:
     """Re sum_jk weights[j, k] f_j conj(f_k) over all n^2 pairs (term axis 0)."""
     return (fields * np.tensordot(weights, np.conj(fields), axes=1)).sum(axis=0).real
+
+
+def fresnel_exponent_form(state, z: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Field and y-reduced intensity at z > 0 from each term's Gaussian exponents.
+
+    The waist x-mode of a term is exp(-a x^2 + b x + c), and the Fresnel
+    integral maps its exponents in closed form: with a' = a - i k/(2 z),
+
+        a -> k^2 / (4 a' z^2) - i k / (2 z) = -i a k / (2 a' z)
+        b -> -i b k / (2 a' z)
+        c -> c + b^2 / (4 a') + ln( sqrt(k / (2 pi i z)) sqrt(pi / a') ).
+
+    The field is sum_j c_j E_j and the intensity sum_jk W[j, k] E_j conj(E_k),
+    over the pair weights of ``pair_algebra``.
+    """
+    frame = state.frame
+    w0, k = frame.w0, frame.k
+    ax = np.array([complex(t.alpha_x) for t in state.terms])
+    coeffs = np.array([complex(t.coeff) for t in state.terms])
+    d = math.sqrt(2.0) * w0 * ax.real
+    kappa = 2.0 * math.sqrt(2.0) * ax.imag / w0
+    a = np.full(d.shape, 1.0 / w0**2, dtype=complex)
+    b = 2.0 * d / w0**2 + 1j * kappa
+    c = -(d**2) / w0**2 - 1j * kappa * d / 2.0 + math.log((2.0 / (math.pi * w0**2)) ** 0.25)
+    ap = a - 1j * k / (2.0 * z)
+    a_z = -1j * a * k / (2.0 * ap * z)
+    b_z = -1j * b * k / (2.0 * ap * z)
+    c_z = c + b**2 / (4.0 * ap) + np.log(np.sqrt(k / (2.0j * math.pi * z)) * np.sqrt(math.pi / ap))
+    xcol = np.asarray(x, dtype=float)[None, :]
+    fields = np.exp(-a_z[:, None] * xcol**2 + b_z[:, None] * xcol + c_z[:, None])
+    return coeffs @ fields, full_pair_sum(pair_algebra(state)[2], fields)
 
 
 def wigner_chord_quadrature(state, grid) -> np.ndarray:

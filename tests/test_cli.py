@@ -548,6 +548,17 @@ def test_config_file_precedence(tmp_path):
         assert code == 0, value
         assert (tmp_path / "wigner.pgm").exists() is pgm, value
         assert read_json(tmp_path / "wigner_manifest.json")["config"]["pgm"] is pgm, value
+    # a file flag yields to another flag of its one-of rule on the command line
+    cfg.write_text("d_over_w0 = 1\n")
+    code = run("state", "--config", str(cfg), "--alpha", "1.1", "--state", "vac",
+               "--outdir", str(tmp_path))
+    assert code == 0
+    config = read_json(tmp_path / "state_manifest.json")["config"]
+    assert config["alpha"] == 1.1 and config["d_over_w0"] is None
+    cfg.write_text("T = 0.5\n")
+    code = run("state", "--config", str(cfg), "--alpha", "1", "--state", "vac",
+               "--outdir", str(tmp_path))
+    assert code == 0
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

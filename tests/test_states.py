@@ -33,7 +33,6 @@ from tmcat import (
     make_typical_state,
     normalization_factor,
     params_to_bloch,
-    propagate_analytic,
     quadrature_moments,
     signed_phase,
     wigner_of_state,
@@ -496,8 +495,8 @@ def test_maps_and_frames_keep_the_bits_of_the_pair_product(state, visibility):
     assert frame.tobytes() == intensity_2d_pair_product(state, x, y, visibility).tobytes()
 
 
-@given(superpositions(), st.floats(1e-4, 0.2))
-def test_densities_match_the_full_pair_sum(state, z):
+@given(superpositions())
+def test_densities_match_the_full_pair_sum(state):
     # densities sum the pairs j <= k without BLAS; the n^2 BLAS pair sum they
     # replaced agrees to rounding
     w0 = state.frame.w0
@@ -511,9 +510,6 @@ def test_densities_match_the_full_pair_sum(state, z):
     for got, ax, at, scale in cases:
         want = scale * full_pair_sum(state.pair_weights, gaussian_mode_1d(ax[:, None], w0, at))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
-    field = propagate_analytic(state, z)
-    want = full_pair_sum(field.y_weights, np.moveaxis(field._term_fields(x), -1, 0))
-    assert np.max(np.abs(field.intensity(x) - want)) <= 1e-14 * np.max(want)
 
 
 @given(superpositions())
