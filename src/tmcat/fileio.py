@@ -255,16 +255,22 @@ def write_scaled_pgm(path, values: np.ndarray, **fields) -> dict:
 
     The sidecar holds value_min/value_max, which recover the data via
     value = value_min + code / 65535 * (value_max - value_min), plus the
-    caller's fields; it is written to <path>.json and returned.
+    caller's fields; it is written to <path>.json and returned.  The codes
+    floor((value - value_min) / span * 65535 + 0.5) are formed in one float64
+    scratch array, step by step in that order, and written big-endian.
     """
     values = np.asarray(values, dtype=float)
     vmin = float(values.min())
     vmax = float(values.max())
     span = vmax - vmin
     if span <= 0.0:
-        codes = np.zeros(values.shape, dtype=np.uint16)
+        codes = np.zeros(values.shape, dtype=">u2")
     else:
-        codes = np.floor((values - vmin) / span * 65535.0 + 0.5).astype(np.uint16)
+        scratch = np.subtract(values, vmin)
+        scratch /= span
+        scratch *= 65535.0
+        scratch += 0.5
+        codes = np.floor(scratch, out=scratch).astype(">u2")
     write_pgm(path, codes, 65535)
     sidecar = {"value_min": vmin, "value_max": vmax, "levels": 65535, **fields}
     write_json(_sidecar_path(path), sidecar)

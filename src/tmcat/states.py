@@ -318,12 +318,14 @@ def _pair_contract(weights: np.ndarray, left: np.ndarray | None, *right: np.ndar
     j <= k of ``_pairs``, cross pairs counted twice, on axis 0 of each factor
     (the last axis of ``left``).  The right factors multiply the pair weights
     in the order given; with ``left`` None the pairs are summed without BLAS.
+    Returns the real part as an owned C-contiguous float64 array, so callers
+    scale it in place and the complex sum is freed on return.
     """
     j, k, count = _pairs(len(weights))
     pair = (weights[j, k] * count).reshape((-1,) + (1,) * (right[0].ndim - 1))
     for factor in right:
         pair = pair * factor
-    return (pair.sum(axis=0) if left is None else left @ pair).real
+    return (pair.sum(axis=0) if left is None else left @ pair).real.copy()
 
 
 def gaussian_mode_1d(alpha: complex, w0: float, x: np.ndarray) -> np.ndarray:
@@ -364,7 +366,7 @@ class SuperpositionState:
     The term arrays and the pair matrices ``gram``, ``pair_overlaps`` and
     ``pair_weights`` are computed once, on first use, and are read-only.
     ``_memo`` keeps what other modules derive from the state (its latest
-    Wigner map, its quadrature moments) for the state's lifetime.  None of
+    Wigner map, its X and P moments) for the state's lifetime.  None of
     these are fields, so equality and hashing see the terms alone.
     """
 
@@ -464,16 +466,25 @@ class SuperpositionState:
         so this is the turned position density at x = s p, s = w0^2 / (2 hbar).
         """
         s = self.frame.w0**2 / (2.0 * HBAR)
-        return s * self._density(-1j * self._arrays.ax, s * np.asarray(p, dtype=float))
+        return s * self._density(-1j * self._arrays.ax, p, s)
 
-    def _fields(self, ax: np.ndarray, x) -> np.ndarray:
-        """x-mode fields of the amplitudes ax at x, stacked on axis 0."""
-        x = np.asarray(x, dtype=float)
-        return gaussian_mode_1d(ax.reshape(ax.shape + (1,) * x.ndim), self.frame.w0, x)
+    def _fields(self, ax: np.ndarray, x, scale: float = 1.0) -> np.ndarray:
+        """x-mode fields of the amplitudes ax at x * scale, stacked on axis 0.
 
-    def _density(self, ax: np.ndarray, x) -> np.ndarray:
-        """y-reduced density sum_jk W[j, k] f_j conj(f_k) of the x-mode fields."""
-        fields = self._fields(ax, x)
+        A position more than 40 w0 beyond every term center is first moved onto
+        that bound.  Each field is exactly 0 from 28 w0 off its center (e^-784
+        underflows), so the fields keep their values, and no square or product
+        of a far position overflows.
+        """
+        w0 = self.frame.w0
+        d, _ = _d_kappa(ax, w0)
+        reach = 40.0 * w0
+        x = np.clip(np.asarray(x, dtype=float), (d.min() - reach) / scale, (d.max() + reach) / scale)
+        return gaussian_mode_1d(ax.reshape(ax.shape + (1,) * x.ndim), w0, x * scale)
+
+    def _density(self, ax: np.ndarray, x, scale: float = 1.0) -> np.ndarray:
+        """y-reduced density sum_jk W[j, k] f_j conj(f_k) of the x-mode fields at x * scale."""
+        fields = self._fields(ax, x, scale)
         j, k, _ = _pairs(ax.size)
         return _pair_contract(self.pair_weights, None, fields[j], np.conj(fields[k]))
 

@@ -262,11 +262,9 @@ def render_ccd(
             f"exposure scale {scale:g} puts a mean of {peak * scale:g} counts on the "
             f"brightest pixel; shot noise is sampled up to {_POISSON_MEAN_MAX:g}"
         )
-    np.multiply(signal, scale, out=signal)  # a view of the complex product
+    np.multiply(signal, scale, out=signal)
     if config.seed is not None:
-        rng = _generator(config.seed)
-        counts = rng.poisson(signal)
-        del signal  # frees the complex product before the uint16 copy
+        counts = _generator(config.seed).poisson(signal)
         # k >= 0 is an integer, so floor(k + background + 0.5) is k + background;
         # a background at or above full range saturates every pixel either way
         counts += min(config.background, config.max_count)
@@ -291,7 +289,8 @@ def profile_from_image(image: CcdImage) -> np.ndarray:
     """
     if int(image.counts.min()) >= image.config.max_count:
         raise ValidationError("image is fully saturated")
-    sums = image.counts.sum(axis=0, dtype=np.float64)
+    # integer partial sums stay below 2^53, so converting after summing is exact
+    sums = image.counts.sum(axis=0, dtype=np.int64).astype(np.float64)
     border = np.concatenate([sums[:8], sums[-8:]])
     cleaned = np.clip(sums - np.median(border), 0.0, None)
     total = cleaned.sum()

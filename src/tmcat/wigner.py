@@ -104,7 +104,12 @@ def wigner_of_state(
         -(w0**2) * (p / HBAR - 0.5 * (kappa[j] + kappa[k])[:, None]) ** 2 / 2.0
         - 1j * (d[j] - d[k])[:, None] * p / HBAR
     )
-    return _pair_contract(state.pair_weights, x_part, phase[:, None], p_part) / (math.pi * HBAR)
+    w = _pair_contract(state.pair_weights, x_part, phase[:, None], p_part)
+    return np.divide(w, math.pi * HBAR, out=w)
+
+
+# the quadrature angles whose moments a state keeps: X and P
+_KEPT_ANGLES = (0.0, math.pi / 2.0)
 
 
 def quadrature_moments(
@@ -116,7 +121,8 @@ def quadrature_moments(
     Uses the bilinear matrix elements between displaced-Gaussian terms,
     <beta| X_theta |alpha> = (alpha e^{-i theta} + conj(beta) e^{i theta}) <beta|alpha>,
     <beta| X_theta^2 |alpha> = [( . )^2 + 1/2] <beta|alpha>.
-    Each state keeps the moments of every theta_l it was asked for.
+    Each state keeps its moments at theta_l = 0 and pi/2, the angles that
+    maps and sweeps ask again; any other angle is computed on every call.
     """
     if not math.isfinite(theta_l):
         raise ValidationError(f"quadrature angle theta_l must be finite, got {theta_l!r}")
@@ -135,7 +141,8 @@ def quadrature_moments(
         raise NumericsError(f"state norm drifted to {total!r} in moment evaluation")
     mean = first.real
     var = second.real - mean**2
-    kept[theta_l] = mean, var
+    if theta_l in _KEPT_ANGLES:
+        kept[theta_l] = mean, var
     return mean, var
 
 

@@ -10,7 +10,11 @@ shares only the two beam weights with the library's basis states, and so
 is the key-exchange round as a rotation of the signal's (y, z) Bloch
 vector over every round.  The keying decoder is kept as the running
 maximum over basis rows it was first written as, and the CCD digitization
-as its float chain, with a full-frame temporary at every step.  The Wigner
+as its float chain, with a full-frame temporary at every step, and as the
+in-place chain on the strided real view of the complex frame it first ran
+on.  Column profiles sum in float64 and scaled PGM codes take a new array
+at every step, as first written; densities are also kept without the bound
+that now moves far positions in before their squares.  The Wigner
 map of any superposition is also evaluated by quadrature of its defining
 chord integral, over mode fields and y-overlap weights written out here,
 not the library's, and a state's cached Gram and pair matrices are
@@ -138,6 +142,16 @@ def intensity_2d_pair_product(state, x, y, visibility: float) -> np.ndarray:
     weight = c[j] * np.conj(c[k]) * np.where(j == k, 1.0, 2.0 * visibility)
     rows = np.ascontiguousarray((fy[j] * np.conj(fy[k])).T)
     return (rows @ (weight[:, None] * fx[j] * np.conj(fx[k]))).real
+
+
+def density_unbounded(state, ax: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The y-reduced density of the x-mode fields of the amplitudes ax at x,
+    summed over the pairs j <= k in the library's order, with every position
+    taken as given: no far position is moved onto a bound first."""
+    fields = gaussian_mode_1d(ax[:, None], state.frame.w0, np.asarray(x, dtype=float))
+    j, k = np.triu_indices(ax.size)
+    pair = (state.pair_weights[j, k] * np.where(j == k, 1.0, 2.0))[:, None]
+    return (pair * fields[j] * np.conj(fields[k])).sum(axis=0).real
 
 
 def full_pair_sum(weights: np.ndarray, fields: np.ndarray) -> np.ndarray:
@@ -434,6 +448,58 @@ def render_ccd_float_tail(state, plane, config) -> tuple[np.ndarray, float, bool
     if counts.min() >= config.max_count:
         raise ValidationError("every pixel saturated; exposure misconfigured")
     return counts, scale, saturated
+
+
+def render_ccd_strided(state, plane, config) -> tuple[np.ndarray, float, bool]:
+    """(counts, exposure_scale, saturated) of a frame digitized in place on the
+    strided real view of its complex j <= k pair product, as first written.
+
+    Every step runs on that view: the focal-plane scale, the peak, the
+    exposure, the Poisson draw or the rounding.  Raises ValidationError when
+    every pixel saturates.
+    """
+    x = config.column_positions()
+    y = config.row_positions()
+    s = 1.0
+    if plane.kind == "momentum":
+        s = state.frame.k * state.frame.w0**2 / (2.0 * plane.f)
+        state = rotate_phase_space(state, math.pi / 2.0)
+    signal = intensity_2d_pair_product(state, s * x, s * y, config.visibility)
+    if plane.kind == "momentum":
+        np.multiply(s**2, signal, out=signal)
+    scale = config.exposure_scale
+    if scale is None:
+        scale = 0.9 * config.max_count / float(signal.max())
+    np.multiply(signal, scale, out=signal)
+    if config.seed is not None:
+        counts = np.random.Generator(np.random.Philox(config.seed)).poisson(signal)
+        counts += min(config.background, config.max_count)
+    else:
+        signal += config.background
+        signal += 0.5
+        counts = np.floor(signal, out=signal)
+    saturated = bool(counts.max() >= config.max_count)
+    counts = np.clip(counts, 0, config.max_count, out=counts).astype(np.uint16)
+    if counts.min() >= config.max_count:
+        raise ValidationError("every pixel saturated; exposure misconfigured")
+    return counts, scale, saturated
+
+
+def profile_float_sums(counts: np.ndarray) -> np.ndarray:
+    """The unit-sum column profile of a frame, its columns summed in float64."""
+    sums = counts.sum(axis=0, dtype=np.float64)
+    border = np.concatenate([sums[:8], sums[-8:]])
+    cleaned = np.clip(sums - np.median(border), 0.0, None)
+    return cleaned / cleaned.sum()
+
+
+def scaled_pgm_codes(values: np.ndarray) -> np.ndarray:
+    """16-bit gray codes of real values, floor((v - min) / span * 65535 + 0.5),
+    each step a new array."""
+    vmin, vmax = float(values.min()), float(values.max())
+    if vmax - vmin <= 0.0:
+        return np.zeros(values.shape, dtype=np.uint16)
+    return np.floor((values - vmin) / (vmax - vmin) * 65535.0 + 0.5).astype(np.uint16)
 
 
 # every cell is written as '%.17g' of v + 0.0, which turns -0.0 into 0.0

@@ -284,6 +284,38 @@ def test_scaled_pgm_sidecar(tmp_path):
     assert np.max(np.abs(decoded - values)) < 0.5 * 5.0 / 65535.0
 
 
+def test_scaled_pgm_bytes_and_scratch_budget(tmp_path):
+    # the codes are formed in one float64 scratch array and written from it;
+    # the file keeps the bytes of the expression evaluated step by step
+    values = np.random.default_rng(4).normal(size=(1024, 1024))
+    values[0, :4] = (-0.0, 1e-300, -5e-324, 3.0)
+    path = tmp_path / "map.pgm"
+    write_scaled_pgm(path, values)
+    tracemalloc.start()
+    try:
+        write_scaled_pgm(path, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * values.nbytes
+    want = oracles.scaled_pgm_codes(values).astype(">u2").tobytes()
+    assert path.read_bytes() == b"P5\n1024 1024\n65535\n" + want
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+        elements=st.floats(-1e300, 1e300),
+    )
+)
+def test_scaled_pgm_codes_match_the_stepwise_expression(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("scaled") / "map.pgm"
+    write_scaled_pgm(path, values)
+    counts, _ = read_pgm(path)
+    assert counts.tobytes() == oracles.scaled_pgm_codes(values).tobytes()
+
+
 def test_scaled_pgm_flat_field(tmp_path):
     path = tmp_path / "flat.pgm"
     sidecar = write_scaled_pgm(path, np.full((3, 3), 7.0))

@@ -199,6 +199,21 @@ class TestAnalyticPropagation:
             field = propagate_analytic(state, zf * frame.z_r)
             assert field.centroid() == pytest.approx(frame.w0, rel=1e-12)
 
+    def test_z_scan_keeps_only_the_x_and_p_moments(self, frame, angle_w0):
+        # the moments of each Gouy angle are computed, not kept: a long scan
+        # leaves the state's memo as small as the X and P moments of its map
+        _, state = make_typical_state("cat_minus", angle_w0, frame)
+        first = [propagate_analytic(state, z).centroid() for z in (0.5 * frame.z_r, 0.0)]
+        for z in np.linspace(1e-3, 40.0, 5000) * frame.z_r:
+            propagate_analytic(state, z).centroid()
+        assert len(state._memo["moments"]) <= 2
+        again = [propagate_analytic(state, z).centroid() for z in (0.5 * frame.z_r, 0.0)]
+        assert again == first
+        quadrature_moments(state, math.pi / 2.0)
+        kept = state._memo["moments"][math.pi / 2.0]
+        assert quadrature_moments(state, math.pi / 2.0) is kept
+        assert set(state._memo["moments"]) == {0.0, math.pi / 2.0}
+
     def test_tilt_drifts_linearly(self, frame):
         # transverse tilt kappa = 2 sqrt(2) Im(alpha) / w0 walks the
         # centroid by (kappa / k) z

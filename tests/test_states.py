@@ -33,6 +33,7 @@ from tmcat import (
     make_typical_state,
     normalization_factor,
     params_to_bloch,
+    propagate_analytic,
     quadrature_moments,
     signed_phase,
     wigner_of_state,
@@ -40,10 +41,11 @@ from tmcat import (
 )
 import tmcat.states
 from tmcat.applications import BasisSet
-from tmcat.states import gaussian_mode_1d
+from tmcat.states import _pair_contract, _pairs, gaussian_mode_1d
 from tmcat.virtual_lab import _intensity_2d
 
 from oracles import (
+    density_unbounded,
     full_pair_sum,
     intensity_2d_pair_product,
     pair_algebra,
@@ -493,6 +495,64 @@ def test_maps_and_frames_keep_the_bits_of_the_pair_product(state, visibility):
     assert wigner_of_state(state, x, p).tobytes() == wigner_pair_product(state, x, p).tobytes()
     frame = _intensity_2d(state, x, y, visibility)
     assert frame.tobytes() == intensity_2d_pair_product(state, x, y, visibility).tobytes()
+
+
+@given(superpositions(), st.floats(0.0, 1.0))
+def test_pair_contractions_return_owned_contiguous_floats(state, visibility):
+    # both branches hand back the real part as an array of its own, which
+    # callers scale in place; no view keeps the complex sum alive
+    w0 = state.frame.w0
+    x = np.linspace(-5.0 * w0, 5.0 * w0, 37)
+    y = np.linspace(-3.0 * w0, 3.0 * w0, 23)
+    fx = gaussian_mode_1d(state.alphas_x()[:, None], w0, x)
+    fy = gaussian_mode_1d(state.alphas_y()[:, None], w0, y)
+    j, k, _ = _pairs(fx.shape[0])
+    rows = np.ascontiguousarray((fy[j] * np.conj(fy[k])).T)
+    p = np.linspace(-6.0 * HBAR / w0, 6.0 * HBAR / w0, 29)
+    for got in (
+        _pair_contract(state.pair_weights, None, fx[j], np.conj(fx[k])),
+        _pair_contract(state.pair_weights, rows, fx[j], np.conj(fx[k])),
+        _intensity_2d(state, x, y, visibility),
+        wigner_of_state(state, x, p),
+    ):
+        assert got.dtype == np.float64 and got.flags.owndata
+        assert got.flags.c_contiguous and got.flags.writeable
+
+
+def _centers(ax, w0):
+    return math.sqrt(2.0) * w0 * ax.real
+
+
+@given(
+    superpositions(),
+    st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40),
+    st.integers(0, 3),
+    st.floats(1e-3, 3.0),
+)
+def test_densities_keep_their_bits_near_and_vanish_far_out(state, offsets, term, z_over_zr):
+    # within 40 w0 of a term center each density keeps the bits of the form
+    # that squares every position as given; far out it is exactly 0, with no
+    # overflow, invalid operation or division by zero on the way
+    w0 = state.frame.w0
+    s = w0**2 / (2.0 * HBAR)
+    off = w0 * np.array(offsets)
+    ax = state.alphas_x()
+    field = propagate_analytic(state, z_over_zr * state.frame.z_r)
+    turned, m = field._turned()
+    x = _centers(ax, w0)[term % ax.size] + off
+    p = (_centers(-1j * ax, w0)[term % ax.size] + off) / s
+    u = _centers(turned, w0)[term % ax.size] + off
+    cases = (
+        (state.position_intensity(x), density_unbounded(state, ax, x)),
+        (state.momentum_intensity(p), s * density_unbounded(state, -1j * ax, s * p)),
+        (field.intensity(m * u), density_unbounded(state, turned, m * u / m) / m),
+    )
+    for got, want in cases:
+        assert got.tobytes() == want.tobytes()
+    far = np.array([1e200, -1e200, 1e300, -1e308, np.inf, -np.inf])
+    with np.errstate(all="raise", under="ignore"):
+        for density in (state.position_intensity, state.momentum_intensity, field.intensity):
+            assert np.all(density(far) == 0.0)
 
 
 @given(superpositions())

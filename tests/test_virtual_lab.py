@@ -34,7 +34,13 @@ from tmcat.states import gaussian_mode_1d
 from tmcat.virtual_lab import _POISSON_MEAN_MAX, _intensity_2d
 
 import dispatch
-from oracles import gaussian_fit_trf, marginal_position, render_ccd_float_tail
+from oracles import (
+    gaussian_fit_trf,
+    marginal_position,
+    profile_float_sums,
+    render_ccd_float_tail,
+    render_ccd_strided,
+)
 from strategies import BENCH_FRAME, superpositions
 
 PITCH = 6.5e-6
@@ -592,9 +598,47 @@ def test_digitization_matches_float_tail(state, fields, gain, momentum):
     assert got.exposure_scale == scale and got.saturated == saturated
 
 
+@given(
+    superpositions(),
+    ccd_configs(),
+    st.one_of(st.none(), st.floats(0.05, 10.0)),
+    st.booleans(),
+)
+@example(_P_PLUS, _seeded(9), 3.0, True)
+def test_contiguous_frame_keeps_the_strided_bits(state, fields, gain, momentum):
+    """Digitizing the owned float64 frame gives the counts, exposure scale and
+    saturation flag of the strided real view of the complex product, errors too."""
+    plane = momentum_plane() if momentum else position_plane()
+    if gain is not None:
+        auto = dict(fields, background=0, seed=None)
+        _, scale, _ = render_ccd_strided(state, plane, CcdConfig(**auto))
+        fields = dict(fields, exposure_scale=gain * scale)
+    config = CcdConfig(**fields)
+    got = _outcome(lambda: render_ccd(state, plane, config, state.frame))
+    want = _outcome(lambda: render_ccd_strided(state, plane, config))
+    if isinstance(want, str):
+        assert got == want
+        return
+    counts, scale, saturated = want
+    assert got.counts.dtype == counts.dtype and got.counts.tobytes() == counts.tobytes()
+    assert got.exposure_scale == scale and got.saturated == saturated
+
+
+@given(st.integers(16, 64), st.integers(2, 600), st.sampled_from((8, 12, 16)), st.integers(0, 2**32))
+def test_profile_keeps_the_float_column_sum(nx, ny, bits, seed):
+    # integer column sums of at most 600 rows of 2^16 - 1 stay far below 2^53
+    config = CcdConfig(nx=nx, ny=ny, pitch=PITCH, bit_depth=bits)
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, config.max_count // 2, (ny, nx), endpoint=True).astype(np.uint16)
+    counts[:, nx // 2] = config.max_count  # one full column stands above the border
+    image = CcdImage(config, position_plane(), counts, 1.0, True)
+    assert profile_from_image(image).tobytes() == profile_float_sums(counts).tobytes()
+
+
 def test_frame_allocation_budget(frame, angle_bench):
-    """A 720x480 frame allocates the complex product, the Poisson draw and the
-    uint16 counts, nothing else frame-sized; the profile stays small."""
+    """A 720x480 frame allocates the complex product and the float64 frame
+    copied out of it, then the Poisson draw and the uint16 counts, nothing
+    else frame-sized; the profile stays small."""
     _, state = make_typical_state("p_plus", angle_bench, frame)
     mib = 2**20
     for seed in (7, None):
