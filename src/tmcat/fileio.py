@@ -38,10 +38,12 @@ def write_csv(path, headers: list[str], columns) -> None:
 
     A table passes equal-length columns, a grid xs[:, None], ps[None, :] and
     values.  Each cell is written as '%.17g' % (v + 0.0) by _format_cells: a
-    column that does not vary along the first axis once, the others one
-    chunk of first-axis rows at a time, so memory does not grow with the
-    number of rows.  Each line is laid out in fixed-width cell slots padded
-    with NUL bytes, which are dropped before the chunk is written.
+    column that does not vary along the first axis once, a grid column that
+    varies along it alone (xs[:, None]) once per file, 24 B a row, and the
+    others one chunk of first-axis rows at a time, so memory does not grow
+    with the number of cells.  Each line is laid out in fixed-width cell
+    slots padded with NUL bytes, which are dropped before the chunk is
+    written.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns)) or (1,)
@@ -51,15 +53,21 @@ def write_csv(path, headers: list[str], columns) -> None:
     line = np.zeros((min(rows, shape[0]), *shape[1:], len(columns), _CELL_WIDTH + 1), np.uint8)
     line[..., -1] = ord(",")
     line[..., -1, -1] = ord("\n")
+    # formatted once: (1, ...) cells written into every chunk, (n, 1, ...) cells sliced
+    whole = {}
     for i, c in enumerate(columns):
         if len(c) == 1:
             line[..., i, :-1] = _format_cells(c[0])
+        elif c.size == len(c) < math.prod(shape):
+            whole[i] = _format_cells(c)
     with Path(path).open("wb") as fh:
         fh.write((",".join(headers) + "\n").encode())
         for start in range(0, shape[0], rows):
             buf = line[: shape[0] - start]
             for i, c in enumerate(columns):
-                if len(c) > 1:
+                if i in whole:
+                    buf[..., i, :-1] = whole[i][start : start + rows]
+                elif len(c) > 1:
                     buf[..., i, :-1] = _format_cells(c[start : start + rows])
             fh.write(buf.tobytes().translate(None, b"\0"))
 

@@ -192,13 +192,19 @@ class PropagatedField:
         return self.state._arrays.ax * turn, self.beam.width / self.state.frame.w0
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        """Complex x-field (valid picture when all terms share one y mode)."""
+        """Complex x-field (valid picture when all terms share one y mode).
+
+        The chirp reads the position bound of the turned state's fields, scaled
+        by m, so far out it multiplies an exact 0 and its x^2 cannot overflow.
+        """
         x = np.asarray(x, dtype=float)
         ax, m = self._turned()
         scale = cmath.exp(0.5j * self.beam.gouy) / math.sqrt(m)
         psi = np.tensordot(self.state._arrays.c * scale, self.state._fields(ax, x / m), axes=1)
         if self.beam.z == 0.0:  # a flat wavefront; a unit chirp could flip signed zeros
             return psi
+        lo, hi = self.state._reach(ax)
+        x = np.clip(x, m * lo, m * hi)
         return psi * np.exp(0.5j * self.state.frame.k / self.beam.curvature_radius * x**2)
 
     def intensity(self, x: np.ndarray) -> np.ndarray:

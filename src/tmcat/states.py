@@ -45,7 +45,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -304,6 +304,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _term_rows(terms: list[tuple]) -> np.ndarray:
+    """Read-only (3, n) rows of the terms' (coeff, alpha_x, alpha_y), each row contiguous."""
+    return _read_only(np.array(terms, dtype=complex).reshape(-1, 3).T.copy())
+
+
+@lru_cache(maxsize=8)
+def _beam_grams(beams: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (gram, gram_y) of beams packed as their alpha_x row, then alpha_y row.
+
+    Keyed on the exact bytes, so -0.0 and 0.0 are separate beams.  The cache
+    holds the latest few beam sets: the states of one sweep, basis family or
+    figure share their Grams, and a later scan point computes its own.
+    """
+    ax, ay = np.frombuffer(beams, dtype=complex).reshape(2, -1).copy()
+    gram_y = _read_only(coherent_overlap(ay[:, None], ay[None, :]))
+    return _read_only(coherent_overlap(ax[:, None], ax[None, :]) * gram_y), gram_y
+
+
 @cache
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only term pairs j <= k of n terms, and their counts: 1 if j == k, else 2."""
@@ -363,8 +381,10 @@ class SuperpositionState:
     pre-normalization <psi|psi> in ``norm``.  ``degenerate`` flags inputs
     whose terms coincided and were merged into a single Gaussian.
 
-    The term arrays and the pair matrices ``gram``, ``pair_overlaps`` and
+    The term arrays and the pair matrices ``pair_overlaps`` and
     ``pair_weights`` are computed once, on first use, and are read-only.
+    ``gram`` is shared by the states on the same beams, through a small
+    cache of the latest beam sets.
     ``_memo`` keeps what other modules derive from the state (its latest
     Wigner map, its X and P moments) for the state's lifetime.  None of
     these are fields, so equality and hashing see the terms alone.
@@ -388,44 +408,46 @@ class SuperpositionState:
             merged[key] = merged.get(key, 0.0 + 0.0j) + complex(t.coeff)
         degenerate = len(merged) < len(given)
         # a term whose weights cancel exactly carries nothing; drop it
-        kept = tuple(CoherentTerm(c, *key) for key, c in merged.items() if c != 0.0)
-        unscaled = cls(frame=frame, terms=kept, norm=math.nan, degenerate=degenerate)
-        raw = float(unscaled.pair_overlaps.real.sum())
+        kept = [(c, *beam) for beam, c in merged.items() if c != 0.0]
+        for c, *beam in kept:
+            if not cmath.isfinite(c):
+                CoherentTerm(c, *beam)  # a merged weight that overflowed: refused as a term
+        rows = _term_rows(kept)
+        grams = _beam_grams(rows[1:].tobytes())
+        raw = float(_weighted(rows[0], grams[0]).real.sum())
         if raw <= 1e-15:
             raise ValidationError(
                 f"state norm {raw!r} vanishes; the requested superposition cancels"
             )
         scale = 1.0 / math.sqrt(raw)
-        normalized = tuple(
-            CoherentTerm(coeff=t.coeff * scale, alpha_x=t.alpha_x, alpha_y=t.alpha_y)
-            for t in kept
-        )
+        normalized = tuple(CoherentTerm(c * scale, *beam) for c, *beam in kept)
         state = cls(frame=frame, terms=normalized, norm=raw, degenerate=degenerate)
-        # normalizing leaves the amplitudes, so their Grams carry over
-        vars(state).update(_gram_y=unscaled._gram_y, gram=unscaled.gram)
+        # normalizing leaves the amplitudes, so the states on these beams share their Grams
+        vars(state)["_grams"] = grams
         return state
 
     @cached_property
     def _arrays(self) -> _TermArrays:
-        terms = [(t.coeff, t.alpha_x, t.alpha_y) for t in self.terms]
-        rows = np.array(terms, dtype=complex).reshape(-1, 3).T.copy()
-        return _TermArrays(*_read_only(rows))
+        return _TermArrays(*_term_rows([(t.coeff, t.alpha_x, t.alpha_y) for t in self.terms]))
 
     @cached_property
     def _memo(self) -> dict:
         return {}
 
     @cached_property
+    def _grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram and y-mode Gram of the state's beams, shared by every state on them."""
+        return _beam_grams(self._arrays.ax.tobytes() + self._arrays.ay.tobytes())
+
+    @property
     def _gram_y(self) -> np.ndarray:
         """y-mode term overlaps <y_k|y_j>."""
-        ay = self._arrays.ay
-        return _read_only(coherent_overlap(ay[:, None], ay[None, :]))
+        return self._grams[1]
 
-    @cached_property
+    @property
     def gram(self) -> np.ndarray:
         """Two-axis term overlaps G[j, k] = <t_k|t_j> (coefficients not included)."""
-        ax = self._arrays.ax
-        return _read_only(coherent_overlap(ax[:, None], ax[None, :]) * self._gram_y)
+        return self._grams[0]
 
     @cached_property
     def pair_overlaps(self) -> np.ndarray:
@@ -476,11 +498,15 @@ class SuperpositionState:
         underflows), so the fields keep their values, and no square or product
         of a far position overflows.
         """
-        w0 = self.frame.w0
-        d, _ = _d_kappa(ax, w0)
-        reach = 40.0 * w0
-        x = np.clip(np.asarray(x, dtype=float), (d.min() - reach) / scale, (d.max() + reach) / scale)
-        return gaussian_mode_1d(ax.reshape(ax.shape + (1,) * x.ndim), w0, x * scale)
+        lo, hi = self._reach(ax)
+        x = np.clip(np.asarray(x, dtype=float), lo / scale, hi / scale)
+        return gaussian_mode_1d(ax.reshape(ax.shape + (1,) * x.ndim), self.frame.w0, x * scale)
+
+    def _reach(self, ax: np.ndarray) -> tuple[float, float]:
+        """The positions 40 w0 below and above every center of the amplitudes ax."""
+        d, _ = _d_kappa(ax, self.frame.w0)
+        reach = 40.0 * self.frame.w0
+        return d.min() - reach, d.max() + reach
 
     def _density(self, ax: np.ndarray, x, scale: float = 1.0) -> np.ndarray:
         """y-reduced density sum_jk W[j, k] f_j conj(f_k) of the x-mode fields at x * scale."""

@@ -26,9 +26,13 @@ loops the library's one vectorized writer replaced, and Gaussian profiles
 are fitted by the bounded trust-region least squares of scipy that the
 library's own descent replaced.  The propagated field is kept as the
 closed-form Fresnel map of each term's Gaussian exponents it was first
-written as, beside the Gouy-angle rotation of the state that replaced it.
+written as, beside the Gouy-angle rotation of the state that replaced it,
+and with its wavefront chirp taken at every position as given.  A state is
+also built in the two steps it first took: an unnormalized state whose
+Grams are evaluated afresh, then its normalized copy.
 """
 
+import cmath
 import math
 from pathlib import Path
 
@@ -36,6 +40,7 @@ import numpy as np
 
 from tmcat import (
     HBAR,
+    CoherentTerm,
     FiberSpec,
     FitError,
     GaussianFit,
@@ -44,6 +49,7 @@ from tmcat import (
     QubitParams,
     ValidationError,
     cat_coefficients,
+    coherent_overlap,
     make_typical_state,
     rotate_phase_space,
 )
@@ -103,6 +109,35 @@ def pair_algebra(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gram, pairs * gram, pairs * y_overlap
 
 
+def two_step_state(terms) -> dict:
+    """The Grams, norm and pair matrices of ``from_terms`` in its first two steps.
+
+    Equal amplitudes are merged and zero weights dropped; the kept terms'
+    Grams are evaluated afresh on their (coeff, alpha_x, alpha_y) rows, the
+    norm is Re sum c_j conj(c_k) G[j, k], and the normalized coefficients
+    c_j / sqrt(norm) give the pair matrices.  No cache is read.
+    """
+    merged = {}
+    for t in terms:
+        key = (complex(t.alpha_x), complex(t.alpha_y))
+        merged[key] = merged.get(key, 0.0 + 0.0j) + complex(t.coeff)
+    kept = tuple(CoherentTerm(c, *key) for key, c in merged.items() if c != 0.0)
+
+    def rows(ts):
+        values = [(t.coeff, t.alpha_x, t.alpha_y) for t in ts]
+        return np.array(values, dtype=complex).reshape(-1, 3).T.copy()
+
+    c, ax, ay = rows(kept)
+    gram_y = coherent_overlap(ay[:, None], ay[None, :])
+    gram = coherent_overlap(ax[:, None], ax[None, :]) * gram_y
+    norm = float((c[:, None] * np.conj(c)[None, :] * gram).real.sum())
+    scale = 1.0 / math.sqrt(norm)
+    c = rows([CoherentTerm(t.coeff * scale, t.alpha_x, t.alpha_y) for t in kept])[0]
+    pairs = c[:, None] * np.conj(c)[None, :]
+    return {"gram": gram, "gram_y": gram_y, "norm": norm, "coeffs": c,
+            "pair_overlaps": pairs * gram, "pair_weights": pairs * gram_y}
+
+
 def wigner_pair_product(state, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """wigner_of_state as one BLAS product over the pairs j <= k, as first written.
 
@@ -152,6 +187,20 @@ def density_unbounded(state, ax: np.ndarray, x: np.ndarray) -> np.ndarray:
     j, k = np.triu_indices(ax.size)
     pair = (state.pair_weights[j, k] * np.where(j == k, 1.0, 2.0))[:, None]
     return (pair * fields[j] * np.conj(fields[k])).sum(axis=0).real
+
+
+def field_unbounded_chirp(field, x: np.ndarray) -> np.ndarray:
+    """PropagatedField.field with the wavefront chirp e^{i k x^2 / (2 R)} taken at
+    every position as given, as first written; the mode sum is the turned
+    state's x-mode fields at x / m, with no position moved onto a bound."""
+    x = np.asarray(x, dtype=float)
+    state, beam = field.state, field.beam
+    m = beam.width / state.frame.w0
+    ax = state.alphas_x() * cmath.exp(1j * beam.gouy)
+    scale = cmath.exp(0.5j * beam.gouy) / math.sqrt(m)
+    fields = gaussian_mode_1d(ax[:, None], state.frame.w0, x / m)
+    psi = np.tensordot(state.coeffs() * scale, fields, axes=1)
+    return psi * np.exp(0.5j * state.frame.k / beam.curvature_radius * x**2)
 
 
 def full_pair_sum(weights: np.ndarray, fields: np.ndarray) -> np.ndarray:

@@ -102,11 +102,16 @@ def test_grid_csv_matches_per_cell_rows(tmp_path_factory, case):
 
 
 def test_grid_csv_matches_oracle(tmp_path, frame, angle_w0):
-    # a real map, written in chunks with a short last one, and its rows strided
+    # a real map, written in chunks with a short last one, and its rows strided;
+    # at 150 x 300 the x column, formatted once, spans ten chunks of 16 rows
     _, state = make_typical_state("cat_minus", angle_w0, frame)
     m = wigner_map(state, n=40)
-    xs, ps = m.grid.x_axis(), m.grid.p_axis()
-    for values in (m.values, m.values[::-1].T, -1e-300 * m.values):
+    wide = np.random.default_rng(3).normal(size=(150, 300))
+    wide_xs = np.concatenate([[-0.0, 1e-300], np.geomspace(1e-5, 1e5, 148)])
+    cases = [(m.grid.x_axis(), m.grid.p_axis(), v)
+             for v in (m.values, m.values[::-1].T, -1e-300 * m.values)]
+    cases.append((-wide_xs, np.linspace(-4.0, 4.0, 300), wide))
+    for xs, ps, values in cases:
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         write_csv(new, ["X", "P", "W"], [xs[:, None], ps[None, :], values])
         oracles.write_grid_csv(old, ["X", "P", "W"], xs, ps, values)

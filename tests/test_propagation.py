@@ -39,7 +39,7 @@ from tmcat import (
     SuperpositionState,
 )
 
-from oracles import fresnel_exponent_form
+from oracles import field_unbounded_chirp, fresnel_exponent_form
 from strategies import superpositions
 
 
@@ -296,6 +296,25 @@ class TestAnalyticPropagation:
         assert np.max(np.abs(got - want_field)) <= 1e-13 * np.max(np.abs(want_field))
         got = field.intensity(x)
         assert np.max(np.abs(got - want_intensity)) <= 1e-13 * np.max(want_intensity)
+
+    @given(
+        superpositions(shared_y=True),
+        st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40),
+        st.integers(0, 3),
+        st.floats(1e-3, 3.0),
+    )
+    def test_field_keeps_its_bits_near_and_vanishes_far_out(self, state, offsets, term, zf):
+        # within 40 w0 of a turned term center, scaled by m, the field keeps the
+        # bits of the chirp taken at every position as given; far out it is
+        # exactly 0, with no overflow or invalid operation in the chirp
+        field = propagate_analytic(state, zf * state.frame.z_r)
+        turned, m = field._turned()
+        center = math.sqrt(2.0) * state.frame.w0 * turned.real[term % turned.size]
+        x = m * (center + state.frame.w0 * np.array(offsets))
+        assert field.field(x).tobytes() == field_unbounded_chirp(field, x).tobytes()
+        far = np.array([1e200, -1e200, np.inf, -np.inf])
+        with np.errstate(all="raise", under="ignore"):
+            assert np.all(field.field(far) == 0.0)
 
     @given(superpositions(), superpositions(shared_y=True))
     def test_waist_field_is_the_state_own(self, state, separable):

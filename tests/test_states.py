@@ -33,6 +33,7 @@ from tmcat import (
     make_typical_state,
     normalization_factor,
     params_to_bloch,
+    profile_sweep,
     propagate_analytic,
     quadrature_moments,
     signed_phase,
@@ -49,6 +50,7 @@ from oracles import (
     full_pair_sum,
     intensity_2d_pair_product,
     pair_algebra,
+    two_step_state,
     wigner_chord_quadrature,
     wigner_pair_product,
 )
@@ -458,7 +460,8 @@ def test_pair_algebra_is_cached_read_only(state):
     assert "pair_overlaps" in vars(twin) and "pair_overlaps" not in vars(again)
 
 
-def test_moments_reuse_the_pair_algebra(frame, angle_w0, monkeypatch):
+def _count_overlaps(monkeypatch) -> list:
+    """Count the library's coherent_overlap calls, with no Gram cached yet."""
     overlap = tmcat.states.coherent_overlap
     calls = []
 
@@ -466,12 +469,77 @@ def test_moments_reuse_the_pair_algebra(frame, angle_w0, monkeypatch):
         calls.append((a, b))
         return overlap(a, b)
 
+    tmcat.states._beam_grams.cache_clear()
     monkeypatch.setattr(tmcat.states, "coherent_overlap", counted)
+    return calls
+
+
+def test_moments_reuse_the_pair_algebra(frame, angle_w0, monkeypatch):
+    calls = _count_overlaps(monkeypatch)
     _, state = make_typical_state("p_plus", angle_w0, frame)
     # the x and y overlaps behind the norm, kept for every later pair sum
     assert len(calls) == 2
-    assert quadrature_moments(state, 0.3) == quadrature_moments(state, 0.3)
+    # a state on the same beams shares them
+    _, other = make_typical_state("p_minus", angle_w0, frame)
     assert len(calls) == 2
+    assert quadrature_moments(state, 0.3) == quadrature_moments(state, 0.3)
+    assert quadrature_moments(other, 0.3) == quadrature_moments(other, 0.3)
+    assert len(calls) == 2
+
+
+def test_profile_sweep_evaluates_one_gram(frame, monkeypatch):
+    # every point of a (T, phi) sweep is a state on the same two beams
+    calls = _count_overlaps(monkeypatch)
+    path = [(0.2 + 0.07 * k, 0.8 * k) for k in range(8)]
+    assert len(profile_sweep(path, 0.9 * frame.w0, frame)) == 8
+    assert len(calls) <= 2
+
+
+def _assert_two_step_bits(state, terms):
+    want = two_step_state(terms)
+    got = {"gram": state.gram, "gram_y": state._gram_y, "norm": np.array(state.norm),
+           "coeffs": state.coeffs(), "pair_overlaps": state.pair_overlaps,
+           "pair_weights": state.pair_weights}
+    for name, array in got.items():
+        assert array.tobytes() == np.asarray(want[name]).tobytes(), name
+
+
+@given(superpositions(), st.data())
+def test_states_on_the_same_beams_share_their_grams(state, data):
+    # two weightings of one set of beams: one pair of Gram objects, and every
+    # matrix, the norm and the coefficients bit-equal to the two-step build,
+    # whether the cache starts empty or already holds the beams
+    weights = data.draw(st.lists(
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False),
+        min_size=len(state.terms), max_size=len(state.terms)))
+    reweighted = [CoherentTerm(w, t.alpha_x, t.alpha_y) for w, t in zip(weights, state.terms)]
+    for cold in (True, False):
+        if cold:
+            tmcat.states._beam_grams.cache_clear()
+        first = SuperpositionState.from_terms(state.frame, state.terms)
+        try:
+            second = SuperpositionState.from_terms(state.frame, reweighted)
+        except ValidationError:
+            continue  # the new weights cancel; nothing to share
+        assert second.gram is first.gram and second._gram_y is first._gram_y
+        _assert_two_step_bits(first, state.terms)
+        _assert_two_step_bits(second, reweighted)
+    assert tmcat.states._beam_grams.cache_info().maxsize <= 16
+
+
+def test_signed_zero_beams_get_their_own_grams(frame):
+    # complex keys would take -0.0 for 0.0; the exact bytes keep them apart
+    grams = tmcat.states._beam_grams
+    grams.cache_clear()
+    states = []
+    for zero in (0.0, -0.0):
+        terms = [CoherentTerm(0.6, complex(zero, zero), complex(0.0, zero)),
+                 CoherentTerm(0.8j, 0.7 + 0.2j, complex(0.0, zero))]
+        states.append(SuperpositionState.from_terms(frame, terms))
+        _assert_two_step_bits(states[-1], terms)
+    assert grams.cache_info().currsize == 2
+    assert states[0].gram is not states[1].gram
+    assert np.signbit(states[1].alphas_x()[0].real)
 
 
 @given(superpositions())
