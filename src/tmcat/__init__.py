@@ -4,161 +4,48 @@ A logical qubit lives in the two-dimensional span of a fundamental Gaussian
 mode and a displaced copy of it.  The package models state preparation,
 phase-space (Wigner) representations, free-space and fiber propagation, a
 synthetic CCD bench, and the keying/key-exchange protocols built on top.
+
+``import tmcat`` loads none of its modules: each exported name imports its
+module on first access (PEP 562) and is then an ordinary package attribute.
 """
 
-from .applications import (
-    BASIS_SCHEMES,
-    BasisSet,
-    ChannelModel,
-    DephasedMixture,
-    ProtocolStats,
-    SweepPoint,
-    build_basis,
-    dephased_mixture,
-    expected_qber,
-    profile_sweep,
-    psk_link_simulate,
-    qkd_simulate,
-    rotate_cat_phase,
-)
-from .errors import FitError, NumericsError, SimulationError, ValidationError
-from .propagation import (
-    BeamParams,
-    FiberSpec,
-    LensSystem,
-    PropagatedField,
-    RayMatrix,
-    beam_params_at,
-    compose,
-    gi_fiber_evolve,
-    kernel_step,
-    propagate_analytic,
-    propagate_kernel,
-    ray_free,
-    ray_lens,
-    rotate_phase_space,
-)
-from .states import (
-    C_LIGHT,
-    HBAR,
-    TYPICAL_KINDS,
-    BlochVector,
-    CoherentTerm,
-    ModeFrame,
-    OverlapAngle,
-    QubitParams,
-    SuperpositionState,
-    bloch_to_params,
-    cat_coefficients,
-    coherent_overlap,
-    inner_product,
-    make_qubit_state,
-    make_typical_state,
-    normalization_factor,
-    params_to_bloch,
-    signed_phase,
-    wrap_phase,
-)
-from .virtual_lab import (
-    LAB_FOCAL_LENGTH,
-    LAB_FRAME,
-    LAB_THETA_D,
-    CcdConfig,
-    CcdImage,
-    GaussianFit,
-    PlaneTag,
-    ScenarioPanel,
-    estimate_relative_phase,
-    fit_gaussian_profile,
-    focal_waist,
-    momentum_plane,
-    position_plane,
-    profile_from_image,
-    render_ccd,
-    scenario_reports,
-)
-from .wigner import (
-    PhaseSpaceGrid,
-    WignerMap,
-    negativity_scan,
-    quadrature_moments,
-    wigner_map,
-    wigner_of_state,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASIS_SCHEMES",
-    "BasisSet",
-    "BeamParams",
-    "BlochVector",
-    "C_LIGHT",
-    "CcdConfig",
-    "CcdImage",
-    "ChannelModel",
-    "CoherentTerm",
-    "DephasedMixture",
-    "FiberSpec",
-    "FitError",
-    "GaussianFit",
-    "HBAR",
-    "LAB_FOCAL_LENGTH",
-    "LAB_FRAME",
-    "LAB_THETA_D",
-    "LensSystem",
-    "ModeFrame",
-    "NumericsError",
-    "OverlapAngle",
-    "PhaseSpaceGrid",
-    "PlaneTag",
-    "PropagatedField",
-    "ProtocolStats",
-    "QubitParams",
-    "RayMatrix",
-    "ScenarioPanel",
-    "SimulationError",
-    "SuperpositionState",
-    "SweepPoint",
-    "TYPICAL_KINDS",
-    "ValidationError",
-    "WignerMap",
-    "beam_params_at",
-    "bloch_to_params",
-    "build_basis",
-    "cat_coefficients",
-    "coherent_overlap",
-    "compose",
-    "dephased_mixture",
-    "estimate_relative_phase",
-    "expected_qber",
-    "fit_gaussian_profile",
-    "focal_waist",
-    "gi_fiber_evolve",
-    "inner_product",
-    "kernel_step",
-    "make_qubit_state",
-    "make_typical_state",
-    "momentum_plane",
-    "negativity_scan",
-    "normalization_factor",
-    "params_to_bloch",
-    "position_plane",
-    "profile_from_image",
-    "profile_sweep",
-    "propagate_analytic",
-    "propagate_kernel",
-    "psk_link_simulate",
-    "qkd_simulate",
-    "quadrature_moments",
-    "ray_free",
-    "ray_lens",
-    "render_ccd",
-    "rotate_cat_phase",
-    "rotate_phase_space",
-    "scenario_reports",
-    "signed_phase",
-    "wigner_map",
-    "wigner_of_state",
-    "wrap_phase",
-]
+# The exported names, under the module that defines each.
+_EXPORTS = {
+    "applications": """BASIS_SCHEMES BasisSet ChannelModel DephasedMixture ProtocolStats
+        SweepPoint build_basis dephased_mixture expected_qber profile_sweep
+        psk_link_simulate qkd_simulate rotate_cat_phase""",
+    "errors": "FitError NumericsError SimulationError ValidationError",
+    "propagation": """BeamParams FiberSpec LensSystem PropagatedField RayMatrix
+        beam_params_at compose gi_fiber_evolve kernel_step propagate_analytic
+        propagate_kernel ray_free ray_lens rotate_phase_space""",
+    "states": """C_LIGHT HBAR TYPICAL_KINDS BlochVector CoherentTerm ModeFrame
+        OverlapAngle QubitParams SuperpositionState bloch_to_params cat_coefficients
+        coherent_overlap inner_product make_qubit_state make_typical_state
+        normalization_factor params_to_bloch signed_phase wrap_phase""",
+    "virtual_lab": """LAB_FOCAL_LENGTH LAB_FRAME LAB_THETA_D CcdConfig CcdImage
+        GaussianFit PlaneTag ScenarioPanel estimate_relative_phase
+        fit_gaussian_profile focal_waist momentum_plane position_plane
+        profile_from_image render_ccd scenario_reports""",
+    "wigner": """PhaseSpaceGrid WignerMap negativity_scan quadrature_moments
+        wigner_map wigner_of_state""",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, e.g. tmcat.states after a bare import
+        return import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # cached, so later lookups are plain attribute reads
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -377,9 +377,11 @@ def _weighted(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 class SuperpositionState:
     """Finite complex-weighted sum of displaced-Gaussian terms.
 
-    Use :meth:`from_terms`, which normalizes the sum and caches the
-    pre-normalization <psi|psi> in ``norm``.  ``degenerate`` flags inputs
-    whose terms coincided and were merged into a single Gaussian.
+    Use :meth:`from_terms`, which normalizes the sum at any weight scale and
+    caches the pre-normalization <psi|psi> in ``norm`` (inf beyond the float
+    range).  A sum whose norm is below 1e-15 of sum |c|^2 cancels and is
+    refused.  ``degenerate`` flags inputs whose terms coincided and were
+    merged into a single Gaussian.
 
     The term arrays and the pair matrices ``pair_overlaps`` and
     ``pair_weights`` are computed once, on first use, and are read-only.
@@ -414,14 +416,25 @@ class SuperpositionState:
                 CoherentTerm(c, *beam)  # a merged weight that overflowed: refused as a term
         rows = _term_rows(kept)
         grams = _beam_grams(rows[1:].tobytes())
-        raw = float(_weighted(rows[0], grams[0]).real.sum())
-        if raw <= 1e-15:
+        # weights beyond 2^+-256 first go over the power of two of their largest
+        # part: exact, so the normalized terms keep their bits at any scale and
+        # the pair sum cannot overflow
+        parts = rows[0].view(float)  # real and imaginary parts of the weights
+        top = max(map(abs, parts.tolist()), default=0.0)
+        shift = 0 if 2.0**-256 < top < 2.0**256 else math.frexp(top)[1]
+        scaled = np.ldexp(parts, -shift) if shift else parts
+        raw = float(_weighted(scaled.view(complex), grams[0]).real.sum())
+        norm = raw * 2.0**shift * 2.0**shift  # inf for weights beyond about 1e154
+        if raw <= 1e-15 * sum([x * x for x in scaled.tolist()]):
             raise ValidationError(
-                f"state norm {raw!r} vanishes; the requested superposition cancels"
+                f"state norm {norm!r} vanishes; the requested superposition cancels"
             )
         scale = 1.0 / math.sqrt(raw)
-        normalized = tuple(CoherentTerm(c * scale, *beam) for c, *beam in kept)
-        state = cls(frame=frame, terms=normalized, norm=raw, degenerate=degenerate)
+        normalized = tuple(
+            CoherentTerm(c * scale, *beam)
+            for c, (_, *beam) in zip(scaled.view(complex).tolist(), kept)
+        )
+        state = cls(frame=frame, terms=normalized, norm=norm, degenerate=degenerate)
         # normalizing leaves the amplitudes, so the states on these beams share their Grams
         vars(state)["_grams"] = grams
         return state

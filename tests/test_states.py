@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tmcat import (
@@ -540,6 +540,46 @@ def test_signed_zero_beams_get_their_own_grams(frame):
     assert grams.cache_info().currsize == 2
     assert states[0].gram is not states[1].gram
     assert np.signbit(states[1].alphas_x()[0].real)
+
+
+@given(superpositions(), st.integers(-600, 600))
+def test_weights_normalize_at_any_scale(state, k):
+    # scaling every weight by 2^k is exact, so the normalized terms keep every
+    # bit, the norm scales by 4^k (inf past the float range), and nothing warns;
+    # a part that 2^k would carry below the normal range has no exact scaling
+    parts = [x for t in state.terms for x in (t.coeff.real, t.coeff.imag)]
+    assume(all(x == 0.0 or abs(x) > 2.0**-400 for x in parts))
+    base = SuperpositionState.from_terms(state.frame, state.terms)
+    _assert_two_step_bits(base, state.terms)
+    scaled = [CoherentTerm(2.0**k * t.coeff, t.alpha_x, t.alpha_y) for t in state.terms]
+    other = SuperpositionState.from_terms(state.frame, scaled)
+    assert other.coeffs().tobytes() == base.coeffs().tobytes()
+    assert other.norm == base.norm * 2.0**k * 2.0**k
+
+
+def test_weights_far_from_one_normalize(frame):
+    # 1e200 overflowed the pair sum to a zero coefficient, and two beams
+    # weighted 1e-8 each were refused as cancelling
+    for weights in ((1e200,), (1e-8, 1e-8), (1e300, -1e300j), (5e-324, 5e-324j)):
+        terms = [CoherentTerm(w, a) for w, a in zip(weights, (0.3, -0.5))]
+        state = SuperpositionState.from_terms(frame, terms)
+        assert abs(inner_product(state, state) - 1.0) < 1e-15
+        assert all(abs(t.coeff) > 0.5 for t in state.terms)
+
+
+@pytest.mark.parametrize("spec, norm", [
+    (((1.0, 0.3), (-1.0, 0.3)), 0.0),
+    (((1.0, 0.0), (-1.0, 1e-8)), 2.220446049250313e-16),
+    (((0.6, 0.0), (-0.6, 2e-8)), 3.3306690738754696e-16),
+    (((1.5j, 0.2), (-1.5j, 0.2 + 1e-8j)), 8.881784197001252e-16),
+    (((0.3, 0.0), (0.4, 1.0), (-0.3, 1e-9), (-0.4, 1.0 + 1e-9)), -1.3877787807814457e-17),
+])
+def test_cancelling_weights_are_refused(frame, spec, norm):
+    # weights of order 1 whose sum cancels, with the norm the message has named
+    terms = [CoherentTerm(c, alpha) for c, alpha in spec]
+    with pytest.raises(ValidationError) as info:
+        SuperpositionState.from_terms(frame, terms)
+    assert str(info.value) == f"state norm {norm!r} vanishes; the requested superposition cancels"
 
 
 @given(superpositions())
