@@ -411,29 +411,29 @@ class SuperpositionState:
         degenerate = len(merged) < len(given)
         # a term whose weights cancel exactly carries nothing; drop it
         kept = [(c, *beam) for beam, c in merged.items() if c != 0.0]
-        for c, *beam in kept:
-            if not cmath.isfinite(c):
-                CoherentTerm(c, *beam)  # a merged weight that overflowed: refused as a term
         rows = _term_rows(kept)
-        grams = _beam_grams(rows[1:].tobytes())
+        weights, parts = rows[0], rows[0].view(float).tolist()
         # weights beyond 2^+-256 first go over the power of two of their largest
         # part: exact, so the normalized terms keep their bits at any scale and
         # the pair sum cannot overflow
-        parts = rows[0].view(float)  # real and imaginary parts of the weights
-        top = max(map(abs, parts.tolist()), default=0.0)
-        shift = 0 if 2.0**-256 < top < 2.0**256 else math.frexp(top)[1]
-        scaled = np.ldexp(parts, -shift) if shift else parts
-        raw = float(_weighted(scaled.view(complex), grams[0]).real.sum())
+        top, shift = max(map(abs, parts), default=0.0), 0
+        if not 2.0**-256 < top < 2.0**256:
+            for c, *beam in kept:
+                if not cmath.isfinite(c):
+                    CoherentTerm(c, *beam)  # a merged weight that overflowed: refused as a term
+            shift = math.frexp(top)[1]
+            weights = np.ldexp(rows[0].view(float), -shift).view(complex)
+            parts = weights.view(float).tolist()
+            kept = [(c, *beam) for c, (_, *beam) in zip(weights.tolist(), kept)]
+        grams = _beam_grams(rows[1:].tobytes())
+        raw = float(_weighted(weights, grams[0]).real.sum())
         norm = raw * 2.0**shift * 2.0**shift  # inf for weights beyond about 1e154
-        if raw <= 1e-15 * sum([x * x for x in scaled.tolist()]):
+        if raw <= 1e-15 * sum([x * x for x in parts]):
             raise ValidationError(
                 f"state norm {norm!r} vanishes; the requested superposition cancels"
             )
         scale = 1.0 / math.sqrt(raw)
-        normalized = tuple(
-            CoherentTerm(c * scale, *beam)
-            for c, (_, *beam) in zip(scaled.view(complex).tolist(), kept)
-        )
+        normalized = tuple(CoherentTerm(c * scale, *beam) for c, *beam in kept)
         state = cls(frame=frame, terms=normalized, norm=norm, degenerate=degenerate)
         # normalizing leaves the amplitudes, so the states on these beams share their Grams
         vars(state)["_grams"] = grams
