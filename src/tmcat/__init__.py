@@ -9,7 +9,7 @@ synthetic CCD bench, and the keying/key-exchange protocols built on top.
 module on first access (PEP 562) and is then an ordinary package attribute.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -39,11 +39,11 @@ __all__ = sorted(_OWNER)
 
 def __getattr__(name: str):
     if name in _EXPORTS:  # a submodule, e.g. tmcat.states after a bare import
-        return import_module(f"{__name__}.{name}")
+        return _import_module(f"{__name__}.{name}")
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # cached, so later lookups are plain attribute reads
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
     return value
 
 

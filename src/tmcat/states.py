@@ -427,7 +427,10 @@ class SuperpositionState:
             kept = [(c, *beam) for c, (_, *beam) in zip(weights.tolist(), kept)]
         grams = _beam_grams(rows[1:].tobytes())
         raw = float(_weighted(weights, grams[0]).real.sum())
-        norm = raw * 2.0**shift * 2.0**shift  # inf for weights beyond about 1e154
+        try:
+            norm = math.ldexp(raw, 2 * shift)
+        except OverflowError:  # weights beyond about 1e154
+            norm = math.inf
         if raw <= 1e-15 * sum([x * x for x in parts]):
             raise ValidationError(
                 f"state norm {norm!r} vanishes; the requested superposition cancels"

@@ -77,6 +77,9 @@ def test_every_name_is_its_modules_object():
         name: getattr(tmcat, name) for name in tmcat.__all__
     }
     assert set(tmcat.__all__) <= set(dir(tmcat)) and "__version__" in dir(tmcat)
+    # a bare import binds no public name beyond the table's
+    public = "print(*(n for n in dir(tmcat) if not n.startswith('_')))"
+    assert _fresh(f"import tmcat; {public}") == tmcat.__all__
 
 
 def test_unknown_names_and_submodules():

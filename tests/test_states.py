@@ -559,12 +559,30 @@ def test_weights_normalize_at_any_scale(state, k):
 
 def test_weights_far_from_one_normalize(frame):
     # 1e200 overflowed the pair sum to a zero coefficient, and two beams
-    # weighted 1e-8 each were refused as cancelling
-    for weights in ((1e200,), (1e-8, 1e-8), (1e300, -1e300j), (5e-324, 5e-324j)):
+    # weighted 1e-8 each were refused as cancelling; weights from 2^1023 up
+    # take the largest power-of-two shift
+    big = (1e200, 1e300, 1e308, 1.7976931348623157e308)
+    for weights in ((1e200,), (1e-8, 1e-8), (1e300, -1e300j), (5e-324, 5e-324j),
+                    (1e308,), (1e308, -1e308j), (1.7976931348623157e308, -1.7976931348623157e308j)):
         terms = [CoherentTerm(w, a) for w, a in zip(weights, (0.3, -0.5))]
         state = SuperpositionState.from_terms(frame, terms)
         assert abs(inner_product(state, state) - 1.0) < 1e-15
         assert all(abs(t.coeff) > 0.5 for t in state.terms)
+        assert (state.norm == math.inf) == (abs(weights[0]) in big)
+
+
+def test_cancellation_is_judged_against_the_weights(frame):
+    # the pair sum of an odd cat, weights +-s on beams +-a, falls as 8 s^2 a^2;
+    # it cancels when that is within a few roundings of 2 s^2, at every scale s
+    for s in (1e-8, 1.0, 1e8):
+        cat = [CoherentTerm(s, 2.5e-8), CoherentTerm(-s, -2.5e-8)]
+        assert SuperpositionState.from_terms(frame, cat).norm > 4e-15 * s * s
+        with pytest.raises(ValidationError, match="superposition cancels"):
+            SuperpositionState.from_terms(frame, [CoherentTerm(s, 1e-8), CoherentTerm(-s, -1e-8)])
+    # the bound is 1e-15 of the sum of |c|^2: a pair sum of 1.8e-15 from
+    # weights +-1 is refused, while weights that sum to 1 keep it
+    with pytest.raises(ValidationError, match="^state norm 1.7763568394002505e-15 vanishes"):
+        SuperpositionState.from_terms(frame, [CoherentTerm(1.0, 1.5e-8), CoherentTerm(-1.0, -1.5e-8)])
 
 
 @pytest.mark.parametrize("spec, norm", [
