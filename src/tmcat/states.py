@@ -280,10 +280,22 @@ def coherent_overlap(alpha: complex | np.ndarray, beta: complex | np.ndarray):
     <0|alpha> = exp(-|alpha|^2) and |<beta|alpha>| = exp(-|alpha - beta|^2).
     The complex-argument phase matches explicit wavefunction quadrature
     (checked by the test-suite oracle).  Broadcasts over array arguments.
+    No floating-point flag is raised: an exponent whose real part overflows
+    to -inf gives exactly 0, and one whose real part is NaN (inf - inf, as at
+    alpha = beta = 1e200, or a NaN input) raises ValidationError.
     """
     a = np.asarray(alpha, dtype=complex)
     b = np.asarray(beta, dtype=complex)
-    return np.exp(-np.abs(a) ** 2 - np.abs(b) ** 2 + 2.0 * np.conj(b) * a)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        exponent = -np.abs(a) ** 2 - np.abs(b) ** 2 + 2.0 * np.conj(b) * a
+        undefined = np.isnan(exponent.real)
+        if undefined.any():
+            x, y = (complex(np.broadcast_to(v, undefined.shape)[undefined][0]) for v in (a, b))
+            raise ValidationError(
+                f"coherent overlap of alpha = {x} and beta = {y} has no floating-point "
+                "exponent: -|alpha|^2 - |beta|^2 + 2 conj(beta) alpha is NaN"
+            )
+        return np.exp(exponent)
 
 
 def _d_kappa(alpha, w0: float):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -43,6 +44,9 @@ LAB_THETA_D = 0.40 * math.pi
 
 # the largest Poisson mean numpy's sampler accepts (numpy.random POISSON_LAM_MAX)
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+# below this mean numpy's sampler draws 0 from its first uniform, which is at
+# most 1 - 2^-53 and so never exceeds exp(-mean)
+_DARK_MEAN = 2.0**-54
 
 
 def focal_waist(frame: ModeFrame, f: float) -> float:
@@ -208,6 +212,27 @@ def _intensity_2d(
     return _pair_contract(weights, rows, fx[j], np.conj(fx[k]))
 
 
+def _shot_noise(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
+    """rng.poisson(means) for C-contiguous float64 rows of means >= 0, drawn
+    into their own buffer as int64 (means is overwritten).
+
+    Counts and the generator's end state equal those of the one call.  A run
+    of rows whose means all lie below _DARK_MEAN is not sampled: its counts
+    are 0, and the stream skips one raw draw per nonzero mean, the one draw
+    the sampler spends on each.
+    """
+    counts = means.view(np.int64)
+    dark = means.max(axis=1) < _DARK_MEAN
+    edges = [0, *(np.flatnonzero(np.diff(dark)) + 1), len(dark)]
+    for start, stop in pairwise(edges):
+        if dark[start]:
+            rng.bit_generator.random_raw(np.count_nonzero(means[start:stop]), output=False)
+            counts[start:stop] = 0
+        else:
+            counts[start:stop] = rng.poisson(means[start:stop])
+    return counts
+
+
 def render_ccd(
     state: SuperpositionState | QubitParams,
     plane: PlaneTag,
@@ -220,12 +245,18 @@ def render_ccd(
     x' = p_x f / (hbar k); internally the state is rotated a quarter turn in
     phase space and sampled at the correspondingly scaled positions.
 
-    Digitization runs in this order: the intensity is scaled to counts;
-    with a seed each pixel takes a Poisson draw of that mean, without one it
-    is rounded half up; the background is added; the frame is flagged
-    saturated when any pixel reaches full range; counts are clipped to
-    [0, max_count].  Raises when every pixel saturates (exposure
+    Digitization runs in this order: the intensity is scaled to counts and
+    clamped at 0, since the pair sum can leave far-tail residues a few
+    subnormals below it; with a seed each pixel takes a Poisson draw of that
+    mean, without one it is rounded half up; the background is added; the
+    frame is flagged saturated when any pixel reaches full range; counts are
+    clipped to [0, max_count].  Raises when every pixel saturates (exposure
     misconfigured) or when a mean exceeds what the Poisson sampler accepts.
+
+    The draws are numpy's Generator.poisson over the frame in row-major
+    order, count for count.  Rows whose means all lie below 2^-54, where
+    every draw is 0, are not sampled; they advance the stream by the draws
+    the sampler would have used.
     """
     if isinstance(state, QubitParams):
         state = make_qubit_state(state, frame)
@@ -263,8 +294,9 @@ def render_ccd(
             f"brightest pixel; shot noise is sampled up to {_POISSON_MEAN_MAX:g}"
         )
     np.multiply(signal, scale, out=signal)
+    np.maximum(signal, 0.0, out=signal)
     if config.seed is not None:
-        counts = _generator(config.seed).poisson(signal)
+        counts = _shot_noise(_generator(config.seed), signal)
         # k >= 0 is an integer, so floor(k + background + 0.5) is k + background;
         # a background at or above full range saturates every pixel either way
         counts += min(config.background, config.max_count)

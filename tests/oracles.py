@@ -472,9 +472,10 @@ def qkd_rotation_counts(
 def render_ccd_float_tail(state, plane, config) -> tuple[np.ndarray, float, bool]:
     """(counts, exposure_scale, saturated) of a frame digitized in floats.
 
-    The intensity is sampled as render_ccd samples it; the counts are then
-    poisson -> float64 -> floor(+ background + 0.5) -> clip -> uint16, each
-    step a new array.  Raises ValidationError when every pixel saturates.
+    The intensity is sampled as render_ccd samples it and scaled; the counts
+    are then max(0) -> poisson -> float64 -> floor(+ background + 0.5) ->
+    clip -> uint16, each step a new array.  Raises ValidationError when every
+    pixel saturates.
     """
     x = config.column_positions()
     y = config.row_positions()
@@ -487,7 +488,7 @@ def render_ccd_float_tail(state, plane, config) -> tuple[np.ndarray, float, bool
     scale = config.exposure_scale
     if scale is None:
         scale = 0.9 * config.max_count / float(intensity.max())
-    signal = scale * intensity
+    signal = np.maximum(scale * intensity, 0.0)
     if config.seed is not None:
         rng = np.random.Generator(np.random.Philox(config.seed))
         signal = rng.poisson(signal).astype(np.float64)
@@ -504,8 +505,8 @@ def render_ccd_strided(state, plane, config) -> tuple[np.ndarray, float, bool]:
     strided real view of its complex j <= k pair product, as first written.
 
     Every step runs on that view: the focal-plane scale, the peak, the
-    exposure, the Poisson draw or the rounding.  Raises ValidationError when
-    every pixel saturates.
+    exposure, the clamp at 0, one Poisson draw over the frame or the
+    rounding.  Raises ValidationError when every pixel saturates.
     """
     x = config.column_positions()
     y = config.row_positions()
@@ -520,6 +521,7 @@ def render_ccd_strided(state, plane, config) -> tuple[np.ndarray, float, bool]:
     if scale is None:
         scale = 0.9 * config.max_count / float(signal.max())
     np.multiply(signal, scale, out=signal)
+    np.maximum(signal, 0.0, out=signal)
     if config.seed is not None:
         counts = np.random.Generator(np.random.Philox(config.seed)).poisson(signal)
         counts += min(config.background, config.max_count)

@@ -8,10 +8,11 @@ explicit Fourier integral (no library formulas involved).
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from tmcat import (
@@ -180,6 +181,45 @@ def test_coherent_overlap_special_values(angle_w0):
     assert coherent_overlap(complex(al), 0j) == pytest.approx(
         math.exp(-0.5), rel=1e-14
     )
+
+
+def _closed_form_overlap(alpha, beta):
+    a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    with np.errstate(all="ignore"):
+        return np.exp(-np.abs(a) ** 2 - np.abs(b) ** 2 + 2.0 * np.conj(b) * a)
+
+
+_in_range = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+
+
+@given(_in_range, _in_range)
+@example(1.5 - 0.5j, 0.25j)
+@example(1e150, -1e150j)
+@example(5e-324, 5e-324j)
+def test_coherent_overlap_keeps_its_bits_and_flags(alpha, beta):
+    """Amplitudes whose squares stay finite take the closed form's bits and
+    raise no floating-point flag."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = coherent_overlap(alpha, beta)
+    assert got.tobytes() == _closed_form_overlap(alpha, beta).tobytes()
+
+
+def test_coherent_overlap_far_out():
+    # the exact overlap is 0 once |alpha - beta|^2 overflows; amplitudes whose
+    # squares overflow and cancel (exactly 1 at alpha = beta) are refused
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, beta in ((1e200, 0.0), (0.0, -1e200j), (1e200, 1e200j), (1e200, -1e200)):
+            assert coherent_overlap(alpha, beta) == 0.0
+        grid = coherent_overlap(np.array([0.3, 1e200]), np.array([[0.3], [-0.2j]]))
+        assert grid[:, 0].tobytes() == _closed_form_overlap(0.3, [0.3, -0.2j]).tobytes()
+        assert not grid[:, 1].any()
+        for alpha, beta in ((1e200, 1e200), (1e200 + 1e200j, 1e200), (math.nan, 0.0)):
+            with pytest.raises(ValidationError, match=r"alpha = .* and beta = "):
+                coherent_overlap(alpha, beta)
+        with pytest.raises(ValidationError, match=r"alpha = \(1e\+200\+0j\) and beta = \(1e\+200\+0j\)"):
+            coherent_overlap(np.array([0.0, 1e200]), 1e200)
 
 
 # (mean_X, var_X, mean_P, var_P) at d = w0 from the Fourier oracle

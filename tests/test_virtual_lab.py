@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 from tmcat import (
     CcdConfig,
     CcdImage,
+    CoherentTerm,
     FitError,
     LAB_FOCAL_LENGTH,
+    LAB_FRAME,
     OverlapAngle,
     QubitParams,
+    SuperpositionState,
     ValidationError,
     estimate_relative_phase,
     fit_gaussian_profile,
@@ -31,7 +34,7 @@ from tmcat import (
     scenario_reports,
 )
 from tmcat.states import gaussian_mode_1d
-from tmcat.virtual_lab import _POISSON_MEAN_MAX, _intensity_2d
+from tmcat.virtual_lab import _POISSON_MEAN_MAX, _intensity_2d, _shot_noise
 
 import dispatch
 from oracles import (
@@ -633,6 +636,79 @@ def test_profile_keeps_the_float_column_sum(nx, ny, bits, seed):
     counts[:, nx // 2] = config.max_count  # one full column stands above the border
     image = CcdImage(config, position_plane(), counts, 1.0, True)
     assert profile_from_image(image).tobytes() == profile_float_sums(counts).tobytes()
+
+
+_DARK = (0.0, -0.0, 1e-300, math.nextafter(2.0**-54, 0.0))
+_MEANS = st.one_of(
+    st.sampled_from(_DARK + (2.0**-54, math.nextafter(2.0**-54, 1.0), 10.0)),
+    st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+    st.floats(10.0, 1e6),
+)
+
+
+@st.composite
+def mean_frames(draw):
+    """Rows of Poisson means, each row dark (every mean below 2^-54) or drawn
+    from every kind of mean, in any order."""
+    nx = draw(st.integers(1, 6))
+    dark_rows = draw(st.lists(st.booleans(), min_size=1, max_size=12))
+    return np.array([
+        draw(st.lists(st.sampled_from(_DARK) if dark else _MEANS, min_size=nx, max_size=nx))
+        for dark in dark_rows
+    ])
+
+
+def _state_json(rng) -> str:
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@given(mean_frames(), st.integers(0, 2**32))
+@example(np.full((3, 4), 1e-300), 1)  # all dark
+@example(np.full((3, 4), 2.5), 1)  # no dark
+@example(np.array([[0.0, 1e-300], [3.0, 0.0], [-0.0, 2.0**-55], [1e6, 2.0**-54]]), 7)
+def test_shot_noise_keeps_the_poisson_stream(means, seed):
+    """Skipping dark rows gives the counts and end state of one poisson call."""
+    rng, one_call = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    want = one_call.poisson(means)
+    got = _shot_noise(rng, means.copy())
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert _state_json(rng) == _state_json(one_call)
+
+
+@pytest.mark.parametrize("bits", (12, 16))
+def test_full_frames_keep_the_one_call_bytes(frame, bits):
+    # lab operating points (T, phi, alpha, seed), alpha = d / (sqrt(2) w0)
+    for T, phi, alpha, seed in ((0.5, 0.3, 1.2, 11), (0.2, -2.9, 0.6, 2**31 - 1),
+                                (0.8, 1.7, 2.0, 9201)):
+        params = QubitParams(T=T, phi=phi, d=alpha * math.sqrt(2.0) * frame.w0)
+        config = CcdConfig(bit_depth=bits, seed=seed)
+        for plane in (position_plane(), momentum_plane()):
+            image = render_ccd(params, plane, config, frame)
+            counts, scale, saturated = render_ccd_strided(
+                make_qubit_state(params, frame), plane, config)
+            assert image.counts.tobytes() == counts.tobytes()
+            assert image.exposure_scale == scale and image.saturated == saturated
+
+
+@pytest.mark.parametrize("flip", (1, -1))
+def test_negative_residues_digitize_as_zero_means(flip):
+    """Far-tail pair sums of this three-term state round a few subnormals
+    below 0, in one row below the beam (flip = -1 mirrors it above); they
+    digitize as means of 0 instead of reaching the sampler."""
+    state = SuperpositionState.from_terms(LAB_FRAME, [
+        CoherentTerm(c, ax, flip * ay) for c, ax, ay in (
+            (-0.67 + 0.77j, 1.74 + 0.34j, -0.56 + 0.12j),
+            (-0.98 + 0.43j, 1.3 + 0.88j, 0.22 - 0.85j),
+            (-0.51 + 0.15j, -0.63 + 2.95j, 0.85 - 0.7j),
+        )
+    ])
+    config = CcdConfig(nx=720, ny=480, bit_depth=16, seed=1, exposure_scale=1.0)
+    x, y = config.column_positions(), config.row_positions()
+    assert _intensity_2d(state, x, y, config.visibility).min() < 0.0
+    for config in (config, replace(config, seed=None)):
+        image = render_ccd(state, position_plane(), config)
+        counts, _, saturated = render_ccd_float_tail(state, position_plane(), config)
+        assert image.counts.tobytes() == counts.tobytes() and image.saturated == saturated
 
 
 def test_frame_allocation_budget(frame, angle_bench):
