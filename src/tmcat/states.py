@@ -87,6 +87,30 @@ def _generator(seed: int | None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0 if seed is None else seed))
 
 
+def _skip_draws(rng: np.random.Generator, n: int) -> None:
+    """Move rng's Philox stream past n raw draws, to the state that
+    rng.bit_generator.random_raw(n, output=False) leaves.
+
+    Philox is counter-based: after the buffered words, whole 4-word blocks
+    are a counter step (advance), and the last block is drawn so that the
+    buffer holds its words.  advance drops a pending 32-bit half, which is
+    put back.
+    """
+    n = int(n)  # advance refuses np.int64, which np.count_nonzero returns
+    bits = rng.bit_generator
+    state = bits.state
+    blocks, rest = divmod(n - (4 - state["buffer_pos"]) - 1, 4)
+    if blocks <= 0:
+        bits.random_raw(n, output=False)
+        return
+    bits.advance(blocks)
+    bits.random_raw(rest + 1, output=False)
+    if state["has_uint32"] or state["uinteger"]:
+        skipped = bits.state
+        skipped["has_uint32"], skipped["uinteger"] = state["has_uint32"], state["uinteger"]
+        bits.state = skipped
+
+
 @dataclass(frozen=True)
 class ModeFrame:
     """Beam waist and wavelength; fixes the unit system for everything else.

@@ -30,6 +30,7 @@ from .states import (
     _generator,
     _pair_contract,
     _pairs,
+    _skip_draws,
     _weighted,
     gaussian_mode_1d,
     make_qubit_state,
@@ -152,8 +153,15 @@ class CcdImage:
                 f"counts shape {self.counts.shape} does not match sensor "
                 f"{(self.config.ny, self.config.nx)}"
             )
-        if self.counts.min() < 0 or self.counts.max() > self.config.max_count:
-            raise ValidationError("counts fall outside the digitizer range")
+        if self.counts.dtype.kind not in "buif":
+            raise ValidationError(f"counts must be real numbers, got dtype {self.counts.dtype}")
+        lo, hi = self.counts.min(), self.counts.max()
+        # NaN-safe: a NaN count fails both comparisons
+        if not (lo >= 0 and hi <= self.config.max_count):
+            raise ValidationError(
+                f"counts span [{lo}, {hi}], outside the digitizer range "
+                f"[0, {self.config.max_count}]"
+            )
 
     def sidecar(self, frame: ModeFrame) -> dict:
         """The JSON sidecar of the frame: sensor, exposure used, plane, beam."""
@@ -218,15 +226,16 @@ def _shot_noise(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
 
     Counts and the generator's end state equal those of the one call.  A run
     of rows whose means all lie below _DARK_MEAN is not sampled: its counts
-    are 0, and the stream skips one raw draw per nonzero mean, the one draw
-    the sampler spends on each.
+    are 0, and the Philox counter jumps past one raw draw per nonzero mean,
+    the one draw the sampler spends on each, without drawing them.
     """
     counts = means.view(np.int64)
     dark = means.max(axis=1) < _DARK_MEAN
     edges = [0, *(np.flatnonzero(np.diff(dark)) + 1), len(dark)]
     for start, stop in pairwise(edges):
         if dark[start]:
-            rng.bit_generator.random_raw(np.count_nonzero(means[start:stop]), output=False)
+            # counting a bool mask beats counting float64 directly
+            _skip_draws(rng, np.count_nonzero(means[start:stop] != 0.0))
             counts[start:stop] = 0
         else:
             counts[start:stop] = rng.poisson(means[start:stop])
@@ -249,14 +258,15 @@ def render_ccd(
     clamped at 0, since the pair sum can leave far-tail residues a few
     subnormals below it; with a seed each pixel takes a Poisson draw of that
     mean, without one it is rounded half up; the background is added; the
-    frame is flagged saturated when any pixel reaches full range; counts are
-    clipped to [0, max_count].  Raises when every pixel saturates (exposure
-    misconfigured) or when a mean exceeds what the Poisson sampler accepts.
+    counts, never negative, are clamped at max_count straight into the
+    uint16 frame, which is flagged saturated when any pixel reaches full
+    range.  Raises when every pixel saturates (exposure misconfigured) or
+    when a mean exceeds what the Poisson sampler accepts.
 
     The draws are numpy's Generator.poisson over the frame in row-major
     order, count for count.  Rows whose means all lie below 2^-54, where
-    every draw is 0, are not sampled; they advance the stream by the draws
-    the sampler would have used.
+    every draw is 0, are not sampled; the Philox counter jumps past the
+    draws the sampler would have used on them.
     """
     if isinstance(state, QubitParams):
         state = make_qubit_state(state, frame)
@@ -295,21 +305,25 @@ def render_ccd(
         )
     np.multiply(signal, scale, out=signal)
     np.maximum(signal, 0.0, out=signal)
+    background = 0
     if config.seed is not None:
         counts = _shot_noise(_generator(config.seed), signal)
-        # k >= 0 is an integer, so floor(k + background + 0.5) is k + background;
-        # a background at or above full range saturates every pixel either way
-        counts += min(config.background, config.max_count)
+        # k >= 0 is an integer, so floor(k + b + 0.5) is k + b, and min(k + b,
+        # max_count) is min(k, max_count - b) + b; a background at or above
+        # full range saturates every pixel either way
+        background = min(config.background, config.max_count)
     else:
         signal += config.background
         signal += 0.5
         counts = np.floor(signal, out=signal)
-    saturated = bool(counts.max() >= config.max_count)
-    counts = np.clip(counts, 0, config.max_count, out=counts).astype(np.uint16)
-    if counts.min() >= config.max_count:
+    digits = np.empty(counts.shape, np.uint16)
+    np.minimum(counts, config.max_count - background, out=digits, casting="unsafe")
+    digits += background
+    saturated = bool(digits.max() >= config.max_count)
+    if digits.min() >= config.max_count:
         raise ValidationError("every pixel saturated; exposure misconfigured")
     return CcdImage(
-        config=config, plane=plane, counts=counts, exposure_scale=scale, saturated=saturated
+        config=config, plane=plane, counts=digits, exposure_scale=scale, saturated=saturated
     )
 
 

@@ -7,6 +7,7 @@ explicit Fourier integral (no library formulas involved).
 """
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -43,7 +44,7 @@ from tmcat import (
 )
 import tmcat.states
 from tmcat.applications import BasisSet
-from tmcat.states import _pair_contract, _pairs, gaussian_mode_1d
+from tmcat.states import _pair_contract, _pairs, _skip_draws, gaussian_mode_1d
 from tmcat.virtual_lab import _intensity_2d
 
 from oracles import (
@@ -769,3 +770,61 @@ def test_momentum_intensity_matches_momentum_mode_sum(state):
     ref = np.einsum("jk,jp,kp->p", weights, f, np.conj(f)).real
     got = state.momentum_intensity(p)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+
+def _philox_after(counter, used, via_poisson, halves):
+    """A Philox stream from counter that has spent used raw words, drawn raw
+    or as Poisson zeros (one word each), then 0-2 32-bit halves: one leaves
+    the other half pending, two leave has_uint32 = 0 beside a spent half."""
+    rng = np.random.Generator(np.random.Philox(7, counter=counter))
+    if via_poisson:
+        rng.poisson(np.full(used, 1e-300))
+    else:
+        rng.bit_generator.random_raw(used, output=False)
+    rng.integers(0, 2**32, dtype=np.uint32, size=halves)
+    assert rng.bit_generator.state["has_uint32"] == halves % 2
+    return rng
+
+
+def _state_json(rng) -> str:
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+_SKIPS = st.integers(0, 10**6)
+
+
+# words left in the buffer after (used, halves): (0, 0) 0, (3, 0) 1, (2, 1) 1,
+# (1, 1) 2, (1, 0) 3, (4, 1) 3, (1, 2) 2; the examples skip 0, 1, that count, + 1,
+# + 4 and + 5 of them, and 4k +- 1, across counter carries and the 2^256 wrap
+@given(
+    st.sampled_from((0, 2**64 - 2, 2**256 - 3)),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(0, 2),
+    st.one_of(_SKIPS, _SKIPS.map(np.int64)),
+)
+@example(0, 0, False, 0, 0)
+@example(0, 0, False, 0, np.int64(1))
+@example(0, 3, False, 0, 1)
+@example(0, 3, False, 0, 2)
+@example(2**64 - 2, 2, True, 1, 1)
+@example(2**64 - 2, 2, True, 1, np.int64(2))
+@example(0, 1, True, 1, 6)
+@example(0, 1, False, 1, 7)
+@example(0, 1, False, 0, 3)
+@example(0, 1, False, 0, np.int64(4))
+@example(2**256 - 3, 4, True, 1, 7)
+@example(2**256 - 3, 4, False, 1, 8)
+@example(0, 1, False, 0, 4095)
+@example(0, 1, True, 2, 6)
+@example(0, 1, True, 1, np.int64(4097))
+@example(0, 0, False, 0, 2**18 - 1)
+@example(0, 0, True, 0, 2**18 + 1)
+def test_skip_draws_leaves_the_random_raw_state(counter, used, via_poisson, halves, n):
+    """Jumping the counter leaves the state, buffer and pending half that
+    drawing n raw words leaves, for n as int or np.int64."""
+    rng, twin = (_philox_after(counter, used, via_poisson, halves) for _ in range(2))
+    _skip_draws(rng, n)
+    twin.bit_generator.random_raw(n, output=False)
+    assert _state_json(rng) == _state_json(twin)
+    assert rng.bit_generator.random_raw(16).tobytes() == twin.bit_generator.random_raw(16).tobytes()

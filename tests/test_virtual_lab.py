@@ -206,6 +206,16 @@ class TestRendering:
                 saturated=False,
             )
 
+    def test_counts_must_be_real_numbers(self):
+        config = CcdConfig(nx=32, ny=8)
+        nan_pixel = np.zeros((8, 32))
+        nan_pixel[3, 4] = np.nan
+        for counts in (nan_pixel, np.full((8, 32), np.nan), np.zeros((8, 32), complex)):
+            with pytest.raises(ValidationError, match="counts"):
+                CcdImage(config, position_plane(), counts, 1.0, False)
+        for dtype in (np.uint16, np.int64, bool, float):
+            CcdImage(config, position_plane(), np.ones((8, 32), dtype), 1.0, False)
+
     def test_sidecar_round_trip(self, frame, angle_bench):
         # the sidecar survives JSON and rebuilds the image, with the scale used
         params, _ = make_typical_state("p_plus", angle_bench, frame)
@@ -662,7 +672,21 @@ def _state_json(rng) -> str:
     return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
 
 
+def _lit_then_dark(lit):
+    """One row with lit means of 2^-54 (each draws 0 from one raw word)
+    ahead of 300x720 dark tails, so the jump over the dark block starts at
+    every buffer offset as lit runs over 1-4."""
+    means = np.full((301, 720), 1e-300)
+    means[0] = 0.0
+    means[0, :lit] = 2.0**-54
+    return means
+
+
 @given(mean_frames(), st.integers(0, 2**32))
+@example(_lit_then_dark(1), 3)
+@example(_lit_then_dark(2), 3)
+@example(_lit_then_dark(3), 3)
+@example(_lit_then_dark(4), 3)
 @example(np.full((3, 4), 1e-300), 1)  # all dark
 @example(np.full((3, 4), 2.5), 1)  # no dark
 @example(np.array([[0.0, 1e-300], [3.0, 0.0], [-0.0, 2.0**-55], [1e6, 2.0**-54]]), 7)
