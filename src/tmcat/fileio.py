@@ -26,6 +26,8 @@ _CELL = "%.17g"
 # time.  A call's temporaries take ~250 B a cell, and larger chunks of a
 # narrow grid (64 rows of 256) had them page-faulted afresh in every chunk.
 _CHUNK_ROWS, _CHUNK_CELLS = 16, 4096
+# write_scaled_pgm forms its codes in float64 scratch blocks of this many cells
+_PGM_BLOCK_CELLS = 2**16
 
 
 def format_number(value) -> str:
@@ -192,12 +194,19 @@ def read_json(path) -> dict:
 
 
 def write_pgm(path, counts: np.ndarray, max_value: int) -> None:
-    """Binary P5 image; 2-byte big-endian samples when max_value > 255."""
+    """Binary P5 image; 2-byte big-endian samples when max_value > 255.
+
+    Refuses, before any cast, samples that are not real numbers and samples
+    outside [0, max_value], NaN among them.
+    """
     counts = np.asarray(counts)
     if counts.ndim != 2:
         raise ValidationError("PGM needs a 2-D array")
-    if counts.min() < 0 or counts.max() > max_value:
-        raise ValidationError("PGM samples fall outside [0, max_value]")
+    if counts.dtype.kind not in "biuf":
+        raise ValidationError(f"PGM samples must be real numbers, got dtype {counts.dtype}")
+    lo, hi = counts.min(), counts.max()
+    if not (lo >= 0 and hi <= max_value):
+        raise ValidationError(f"PGM samples span [{lo}, {hi}], outside [0, {max_value}]")
     if not 0 < max_value < 65536:
         raise ValidationError(f"PGM max value must be in [1, 65535], got {max_value}")
     header = f"P5\n{counts.shape[1]} {counts.shape[0]}\n{max_value}\n".encode("ascii")
@@ -264,21 +273,32 @@ def write_scaled_pgm(path, values: np.ndarray, **fields) -> dict:
     The sidecar holds value_min/value_max, which recover the data via
     value = value_min + code / 65535 * (value_max - value_min), plus the
     caller's fields; it is written to <path>.json and returned.  The codes
-    floor((value - value_min) / span * 65535 + 0.5) are formed in one float64
-    scratch array, step by step in that order, and written big-endian.
+    floor((value - value_min) / span * 65535 + 0.5) are formed step by step
+    in that order, in a float64 scratch block of at most _PGM_BLOCK_CELLS
+    cells per row block, and go straight into the big-endian code array.
+    Refuses complex values, NaN or infinite ones, which have no code and no
+    JSON sidecar value, and a span that overflows.
     """
+    if np.iscomplexobj(values):
+        raise ValidationError("scaled PGM values must be real numbers, got complex values")
     values = np.asarray(values, dtype=float)
     vmin = float(values.min())
     vmax = float(values.max())
     span = vmax - vmin
-    if span <= 0.0:
-        codes = np.zeros(values.shape, dtype=">u2")
-    else:
-        scratch = np.subtract(values, vmin)
-        scratch /= span
-        scratch *= 65535.0
-        scratch += 0.5
-        codes = np.floor(scratch, out=scratch).astype(">u2")
+    if not math.isfinite(span):  # also when vmin or vmax is NaN or infinite
+        raise ValidationError(
+            f"scaled PGM values must be finite with a finite span, got min {vmin!r} "
+            f"and max {vmax!r}"
+        )
+    codes = np.zeros(values.shape, dtype=">u2")
+    if span > 0.0:
+        rows = max(1, _PGM_BLOCK_CELLS // values[0].size)
+        for start in range(0, len(values), rows):
+            scratch = np.subtract(values[start : start + rows], vmin)
+            scratch /= span
+            scratch *= 65535.0
+            scratch += 0.5
+            codes[start : start + rows] = np.floor(scratch, out=scratch)
     write_pgm(path, codes, 65535)
     sidecar = {"value_min": vmin, "value_max": vmax, "levels": 65535, **fields}
     write_json(_sidecar_path(path), sidecar)

@@ -358,6 +358,11 @@ def _beam_grams(beams: bytes) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(coherent_overlap(ax[:, None], ax[None, :]) * gram_y), gram_y
 
 
+# complex multiply-adds per row block of a pair product: OpenBLAS 0.3.31 runs
+# a zgemm of m*n*k <= 2^16 on the calling thread
+_BLOCK_MACS = 2**16
+
+
 @cache
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only term pairs j <= k of n terms, and their counts: 1 if j == k, else 2."""
@@ -373,13 +378,37 @@ def _pair_contract(weights: np.ndarray, left: np.ndarray | None, *right: np.ndar
     (the last axis of ``left``).  The right factors multiply the pair weights
     in the order given; with ``left`` None the pairs are summed without BLAS.
     Returns the real part as an owned C-contiguous float64 array, so callers
-    scale it in place and the complex sum is freed on return.
+    scale it in place.
+
+    ``left @ pair`` runs in row blocks of at most _BLOCK_MACS complex
+    multiply-adds, each into one reused complex buffer whose real part goes
+    straight into the result, so no full-size complex array exists.  Blocks
+    this small run on the calling thread, never waiting on OpenBLAS's worker,
+    so their bits do not depend on the thread count.  OpenBLAS's SkylakeX
+    kernel sends every element through the same micro-kernel whatever the
+    block, so there the blocks equal the one product bit for bit.  numpy
+    sends a 1-row product to gemv, which rounds differently, so a lone last
+    row borrows one from the block before it (hence at least 3 rows a block).
     """
     j, k, count = _pairs(len(weights))
     pair = (weights[j, k] * count).reshape((-1,) + (1,) * (right[0].ndim - 1))
     for factor in right:
         pair = pair * factor
-    return (pair.sum(axis=0) if left is None else left @ pair).real.copy()
+    if left is None:
+        return pair.sum(axis=0).real.copy()
+    m = len(left)
+    rows = max(3, _BLOCK_MACS // pair.size)
+    out = np.empty((m, pair.shape[1]))
+    buf = np.empty((min(rows, m), pair.shape[1]), complex)
+    start = 0
+    while start < m:
+        stop = min(start + rows, m)
+        if m - stop == 1:
+            stop -= 1
+        block = np.matmul(left[start:stop], pair, out=buf[: stop - start])
+        out[start:stop] = block.real
+        start = stop
+    return out
 
 
 def gaussian_mode_1d(alpha: complex, w0: float, x: np.ndarray) -> np.ndarray:

@@ -48,6 +48,8 @@ _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64)
 # below this mean numpy's sampler draws 0 from its first uniform, which is at
 # most 1 - 2^-53 and so never exceeds exp(-mean)
 _DARK_MEAN = 2.0**-54
+# lit rows per Generator.poisson call in seeded frames
+_SHOT_ROWS = 64
 
 
 def focal_waist(frame: ModeFrame, f: float) -> float:
@@ -227,7 +229,9 @@ def _shot_noise(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
     Counts and the generator's end state equal those of the one call.  A run
     of rows whose means all lie below _DARK_MEAN is not sampled: its counts
     are 0, and the Philox counter jumps past one raw draw per nonzero mean,
-    the one draw the sampler spends on each, without drawing them.
+    the one draw the sampler spends on each, without drawing them.  A run of
+    lit rows is drawn _SHOT_ROWS rows per call, each call continuing the
+    stream where the last one left it, so no frame-sized draw is allocated.
     """
     counts = means.view(np.int64)
     dark = means.max(axis=1) < _DARK_MEAN
@@ -238,7 +242,9 @@ def _shot_noise(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
             _skip_draws(rng, np.count_nonzero(means[start:stop] != 0.0))
             counts[start:stop] = 0
         else:
-            counts[start:stop] = rng.poisson(means[start:stop])
+            for row in range(start, stop, _SHOT_ROWS):
+                block = slice(row, min(row + _SHOT_ROWS, stop))
+                counts[block] = rng.poisson(means[block])
     return counts
 
 
@@ -266,7 +272,9 @@ def render_ccd(
     The draws are numpy's Generator.poisson over the frame in row-major
     order, count for count.  Rows whose means all lie below 2^-54, where
     every draw is 0, are not sampled; the Philox counter jumps past the
-    draws the sampler would have used on them.
+    draws the sampler would have used on them.  The float64 means and the
+    uint16 counts are the only frame-sized arrays: the pair product and the
+    draws run in row blocks.
     """
     if isinstance(state, QubitParams):
         state = make_qubit_state(state, frame)

@@ -30,6 +30,9 @@ from .states import (
     _pairs,
 )
 
+# map cells per block of the trapezoid integral's temporaries
+_BLOCK_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
@@ -66,9 +69,19 @@ class WignerMap:
     values: np.ndarray
 
     def integral(self) -> float:
+        """Trapezoid rule over p, row block by row block, then over x.
+
+        Each row's integral is the one a single call over the map gives, so
+        only block-sized temporaries are made.
+        """
         x = self.grid.x_axis()
         p = self.grid.p_axis()
-        return float(np.trapezoid(np.trapezoid(self.values, p, axis=1), x))
+        rows = max(1, _BLOCK_CELLS // len(p))
+        inner = np.concatenate([
+            np.trapezoid(self.values[start : start + rows], p, axis=1)
+            for start in range(0, len(x), rows)
+        ])
+        return float(np.trapezoid(inner, x))
 
     def min_value(self) -> float:
         return float(self.values.min())

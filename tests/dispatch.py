@@ -2,9 +2,10 @@
 
 The dispatch tests compare a default child with children run at reduced
 numpy SIMD levels, one of them also on OpenBLAS's generic kernel, and with
-children that switch the OpenBLAS kernel alone.  The
-switches are set in each child's environment only: they are process-wide
-settings that belong to the caller, and the library never sets them.
+children that switch the OpenBLAS kernel alone or pin OpenBLAS to one
+thread.  The switches are set in each child's environment only: they are
+process-wide settings that belong to the caller, and the library never sets
+them.
 Each child script prints one JSON object on stdout, with the
 (X86_V4, X86_V3) runtime features it saw under "features".
 """
@@ -25,10 +26,11 @@ REDUCED = (
     ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3", "OPENBLAS_CORETYPE": "Prescott"},
      [False, False]),
 )
-# Child settings that change only the OpenBLAS kernel, at full SIMD.
+# Child settings that change only the OpenBLAS kernel or thread count, at full SIMD.
 BLAS_ONLY = (
     ({"OPENBLAS_CORETYPE": "Prescott"}, [True, True]),
     ({"OPENBLAS_CORETYPE": "Sandybridge"}, [True, True]),
+    ({"OPENBLAS_NUM_THREADS": "1"}, [True, True]),
 )
 FEATURES = (
     "from numpy._core._multiarray_umath import __cpu_features__\n"
@@ -52,6 +54,7 @@ def run_child(script: str, *args: str, **settings: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     env.pop("OPENBLAS_CORETYPE", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     out = subprocess.run(
         [sys.executable, "-c", FEATURES + script, *args],
         env=dict(env, **settings), capture_output=True, text=True, check=True,

@@ -431,6 +431,7 @@ import json, math, sys
 import numpy as np
 import tmcat as tm
 from tmcat.virtual_lab import _intensity_2d
+from oracles import intensity_2d_pair_product, wigner_pair_product
 frame = tm.ModeFrame(w0=0.12e-3, wavelength=780e-9)
 angle = tm.OverlapAngle.from_alpha(1.1)
 qubit = tm.make_qubit_state(tm.QubitParams(T=0.35, phi=2.1, d=angle.displacement(frame.w0)), frame)
@@ -444,11 +445,18 @@ randoms = [tm.SuperpositionState.from_terms(frame, [
     for _ in range(8)]
 x = np.linspace(-5.0 * frame.w0, 5.0 * frame.w0, 2001)
 p = np.linspace(-5.0 * tm.HBAR / frame.w0, 5.0 * tm.HBAR / frame.w0, 2001)
-maps = {}
+config = tm.CcdConfig()
+cols, rows = config.column_positions(), config.row_positions()
+maps, one_product = {}, {}  # each map and frame, and the same as one BLAS product
 for i, state in enumerate([qubit, mixed] + randoms):
     if i < 2:
-        maps[f"{i}_wigner"] = tm.wigner_map(state, n=256).values
-        maps[f"{i}_frame"] = _intensity_2d(state, x[::20], x[::30], 0.9)
+        m = tm.wigner_map(state, n=256)
+        maps[f"{i}_wigner"] = m.values
+        one_product[f"{i}_wigner"] = tm.HBAR * wigner_pair_product(
+            state, frame.x_scale * m.grid.x_axis(), frame.p_scale * m.grid.p_axis())
+        for name, fx, fy in (("frame", x[::20], x[::30]), ("lab_frame", cols, rows)):
+            maps[f"{i}_{name}"] = _intensity_2d(state, fx, fy, 0.9)
+            one_product[f"{i}_{name}"] = intensity_2d_pair_product(state, fx, fy, 0.9)
     maps[f"{i}_density"] = state.position_intensity(x)
     maps[f"{i}_momentum"] = state.momentum_intensity(p)
     maps[f"{i}_propagated"] = tm.propagate_analytic(state, 0.03).intensity(x)
@@ -456,7 +464,10 @@ np.savez(sys.argv[1], **maps)
 channel = tm.ChannelModel(rotation_jitter_sigma=0.05 * math.pi, additive_overlap_noise_sigma=0.1)
 psk = tm.psk_link_simulate(100_000, tm.build_basis("twelve_state", angle, frame), channel, seed=5)
 qkd = tm.qkd_simulate(100_000, angle, 20e-6, tm.FiberSpec(period_length=1e-3), seed=5)
-print(json.dumps({"features": features, "counts": [psk.errors, qkd.sifted, qkd.errors]}))
+print(json.dumps({
+    "features": features, "counts": [psk.errors, qkd.sifted, qkd.errors],
+    "one_product_differs": [k for k, v in one_product.items() if v.tobytes() != maps[k].tobytes()],
+}))
 """
 
 
@@ -466,17 +477,30 @@ def test_pair_core_agrees_across_dispatch(tmp_path):
     largest moves measured for the two fixed states were 1.4e-15 of the peak
     (the qubit's map with X86_V4 and X86_V3 off); random 2-4 term states
     moved by up to 1.1e-14.  Densities sum their pairs without BLAS, so a
-    change of the BLAS kernel alone leaves every bit of them."""
+    change of the BLAS kernel alone leaves every bit of them.
+
+    Maps and frames take their pair product in row blocks small enough for
+    OpenBLAS to run on the calling thread.  On the default kernel they equal
+    one product bit for bit, with X86_V4 on or off, and pinning OpenBLAS to one
+    thread changes no bit at all.  On the Sandybridge kernel a row's bits can
+    depend on where its block starts, and on Sandybridge and Prescott those
+    of the threaded one product on how it splits its rows among threads, so
+    there the blocks are compared only with themselves on one thread: they
+    do not depend on the thread count."""
     if not dispatch.switchable():
         pytest.skip(dispatch.SKIP_REASON)
     base = dispatch.run_child(_PAIR_CORE_CHILD, str(tmp_path / "base.npz"))
     assert base["features"] == [True, True]
+    assert base["one_product_differs"] == []
     ref = np.load(tmp_path / "base.npz")
+    children = {}
     for i, (settings, features) in enumerate(dispatch.REDUCED + dispatch.BLAS_ONLY):
         path = tmp_path / f"reduced{i}.npz"
         result = dispatch.run_child(_PAIR_CORE_CHILD, str(path), **settings)
         assert result["features"] == features
         assert result["counts"] == base["counts"]
+        if "OPENBLAS_CORETYPE" not in settings:
+            assert result["one_product_differs"] == [], settings
         values = np.load(path)
         for name in ref.files:
             peak = np.max(np.abs(ref[name]))
@@ -485,6 +509,17 @@ def test_pair_core_agrees_across_dispatch(tmp_path):
                 ("density", "momentum", "propagated")
             ):
                 assert values[name].tobytes() == ref[name].tobytes(), (settings, name)
+            if settings.keys() == {"OPENBLAS_NUM_THREADS"}:
+                assert values[name].tobytes() == ref[name].tobytes(), (settings, name)
+        children[tuple(settings.items())] = values
+    threaded = children[(("OPENBLAS_CORETYPE", "Sandybridge"),)]
+    dispatch.run_child(
+        _PAIR_CORE_CHILD, str(tmp_path / "pinned.npz"),
+        OPENBLAS_CORETYPE="Sandybridge", OPENBLAS_NUM_THREADS="1",
+    )
+    pinned = np.load(tmp_path / "pinned.npz")
+    for name in ref.files:
+        assert pinned[name].tobytes() == threaded[name].tobytes(), name
 
 
 class TestQkd:

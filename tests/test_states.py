@@ -9,6 +9,7 @@ explicit Fourier integral (no library formulas involved).
 import dataclasses
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -47,6 +48,7 @@ from tmcat.applications import BasisSet
 from tmcat.states import _pair_contract, _pairs, _skip_draws, gaussian_mode_1d
 from tmcat.virtual_lab import _intensity_2d
 
+import dispatch
 from oracles import (
     density_unbounded,
     full_pair_sum,
@@ -684,6 +686,40 @@ def test_pair_contractions_return_owned_contiguous_floats(state, visibility):
     ):
         assert got.dtype == np.float64 and got.flags.owndata
         assert got.flags.c_contiguous and got.flags.writeable
+
+
+# row scales of the pair-product factors: zero, subnormal, tiny, unit and huge
+_ROW_SCALES = (0.0, 5e-324, 2.0**-1070, 1e-300, 1.0, 1.0, 1.0, 1e300)
+
+
+@pytest.mark.skipif(
+    not dispatch.switchable() or "OPENBLAS_CORETYPE" in os.environ,
+    reason="the blocks equal one product bit for bit on OpenBLAS's AVX-512 kernels; "
+    "the Haswell-class kernels round some edge tiles differently",
+)
+@given(st.integers(1, 4), st.integers(1, 1100), st.integers(0, 9), st.integers(0, 2**32 - 1))
+@example(2, 256, 5, 1)  # the last of 86 rows would be a block of its own
+@example(4, 101, 7, 1)
+@example(2, 720, 8, 1)  # a lab frame
+def test_blocked_pair_product_keeps_the_bits_of_one_product(terms, n, edge, seed):
+    """_pair_contract's row blocks equal the one product left @ pair bit for
+    bit.  1-4 terms give 1, 3, 6 or 10 pairs; the row count lies at and
+    around the block edges, where a last block of one row would go to gemv."""
+    pairs = terms * (terms + 1) // 2
+    b = max(3, tmcat.states._BLOCK_MACS // (pairs * n))
+    m = (1, 2, 3, b - 1, b, b + 1, b + 2, 2 * b + 1, 480, 1024)[edge]
+    rng = np.random.default_rng(seed)
+
+    def factor(rows, cols, scales):
+        z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        return z * rng.choice(scales, size=(rows, 1))
+
+    weights = factor(terms, terms, (1.0,))
+    # huge rows only on the left, so that no product overflows
+    left, right = factor(m, pairs, _ROW_SCALES), factor(pairs, n, _ROW_SCALES[:-1])
+    j, k, count = _pairs(terms)
+    want = (left @ ((weights[j, k] * count)[:, None] * right)).real
+    assert _pair_contract(weights, left, right).tobytes() == want.tobytes()
 
 
 def _centers(ax, w0):

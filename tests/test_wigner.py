@@ -297,8 +297,9 @@ def test_failed_map_is_not_kept(frame, counted_evals):
 
 
 def test_large_map_memory(frame, angle_w0):
-    # the 8 MB map beside the 16 MB complex pair product it is taken from;
-    # no full-size magnitude, scaled copy or previous window besides
+    # the 8 MB map and row-block scratch: the complex pair product and the
+    # trapezoid integral run in row blocks; no full-size magnitude, scaled
+    # copy or previous window besides
     _, state = make_typical_state("cat_minus", angle_w0, frame)
     tracemalloc.start()
     try:
@@ -306,7 +307,7 @@ def test_large_map_memory(frame, angle_w0):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 26e6
+    assert peak <= 12e6
 
 
 def test_map_functions_stay_plain_module_functions():
