@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 
 # The exported names, under the module that defines each.
 _EXPORTS = {
-    "applications": """BASIS_SCHEMES BasisSet ChannelModel DephasedMixture ProtocolStats
-        SweepPoint build_basis dephased_mixture expected_qber profile_sweep
-        psk_link_simulate qkd_simulate rotate_cat_phase""",
+    "applications": """BASIS_SCHEMES BasisSet ChannelModel ProtocolStats SweepPoint
+        build_basis dephased_mixture expected_qber profile_sweep psk_link_simulate
+        qkd_simulate rotate_cat_phase""",
     "errors": "FitError NumericsError SimulationError ValidationError",
     "propagation": """BeamParams FiberSpec LensSystem PropagatedField RayMatrix
         beam_params_at compose gi_fiber_evolve kernel_step propagate_analytic

@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .propagation import FiberSpec
 from .states import (
     HBAR,
+    CoherentTerm,
     ModeFrame,
     OverlapAngle,
     QubitParams,
@@ -31,7 +32,7 @@ from .states import (
     make_qubit_state,
     make_typical_state,
 )
-from .wigner import _auto_map, quadrature_moments, wigner_of_state
+from .wigner import quadrature_moments
 
 BASIS_SCHEMES = ("four_cat", "twelve_state", "four_hg_reference")
 
@@ -42,6 +43,7 @@ def _pair_overlap(state: SuperpositionState) -> float:
     A real overlap (a displacement-symmetric pair) makes the even and odd
     cats t_a +- t_b orthogonal, so the cat-phase rotation is defined.
     """
+    state._require_pure("cat-phase rotation")
     if len(state.terms) != 2:
         raise ValidationError("cat-phase rotation needs exactly two beams")
     mu = state.gram[1, 0]
@@ -101,6 +103,8 @@ class BasisSet:
     def __post_init__(self):
         if not self.states:
             raise ValidationError("a basis needs at least one state")
+        for state in self.states:
+            state._require_pure("a signal basis")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -425,48 +429,15 @@ def profile_sweep(
     return out
 
 
-@dataclass(frozen=True)
-class DephasedMixture:
-    """Equal vacuum/coherent mixture left after uniform phi averaging."""
+def dephased_mixture(d: float, frame: ModeFrame) -> SuperpositionState:
+    """The T = 1/2, phi-averaged ensemble (|vac><vac| + |coh><coh|) / 2.
 
-    frame: ModeFrame
-    d: float
-
-    def __post_init__(self):
-        if not (self.d > 0.0):
-            raise ValidationError(f"mixture displacement must be positive, got {self.d}")
-
-    @property
-    def angle(self) -> OverlapAngle:
-        return OverlapAngle.from_displacement(self.d, self.frame.w0)
-
-    @property
-    def components(self) -> tuple[tuple[float, SuperpositionState], ...]:
-        beams = ((0.0, 0.0), (self.angle.alpha, 0.0))
-        # T = 1 keeps the vacuum beam alone, T = 0 the coherent one
-        return tuple((0.5, _two_beam(self.frame, t, 0.0, *beams)) for t in (1.0, 0.0))
-
-    @property
-    def purity(self) -> float:
-        """Tr rho^2 = (1 + cos^2 theta_d) / 2."""
-        return (1.0 + self.angle.cos_theta_d**2) / 2.0
-
-    def wigner_values(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """SI-unit Wigner values (weighted component sum, no cross term)."""
-        return sum(w * wigner_of_state(state, x, p) for w, state in self.components)
-
-    def position_intensity(self, x: np.ndarray) -> np.ndarray:
-        return sum(w * state.position_intensity(x) for w, state in self.components)
-
-    def wigner_map(self, n: int = 256):
-        """Auto-sized nondimensional WignerMap of the mixture (integrates to 1)."""
-        alpha = self.angle.alpha
-        # components centered at X = 0 and 2 alpha: mean alpha, variance 1/2 + alpha^2
-        moments = ((alpha, 0.5 + alpha**2), (0.0, 0.5))
-        # each component is one coherent term, so sum |c|^2 = 1
-        return _auto_map(self.frame, self.wigner_values, moments, n, False, 1.0)
-
-
-def dephased_mixture(d: float, frame: ModeFrame) -> DephasedMixture:
-    """The T = 1/2, phi-averaged ensemble: (W_vac + W_coh) / 2."""
-    return DephasedMixture(frame=frame, d=d)
+    It is the two-beam qubit at coherence 0: its Wigner map is
+    (W_vac + W_coh) / 2 and its purity (1 + cos^2 theta_d) / 2.
+    """
+    if not (d > 0.0):
+        raise ValidationError(f"mixture displacement must be positive, got {d}")
+    alpha = OverlapAngle.from_displacement(d, frame.w0).alpha
+    half = math.sqrt(0.5)
+    terms = [CoherentTerm(half, 0.0), CoherentTerm(half, alpha)]
+    return SuperpositionState.from_terms(frame, terms, coherence=0.0)

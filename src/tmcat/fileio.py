@@ -193,20 +193,28 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _check_image(a: np.ndarray) -> None:
+    """Refuse an array that is not 2-D or holds no sample."""
+    if a.ndim != 2 or a.size == 0:
+        raise ValidationError(f"PGM needs a 2-D array of samples, got shape {a.shape}")
+
+
 def write_pgm(path, counts: np.ndarray, max_value: int) -> None:
     """Binary P5 image; 2-byte big-endian samples when max_value > 255.
 
-    Refuses, before any cast, samples that are not real numbers and samples
-    outside [0, max_value], NaN among them.
+    Refuses, before any cast, an empty array, samples that are not real
+    numbers, samples outside [0, max_value], NaN among them, and float
+    samples that are not whole numbers.
     """
     counts = np.asarray(counts)
-    if counts.ndim != 2:
-        raise ValidationError("PGM needs a 2-D array")
+    _check_image(counts)
     if counts.dtype.kind not in "biuf":
         raise ValidationError(f"PGM samples must be real numbers, got dtype {counts.dtype}")
     lo, hi = counts.min(), counts.max()
     if not (lo >= 0 and hi <= max_value):
         raise ValidationError(f"PGM samples span [{lo}, {hi}], outside [0, {max_value}]")
+    if counts.dtype.kind == "f" and (frac := counts[counts != np.floor(counts)]).size:
+        raise ValidationError(f"PGM samples must be whole numbers, got {float(frac[0])!r}")
     if not 0 < max_value < 65536:
         raise ValidationError(f"PGM max value must be in [1, 65535], got {max_value}")
     header = f"P5\n{counts.shape[1]} {counts.shape[0]}\n{max_value}\n".encode("ascii")
@@ -276,12 +284,13 @@ def write_scaled_pgm(path, values: np.ndarray, **fields) -> dict:
     floor((value - value_min) / span * 65535 + 0.5) are formed step by step
     in that order, in a float64 scratch block of at most _PGM_BLOCK_CELLS
     cells per row block, and go straight into the big-endian code array.
-    Refuses complex values, NaN or infinite ones, which have no code and no
-    JSON sidecar value, and a span that overflows.
+    Refuses an empty array, complex values, NaN or infinite ones, which have
+    no code and no JSON sidecar value, and a span that overflows.
     """
     if np.iscomplexobj(values):
         raise ValidationError("scaled PGM values must be real numbers, got complex values")
     values = np.asarray(values, dtype=float)
+    _check_image(values)
     vmin = float(values.min())
     vmax = float(values.max())
     span = vmax - vmin

@@ -197,6 +197,7 @@ class PropagatedField:
         The chirp reads the position bound of the turned state's fields, scaled
         by m, so far out it multiplies an exact 0 and its x^2 cannot overflow.
         """
+        self.state._require_pure("the propagated field")
         x = np.asarray(x, dtype=float)
         ax, m = self._turned()
         scale = cmath.exp(0.5j * self.beam.gouy) / math.sqrt(m)
@@ -348,7 +349,8 @@ def rotate_phase_space(state: SuperpositionState, theta: float) -> Superposition
 
     This is the harmonic evolution the graded-index relay realizes; theta =
     pi/2 maps the position distribution onto the momentum distribution.  Both
-    transverse axes rotate together.  A global phase is dropped.
+    transverse axes rotate together, and the coherence is kept.  A global
+    phase is dropped.
     """
     if not math.isfinite(theta):
         raise ValidationError(f"rotation angle theta must be finite, got {theta!r}")
@@ -357,7 +359,7 @@ def rotate_phase_space(state: SuperpositionState, theta: float) -> Superposition
         CoherentTerm(coeff=t.coeff, alpha_x=t.alpha_x * phase, alpha_y=t.alpha_y * phase)
         for t in state.terms
     ]
-    return SuperpositionState.from_terms(state.frame, terms)
+    return SuperpositionState.from_terms(state.frame, terms, state.coherence)
 
 
 @dataclass(frozen=True)

@@ -433,20 +433,31 @@ class _TermArrays(NamedTuple):
     ay: np.ndarray
 
 
-def _weighted(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pair array c_j conj(c_k) g[j, k] of coefficients c over a term-pair matrix g."""
+def _weighted(c: np.ndarray, g, coherence: float = 1.0) -> np.ndarray:
+    """Pair array c_j conj(c_k) g[j, k] of coefficients c over a term-pair matrix g,
+    the cross pairs times ``coherence`` (no mask at 1, so pure states keep their bits)."""
+    if coherence != 1.0:
+        g = g * np.where(np.eye(c.size, dtype=bool), 1.0, coherence)
     return c[:, None] * np.conj(c)[None, :] * g
 
 
 @dataclass(frozen=True)
 class SuperpositionState:
-    """Finite complex-weighted sum of displaced-Gaussian terms.
+    """Finite complex-weighted sum of displaced-Gaussian terms, pure or mixed.
 
     Use :meth:`from_terms`, which normalizes the sum at any weight scale and
-    caches the pre-normalization <psi|psi> in ``norm`` (inf beyond the float
-    range).  A sum whose norm is below 1e-15 of sum |c|^2 cancels and is
-    refused.  ``degenerate`` flags inputs whose terms coincided and were
-    merged into a single Gaussian.
+    caches the pre-normalization trace sum_jk rho_jk G_jk in ``norm`` (inf
+    beyond the float range).  A sum whose norm is below 1e-15 of sum |c|^2
+    cancels and is refused.  ``degenerate`` flags inputs whose terms
+    coincided and were merged into a single Gaussian.
+
+    ``coherence`` V in [0, 1] scales the interference of distinct beams
+    (terms on one beam merge first, coherently): rho_jk = c_j conj(c_k) on
+    the diagonal and V c_j conj(c_k) off it.  V = 1 is the pure state
+    sum_j c_j |t_j>; V = 0 the incoherent mixture of the terms with weights
+    |c_j|^2.  Maps, densities, moments and frames read every V; the
+    wavefunction, the field, inner products, the cat-phase rotation and
+    signal bases need V = 1 and refuse a mixed state.
 
     The term arrays and the pair matrices ``pair_overlaps`` and
     ``pair_weights`` are computed once, on first use, and are read-only.
@@ -454,18 +465,21 @@ class SuperpositionState:
     cache of the latest beam sets.
     ``_memo`` keeps what other modules derive from the state (its latest
     Wigner map, its X and P moments) for the state's lifetime.  None of
-    these are fields, so equality and hashing see the terms alone.
+    these are fields, so equality and hashing see the terms and coherence.
     """
 
     frame: ModeFrame
     terms: tuple[CoherentTerm, ...]
     norm: float
     degenerate: bool = False
+    coherence: float = 1.0
 
     @classmethod
     def from_terms(
-        cls, frame: ModeFrame, terms: Iterable[CoherentTerm]
+        cls, frame: ModeFrame, terms: Iterable[CoherentTerm], coherence: float = 1.0
     ) -> "SuperpositionState":
+        if not 0.0 <= coherence <= 1.0:
+            raise ValidationError(f"coherence must lie in [0, 1], got {coherence!r}")
         given = list(terms)
         if not given:
             raise ValidationError("state must contain at least one term")
@@ -491,7 +505,7 @@ class SuperpositionState:
             parts = weights.view(float).tolist()
             kept = [(c, *beam) for c, (_, *beam) in zip(weights.tolist(), kept)]
         grams = _beam_grams(rows[1:].tobytes())
-        raw = float(_weighted(weights, grams[0]).real.sum())
+        raw = float(_weighted(weights, grams[0], coherence).real.sum())
         try:
             norm = math.ldexp(raw, 2 * shift)
         except OverflowError:  # weights beyond about 1e154
@@ -502,7 +516,8 @@ class SuperpositionState:
             )
         scale = 1.0 / math.sqrt(raw)
         normalized = tuple(CoherentTerm(c * scale, *beam) for c, *beam in kept)
-        state = cls(frame=frame, terms=normalized, norm=norm, degenerate=degenerate)
+        state = cls(frame=frame, terms=normalized, norm=norm, degenerate=degenerate,
+                    coherence=float(coherence))
         # normalizing leaves the amplitudes, so the states on these beams share their Grams
         vars(state)["_grams"] = grams
         return state
@@ -532,13 +547,24 @@ class SuperpositionState:
 
     @cached_property
     def pair_overlaps(self) -> np.ndarray:
-        """Two-axis pair weights c_j conj(c_k) <t_k|t_j>; they sum to <psi|psi> = 1."""
-        return _read_only(_weighted(self._arrays.c, self.gram))
+        """Two-axis pair weights rho_jk <t_k|t_j>; they sum to the trace, 1."""
+        return _read_only(_weighted(self._arrays.c, self.gram, self.coherence))
 
     @cached_property
     def pair_weights(self) -> np.ndarray:
-        """y-reduced pair weights W[j, k] = c_j conj(c_k) <y_k|y_j>."""
-        return _read_only(_weighted(self._arrays.c, self._gram_y))
+        """y-reduced pair weights W[j, k] = rho_jk <y_k|y_j>."""
+        return _read_only(_weighted(self._arrays.c, self._gram_y, self.coherence))
+
+    @property
+    def purity(self) -> float:
+        """Tr rho^2 = Tr(rho G^T rho G^T): 1 for a pure state, below 1 for a mixed one."""
+        a = _weighted(self._arrays.c, 1.0, self.coherence) @ self.gram.T
+        return float(np.sum(a * a.T).real)
+
+    def _require_pure(self, what: str) -> None:
+        """Refuse a mixed state in an operation defined on pure states only."""
+        if self.coherence != 1.0:
+            raise ValidationError(f"{what} needs a pure state, got coherence {self.coherence!r}")
 
     def coeffs(self) -> np.ndarray:
         return self._arrays.c
@@ -551,6 +577,7 @@ class SuperpositionState:
 
     def x_wavefunction(self, x: np.ndarray) -> np.ndarray:
         """1D wavefunction along x when every term shares one y mode."""
+        self._require_pure("the x wavefunction")
         c, ax, ay = self._arrays
         if not np.all(ay == ay[0]):
             raise ValidationError(
@@ -600,6 +627,8 @@ def inner_product(a: SuperpositionState, b: SuperpositionState) -> complex:
     """Sesquilinear <a|b> over the shared mode frame."""
     if a.frame != b.frame:
         raise ValidationError("states live in different mode frames")
+    a._require_pure("an inner product")
+    b._require_pure("an inner product")
     gram = _gram(b._arrays.ax, b._arrays.ay, a._arrays.ax, a._arrays.ay)
     return complex(b._arrays.c @ gram @ np.conj(a._arrays.c))
 

@@ -69,8 +69,10 @@ class CcdConfig:
     """Sensor geometry, digitization, and acquisition knobs.
 
     exposure_scale is in counts per unit intensity; None picks the scale
-    that puts the frame peak at 90% of full range (deterministic).  seed
-    turns on Poisson shot noise; None leaves the render noiseless.
+    that puts the frame peak at 90% of full range (deterministic).
+    visibility scales the interference (cross) pairs of the frame, times the
+    state's own coherence.  seed turns on Poisson shot noise; None leaves the
+    render noiseless.
     """
 
     nx: int = 720
@@ -211,13 +213,13 @@ _SIDECAR_FIELDS = {
 def _intensity_2d(
     state: SuperpositionState, x: np.ndarray, y: np.ndarray, visibility: float
 ) -> np.ndarray:
-    """|Psi(x, y)|^2 with the interference (cross) part scaled by visibility."""
+    """The state's density at (x, y), its cross pairs scaled by visibility x coherence."""
     w0 = state.frame.w0
     c, ax, ay = state._arrays
     fx = gaussian_mode_1d(ax[:, None], w0, x)
     fy = gaussian_mode_1d(ay[:, None], w0, y)
     j, k, _ = _pairs(c.size)
-    weights = _weighted(c, np.where(np.eye(c.size, dtype=bool), 1.0, visibility))
+    weights = _weighted(c, 1.0, visibility * state.coherence)
     rows = np.ascontiguousarray((fy[j] * np.conj(fy[k])).T)
     return _pair_contract(weights, rows, fx[j], np.conj(fx[k]))
 
@@ -258,7 +260,8 @@ def render_ccd(
 
     Momentum-plane imaging maps the focal coordinate onto momentum through
     x' = p_x f / (hbar k); internally the state is rotated a quarter turn in
-    phase space and sampled at the correspondingly scaled positions.
+    phase space and sampled at the correspondingly scaled positions.  The
+    frame's cross pairs are scaled by config.visibility x state.coherence.
 
     Digitization runs in this order: the intensity is scaled to counts and
     clamped at 0, since the pair sum can leave far-tail residues a few

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .states import (
     HBAR,
-    ModeFrame,
     SuperpositionState,
     _d_kappa,
     _pair_contract,
@@ -159,48 +158,6 @@ def quadrature_moments(
     return mean, var
 
 
-def _auto_map(
-    frame: ModeFrame, evaluate, moments, n: int, si_units: bool, weight: float
-) -> WignerMap:
-    """Validated n x n map on a window centered on the centroid, covering the support.
-
-    moments holds the (mean, variance) pairs of X and of P.  The window starts
-    at +-4 sqrt(Var) (at least 4 vacuum widths) about the centroid and grows
-    by x1.5 while any boundary cell exceeds 1e-8 of the map peak.
-    ``evaluate(x, p)`` gives SI Wigner values on SI axes; weight is the
-    sum of |c|^2 over the normalized terms behind them, for _validate_map.
-    """
-    (mean_x, var_x), (mean_p, var_p) = moments
-    half_x = 4.0 * max(math.sqrt(var_x), math.sqrt(0.5))
-    half_p = 4.0 * max(math.sqrt(var_p), math.sqrt(0.5))
-    sx, sp = frame.x_scale, frame.p_scale
-    if si_units:  # SI bounds, evaluated as they are
-        bx, bp, ex, ep, scale = sx, sp, 1.0, 1.0, 1.0
-    else:  # evaluated at SI points; W~ = hbar W, as dx dp = hbar dX dP
-        bx, bp, ex, ep, scale = 1.0, 1.0, sx, sp, HBAR
-    for _ in range(12):
-        grid = PhaseSpaceGrid(
-            x_min=bx * (mean_x - half_x),
-            x_max=bx * (mean_x + half_x),
-            nx=n,
-            p_min=bp * (mean_p - half_p),
-            p_max=bp * (mean_p + half_p),
-            np_=n,
-            si_units=si_units,
-        )
-        vals = evaluate(ex * grid.x_axis(), ep * grid.p_axis())
-        edge = max(np.abs(vals[[0, -1], :]).max(), np.abs(vals[:, [0, -1]]).max())
-        if edge <= 1e-8 * max(vals.max(), -vals.min()):
-            vals *= scale
-            out = WignerMap(grid=grid, values=vals)
-            _validate_map(out, weight)
-            return out
-        del vals  # free this window before the next one is evaluated
-        half_x *= 1.5
-        half_p *= 1.5
-    raise NumericsError("auto grid did not localize the state after 12 expansions")
-
-
 def _validate_map(m: WignerMap, weight: float) -> None:
     """Refuse a map below -1/pi (-1/(pi hbar) in SI) or not integrating to 1.
 
@@ -233,22 +190,48 @@ def wigner_map(
 ) -> WignerMap:
     """Closed-form Wigner map on an auto-sized, validated n x n grid.
 
-    Each state keeps its latest map, with read-only values, so a long-lived
-    state holds one map.  A repeat call with the same n and si_units returns
-    that map without evaluating again; a map that fails validation is not kept.
+    The window is centered on the X and P centroid.  It starts at
+    +-4 sqrt(Var) (at least 4 vacuum widths) and grows by x1.5 while any
+    boundary cell exceeds 1e-8 of the map peak.  Each state keeps its latest
+    map, with read-only values, so a long-lived state holds one map.  A
+    repeat call with the same n and si_units returns that map without
+    evaluating again; a map that fails validation is not kept.
     """
     key = (n, si_units)
     kept_key, kept = state._memo.get("wigner_map", (None, None))
     if kept_key == key:
         return kept
-    moments = [quadrature_moments(state, t) for t in (0.0, math.pi / 2.0)]
-    weight = float(np.sum(np.abs(state._arrays.c) ** 2))
-    out = _auto_map(
-        state.frame, lambda x, p: wigner_of_state(state, x, p), moments, n, si_units, weight
-    )
-    out.values.flags.writeable = False
-    state._memo["wigner_map"] = key, out
-    return out
+    (mean_x, var_x), (mean_p, var_p) = (quadrature_moments(state, t) for t in _KEPT_ANGLES)
+    half_x = 4.0 * max(math.sqrt(var_x), math.sqrt(0.5))
+    half_p = 4.0 * max(math.sqrt(var_p), math.sqrt(0.5))
+    sx, sp = state.frame.x_scale, state.frame.p_scale
+    if si_units:  # SI bounds, evaluated as they are
+        bx, bp, ex, ep, scale = sx, sp, 1.0, 1.0, 1.0
+    else:  # evaluated at SI points; W~ = hbar W, as dx dp = hbar dX dP
+        bx, bp, ex, ep, scale = 1.0, 1.0, sx, sp, HBAR
+    for _ in range(12):
+        grid = PhaseSpaceGrid(
+            x_min=bx * (mean_x - half_x),
+            x_max=bx * (mean_x + half_x),
+            nx=n,
+            p_min=bp * (mean_p - half_p),
+            p_max=bp * (mean_p + half_p),
+            np_=n,
+            si_units=si_units,
+        )
+        vals = wigner_of_state(state, ex * grid.x_axis(), ep * grid.p_axis())
+        edge = max(np.abs(vals[[0, -1], :]).max(), np.abs(vals[:, [0, -1]]).max())
+        if edge <= 1e-8 * max(vals.max(), -vals.min()):
+            vals *= scale
+            out = WignerMap(grid=grid, values=vals)
+            _validate_map(out, float(np.sum(np.abs(state._arrays.c) ** 2)))
+            vals.flags.writeable = False
+            state._memo["wigner_map"] = key, out
+            return out
+        del vals  # free this window before the next one is evaluated
+        half_x *= 1.5
+        half_p *= 1.5
+    raise NumericsError("auto grid did not localize the state after 12 expansions")
 
 
 def negativity_scan(

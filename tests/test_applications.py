@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tmcat import (
     BASIS_SCHEMES,
+    CcdConfig,
     ChannelModel,
     CoherentTerm,
     FiberSpec,
@@ -23,15 +24,24 @@ from tmcat import (
     dephased_mixture,
     expected_qber,
     inner_product,
+    make_qubit_state,
     make_typical_state,
+    momentum_plane,
+    negativity_scan,
+    position_plane,
     profile_sweep,
+    propagate_analytic,
     psk_link_simulate,
     qkd_simulate,
     quadrature_moments,
+    render_ccd,
     rotate_cat_phase,
+    rotate_phase_space,
+    wigner_map,
     wigner_of_state,
 )
 from tmcat.applications import _BLOCK, BasisSet
+from tmcat.virtual_lab import _intensity_2d
 
 import dispatch
 from oracles import (
@@ -678,7 +688,7 @@ class TestDephasedMixture:
 
     def test_wigner_is_positive_classical_mixture(self, frame):
         mix = dephased_mixture(frame.w0, frame)
-        result = mix.wigner_map(n=128)
+        result = wigner_map(mix, n=128)
         assert result.integral() == pytest.approx(1.0, abs=1e-6)
         assert result.min_value() >= -1e-15
 
@@ -689,7 +699,7 @@ class TestDephasedMixture:
         _, vac = make_typical_state("vac", angle_w0, frame)
         _, coh = make_typical_state("coh", angle_w0, frame)
         expect = 0.5 * (wigner_of_state(vac, x, p) + wigner_of_state(coh, x, p))
-        got = mix.wigner_values(x, p)
+        got = wigner_of_state(mix, x, p)
         assert np.max(np.abs(got - expect)) * HBAR < 1e-14
 
     def test_position_density(self, frame, angle_w0):
@@ -707,3 +717,44 @@ class TestDephasedMixture:
     def test_validation(self, frame):
         with pytest.raises(ValidationError):
             dephased_mixture(-1e-4, frame)
+
+    def test_every_reader_takes_the_mixture(self, frame, angle_w0):
+        # the mixture is a state like any other: each linear reading is the
+        # mean of its two components' readings
+        mix = dephased_mixture(frame.w0, frame)
+        _, vac = make_typical_state("vac", angle_w0, frame)
+        _, coh = make_typical_state("coh", angle_w0, frame)
+        w0, alpha = frame.w0, angle_w0.alpha
+        x = np.linspace(-4.0, 6.0, 41) * w0
+        y = np.linspace(-2.0, 2.0, 9) * w0
+        p = np.linspace(-5.0, 5.0, 41) * HBAR / w0
+        readers = (
+            lambda s: s.position_intensity(x),
+            lambda s: s.momentum_intensity(p),
+            lambda s: propagate_analytic(s, 0.3).intensity(x),
+            lambda s: _intensity_2d(s, x, y, 1.0),
+            lambda s: _intensity_2d(s, x, y, 0.3),
+            lambda s: _intensity_2d(rotate_phase_space(s, 1.1), x, y, 1.0),
+        )
+        for read in readers:
+            expect = 0.5 * (read(vac) + read(coh))
+            assert np.max(np.abs(read(mix) - expect)) <= 1e-13 * np.max(expect)
+        assert quadrature_moments(mix, 0.0) == pytest.approx((alpha, 0.5 + alpha**2), rel=1e-14)
+        assert quadrature_moments(mix, math.pi / 2.0) == pytest.approx((0.0, 0.5), abs=1e-15)
+        field = propagate_analytic(mix, 0.3)
+        assert field.power() == pytest.approx(1.0, abs=1e-15)
+        xs = np.linspace(-30.0, 30.0, 20001) * w0
+        dens = field.intensity(xs)
+        center = np.trapezoid(xs * dens, xs)
+        assert field.centroid() == pytest.approx(center, rel=1e-9)
+        spread = np.trapezoid((xs - center) ** 2 * dens, xs)
+        assert field.rms_width() == pytest.approx(2.0 * math.sqrt(spread), rel=1e-9)
+        w_min, _, negative = negativity_scan(mix, n=128)
+        assert w_min >= -1e-15 and negative <= 1e-15
+        # a CCD frame of the mixture is the qubit's frame at visibility 0
+        qubit = make_qubit_state(QubitParams(T=0.5, phi=0.0, d=w0), frame)
+        config = CcdConfig(nx=160, ny=120)
+        for plane in (position_plane(), momentum_plane()):
+            got = render_ccd(mix, plane, config).counts.astype(int)
+            faded = render_ccd(qubit, plane, CcdConfig(nx=160, ny=120, visibility=0.0))
+            assert np.max(np.abs(got - faded.counts)) <= 1 and got.max() > 200

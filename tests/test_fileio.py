@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 import tracemalloc
 
@@ -270,8 +271,9 @@ def test_pgm_validation(tmp_path):
 
 
 def test_pgm_writers_refuse_samples_without_a_code(tmp_path):
-    """NaN, infinite and complex samples are refused before any cast, and
-    no file is written; real samples of every kind still write."""
+    """NaN, infinite, complex and non-whole float samples and empty arrays
+    are refused before any cast, and no file is written; real samples of
+    every kind still write."""
     path = tmp_path / "t.pgm"
     nan_pixel = np.zeros((3, 4))
     nan_pixel[1, 2] = np.nan
@@ -279,6 +281,13 @@ def test_pgm_writers_refuse_samples_without_a_code(tmp_path):
                    np.full((3, 4), np.inf), np.zeros((3, 4), complex)):
         with pytest.raises(ValidationError, match="PGM samples"):
             write_pgm(path, counts, 255)
+    # a float sample between two codes would be floored by the cast
+    for counts, named in ((np.array([[1.5, 2.9]]), "1.5"), (np.array([[2.0, 254.75]]), "254.75")):
+        with pytest.raises(ValidationError, match=f"whole numbers, got {named}$"):
+            write_pgm(path, counts, 255)
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}")):
+            write_pgm(path, np.zeros(shape), 255)
     assert not path.exists()
     for dtype in (np.uint8, np.uint16, np.int64, bool, float):
         write_pgm(path, np.ones((3, 4), dtype), 255)
@@ -292,6 +301,8 @@ def test_pgm_writers_refuse_samples_without_a_code(tmp_path):
         assert repr(bad) in str(info.value)
     with pytest.raises(ValidationError, match="real numbers"):
         write_scaled_pgm(path, np.ones((3, 4), complex))
+    with pytest.raises(ValidationError, match=re.escape("got shape (0, 3)")):
+        write_scaled_pgm(path, np.zeros((0, 3)))
     assert not path.exists() and not (tmp_path / "map.pgm.json").exists()
 
 

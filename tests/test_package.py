@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,7 +15,7 @@ import tmcat
 # The exported names as the package listed them by hand, before the table.
 _SURFACE = """
     BASIS_SCHEMES BasisSet BeamParams BlochVector C_LIGHT CcdConfig CcdImage
-    ChannelModel CoherentTerm DephasedMixture FiberSpec FitError GaussianFit HBAR
+    ChannelModel CoherentTerm FiberSpec FitError GaussianFit HBAR
     LAB_FOCAL_LENGTH LAB_FRAME LAB_THETA_D LensSystem ModeFrame NumericsError
     OverlapAngle PhaseSpaceGrid PlaneTag PropagatedField ProtocolStats QubitParams
     RayMatrix ScenarioPanel SimulationError SuperpositionState SweepPoint
@@ -60,7 +61,7 @@ def test_import_loads_no_module():
 
 
 def test_every_name_is_its_modules_object():
-    assert tmcat.__all__ == sorted(_SURFACE) and len(set(tmcat.__all__)) == 72
+    assert tmcat.__all__ == sorted(_SURFACE) and len(set(tmcat.__all__)) == 71
     assert sorted(tmcat._EXPORTS) == sorted(_MODULES)
     for name in tmcat.__all__:
         owner = importlib.import_module(f"tmcat.{tmcat._OWNER[name]}")
@@ -91,3 +92,16 @@ def test_unknown_names_and_submodules():
     assert _fresh(code) == ["module", "tmcat.states"]
     for module in _MODULES:
         assert getattr(tmcat, module) is importlib.import_module(f"tmcat.{module}")
+
+
+def test_readme_python_blocks_run_and_count_the_names(capsys):
+    """Each fenced python block of README runs as written, and the library
+    tour's table names as many exported names as ``__all__`` holds."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+    (count,) = re.findall(r"one table of the (\d+) exported names", text)
+    assert int(count) == len(tmcat.__all__)

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from tmcat import (
     bloch_to_params,
     cat_coefficients,
     coherent_overlap,
+    dephased_mixture,
     inner_product,
     make_qubit_state,
     make_typical_state,
@@ -39,6 +41,7 @@ from tmcat import (
     profile_sweep,
     propagate_analytic,
     quadrature_moments,
+    rotate_cat_phase,
     signed_phase,
     wigner_of_state,
     wrap_phase,
@@ -864,3 +867,66 @@ def test_skip_draws_leaves_the_random_raw_state(counter, used, via_poisson, halv
     twin.bit_generator.random_raw(n, output=False)
     assert _state_json(rng) == _state_json(twin)
     assert rng.bit_generator.random_raw(16).tobytes() == twin.bit_generator.random_raw(16).tobytes()
+
+
+@pytest.mark.parametrize("coherence", [math.nan, -0.25, 1.5, math.inf, -math.inf])
+def test_from_terms_refuses_a_coherence_outside_the_unit_interval(frame, coherence):
+    with pytest.raises(ValidationError, match=re.escape(f"[0, 1], got {coherence!r}")):
+        SuperpositionState.from_terms(frame, [CoherentTerm(1.0, 0.0)], coherence)
+
+
+@pytest.mark.parametrize("coherence", [0.0, 0.5, 1.0 - 2.0**-53])
+def test_pure_only_operations_refuse_a_mixed_state(frame, coherence):
+    beams = [CoherentTerm(1.0, -0.5), CoherentTerm(1.0, 0.5)]  # a displacement-symmetric pair
+    mixed = SuperpositionState.from_terms(frame, beams, coherence)
+    pure = SuperpositionState.from_terms(frame, beams)
+    x = np.linspace(-3.0, 3.0, 7) * frame.w0
+    calls = {
+        "the x wavefunction": lambda: mixed.x_wavefunction(x),
+        "the propagated field": lambda: propagate_analytic(mixed, 0.1).field(x),
+        "an inner product": lambda: inner_product(pure, mixed),
+        "cat-phase rotation": lambda: rotate_cat_phase(mixed, 0.1),
+        "a signal basis": lambda: BasisSet("mixed", (pure, mixed)),
+    }
+    for what, call in calls.items():
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"{what} needs a pure state, got coherence {coherence!r}"
+    with pytest.raises(ValidationError, match="an inner product needs a pure state"):
+        inner_product(mixed, pure)
+    # the pure state on the same beams passes each of them
+    pure.x_wavefunction(x)
+    propagate_analytic(pure, 0.1).field(x)
+    rotate_cat_phase(pure, 0.1)
+    assert inner_product(pure, pure) == pytest.approx(1.0, abs=1e-14)
+    assert len(BasisSet("pure", (pure,))) == 1
+
+
+def test_dephased_mixture_is_the_qubit_at_coherence_zero(frame, angle_w0):
+    mix = dephased_mixture(frame.w0, frame)
+    assert type(mix) is SuperpositionState and mix.coherence == 0.0
+    qubit = make_qubit_state(QubitParams(T=0.5, phi=0.0, d=frame.w0), frame)
+    assert [(t.alpha_x, t.alpha_y) for t in mix.terms] == [
+        (t.alpha_x, t.alpha_y) for t in qubit.terms
+    ]
+    assert mix.purity == pytest.approx((1.0 + angle_w0.cos_theta_d**2) / 2.0, rel=1e-14)
+    assert np.all(mix.pair_overlaps[~np.eye(2, dtype=bool)] == 0.0)
+
+
+@given(superpositions())
+def test_pure_states_keep_the_bits_of_their_pair_matrices(state):
+    """At coherence 1 the pair matrices and the trace are the unmasked
+    c_j conj(c_k) g[j, k] products and their raw sum, byte for byte."""
+    c = state.coeffs()
+    cc = c[:, None] * np.conj(c)[None, :]
+    gram, gram_y = state._grams
+    assert state.coherence == 1.0
+    assert state.pair_weights.tobytes() == (cc * gram_y).tobytes()
+    assert state.pair_overlaps.tobytes() == (cc * gram).tobytes()
+    again = SuperpositionState.from_terms(state.frame, state.terms)
+    assert again.norm == float((cc * gram).real.sum())
+    scale = 1.0 / math.sqrt(again.norm)
+    assert again.terms == tuple(
+        CoherentTerm(t.coeff * scale, t.alpha_x, t.alpha_y) for t in state.terms
+    )
+    assert 0.0 < state.purity and state.purity == pytest.approx(1.0, abs=1e-12)

@@ -42,6 +42,7 @@ from oracles import (
     wigner_chord_quadrature,
     wigner_closed_form,
 )
+from strategies import superpositions
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +353,32 @@ def test_degenerate_params_rejected(frame):
     params = QubitParams(T=0.5, phi=math.pi, d=d)
     with pytest.raises(ValidationError):
         make_qubit_state(params, frame)
+
+
+@given(superpositions(coherence=st.floats(0.0, 1.0)))
+def test_partial_coherence_mixes_the_pure_state_and_its_terms(state):
+    """t_V W_V = V t_1 W_1 + (1 - V) sum_j |c_j|^2 W_j, t being the trace
+    before normalizing, on fixed SI axes; the same for the position density.
+    The auto-sized map of every V integrates to 1 above the floor -1/pi."""
+    v, frame = state.coherence, state.frame
+    x = np.linspace(-6.0, 6.0, 37) * frame.x_scale
+    p = np.linspace(-5.0, 5.0, 33) * frame.p_scale
+    mixed = SuperpositionState.from_terms(frame, state.terms, v)
+    pure = SuperpositionState.from_terms(frame, state.terms)
+    singles = [
+        SuperpositionState.from_terms(frame, [CoherentTerm(1.0, t.alpha_x, t.alpha_y)])
+        for t in state.terms
+    ]
+    weights = np.abs(state.coeffs()) ** 2
+    for read in (lambda s: wigner_of_state(s, x, p), lambda s: s.position_intensity(x)):
+        incoherent = sum(w * read(single) for w, single in zip(weights, singles))
+        expect = v * pure.norm * read(pure) + (1.0 - v) * incoherent
+        got = mixed.norm * read(mixed)
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+    m = wigner_map(state)
+    assert m.integral() == pytest.approx(1.0, abs=1e-6)
+    assert m.min_value() >= -1.0 / math.pi
+    # Tr rho^2 lies in (0, 1]; at V = 1 it is (sum rho G)^2 = 1 to rounding
+    assert 0.0 < state.purity <= 1.0 + 1e-12
+    if v == 1.0:
+        assert state.purity == pytest.approx(1.0, abs=1e-12)
