@@ -29,10 +29,11 @@ from .states import (
     _gram,
     _two_beam,
     _typical_params,
+    _weighted,
     make_qubit_state,
     make_typical_state,
 )
-from .wigner import quadrature_moments
+from .wigner import _moments
 
 BASIS_SCHEMES = ("four_cat", "twelve_state", "four_hg_reference")
 
@@ -408,24 +409,27 @@ def profile_sweep(
 
     delta_x is the RMS position spread in meters, mean_vx the mean paraxial
     velocity <p_x>/(hbar k) (units of c), center_intensity the position
-    density at the pattern midpoint d/2.
+    density at the pattern midpoint d/2.  The states on one beam set, keyed
+    on its exact bytes, are evaluated as one stack, each with its own bits.
     """
     if not path:
         raise ValidationError("sweep path must be non-empty")
-    out = []
-    for t, phi in path:
-        params = QubitParams(T=t, phi=phi, d=d)
-        state = make_qubit_state(params, frame)
-        _, var_x = quadrature_moments(state, 0.0)
-        mean_p, _ = quadrature_moments(state, math.pi / 2.0)
-        delta_x = frame.x_scale * math.sqrt(var_x)
-        mean_vx = frame.p_scale * mean_p / (HBAR * frame.k)
-        center = float(state.position_intensity(np.array([d / 2.0]))[0])
-        out.append(
-            SweepPoint(
-                T=t, phi=phi, delta_x=delta_x, mean_vx=mean_vx, center_intensity=center
-            )
-        )
+    states = [make_qubit_state(QubitParams(T=t, phi=phi, d=d), frame) for t, phi in path]
+    groups: dict[bytes, list[int]] = {}
+    for i, state in enumerate(states):
+        groups.setdefault(state._arrays.ax.tobytes() + state._arrays.ay.tobytes(), []).append(i)
+    out = [None] * len(path)
+    for members in groups.values():
+        first = states[members[0]]
+        ax, (gram, gram_y) = first._arrays.ax, first._grams
+        c = np.array([states[i]._arrays.c for i in members])
+        overlaps = _weighted(c, gram)
+        var_x, mean_p = _moments(overlaps, ax, 0.0)[2], _moments(overlaps, ax, math.pi / 2.0)[1]
+        center = first._density(ax, np.array([d / 2.0]), weights=_weighted(c, gram_y))
+        for i, var, mean, dens in zip(members, var_x, mean_p, center[:, 0]):
+            out[i] = SweepPoint(*path[i], delta_x=frame.x_scale * math.sqrt(var),
+                                mean_vx=frame.p_scale * mean / (HBAR * frame.k),
+                                center_intensity=float(dens))
     return out
 
 

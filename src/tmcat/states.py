@@ -370,15 +370,22 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(j), _read_only(k), _read_only(np.where(j == k, 1.0, 2.0))
 
 
+def _on_stack(a, axes: int):
+    """``a`` raised to a stack's rank by ``axes`` leading length-1 axes: numpy rounds a
+    lone complex product of unequal ranks without its array loop's fused multiply-add."""
+    return np.asarray(a)[(None,) * axes]
+
+
 def _pair_contract(weights: np.ndarray, left: np.ndarray | None, *right: np.ndarray):
     """Re sum_jk W[j, k] L_jk R_jk, the one pair sum beneath every map and density.
 
     Pair (k, j) is the conjugate of pair (j, k), so the sum runs over the pairs
     j <= k of ``_pairs``, cross pairs counted twice, on axis 0 of each factor
     (the last axis of ``left``).  The right factors multiply the pair weights
-    in the order given; with ``left`` None the pairs are summed without BLAS.
-    Returns the real part as an owned C-contiguous float64 array, so callers
-    scale it in place.
+    in the order given; with ``left`` None the pairs are summed without BLAS,
+    and ``weights`` may be a stack (..., m, m), one sum per state.  Returns
+    the real part as an owned C-contiguous float64 array, so callers scale it
+    in place.
 
     ``left @ pair`` runs in row blocks of at most _BLOCK_MACS complex
     multiply-adds, each into one reused complex buffer whose real part goes
@@ -390,12 +397,13 @@ def _pair_contract(weights: np.ndarray, left: np.ndarray | None, *right: np.ndar
     sends a 1-row product to gemv, which rounds differently, so a lone last
     row borrows one from the block before it (hence at least 3 rows a block).
     """
-    j, k, count = _pairs(len(weights))
-    pair = (weights[j, k] * count).reshape((-1,) + (1,) * (right[0].ndim - 1))
+    j, k, count = _pairs(weights.shape[-1])
+    lead = weights.shape[:-2]
+    pair = (weights[..., j, k] * count).reshape(lead + (-1,) + (1,) * (right[0].ndim - 1))
     for factor in right:
-        pair = pair * factor
-    if left is None:
-        return pair.sum(axis=0).real.copy()
+        pair = pair * _on_stack(factor, len(lead))
+    if left is None:  # in C order a stack's sums run over the pairs as one state's do
+        return np.ascontiguousarray(pair).sum(axis=len(lead)).real.copy()
     m = len(left)
     rows = max(3, _BLOCK_MACS // pair.size)
     out = np.empty((m, pair.shape[1]))
@@ -434,11 +442,11 @@ class _TermArrays(NamedTuple):
 
 
 def _weighted(c: np.ndarray, g, coherence: float = 1.0) -> np.ndarray:
-    """Pair array c_j conj(c_k) g[j, k] of coefficients c over a term-pair matrix g,
-    the cross pairs times ``coherence`` (no mask at 1, so pure states keep their bits)."""
+    """Pair arrays c_j conj(c_k) g[j, k] of coefficients c (..., m) over a term-pair matrix
+    g, the cross pairs times ``coherence`` (no mask at 1, so pure states keep their bits)."""
     if coherence != 1.0:
-        g = g * np.where(np.eye(c.size, dtype=bool), 1.0, coherence)
-    return c[:, None] * np.conj(c)[None, :] * g
+        g = g * np.where(np.eye(c.shape[-1], dtype=bool), 1.0, coherence)
+    return c[..., :, None] * np.conj(c)[..., None, :] * _on_stack(g, c.ndim - 1)
 
 
 @dataclass(frozen=True)
@@ -447,9 +455,9 @@ class SuperpositionState:
 
     Use :meth:`from_terms`, which normalizes the sum at any weight scale and
     caches the pre-normalization trace sum_jk rho_jk G_jk in ``norm`` (inf
-    beyond the float range).  A sum whose norm is below 1e-15 of sum |c|^2
-    cancels and is refused.  ``degenerate`` flags inputs whose terms
-    coincided and were merged into a single Gaussian.
+    beyond the float range).  A sum whose norm is below 1e-15 of the given
+    terms' sum |c|^2 cancels and is refused, a merge of coinciding terms too.
+    ``degenerate`` flags inputs whose terms coincided and were merged.
 
     ``coherence`` V in [0, 1] scales the interference of distinct beams
     (terms on one beam merge first, coherently): rho_jk = c_j conj(c_k) on
@@ -491,18 +499,17 @@ class SuperpositionState:
         # a term whose weights cancel exactly carries nothing; drop it
         kept = [(c, *beam) for beam, c in merged.items() if c != 0.0]
         rows = _term_rows(kept)
-        weights, parts = rows[0], rows[0].view(float).tolist()
+        weights = rows[0]
         # weights beyond 2^+-256 first go over the power of two of their largest
         # part: exact, so the normalized terms keep their bits at any scale and
         # the pair sum cannot overflow
-        top, shift = max(map(abs, parts), default=0.0), 0
+        top, shift = max(map(abs, weights.view(float).tolist()), default=0.0), 0
         if not 2.0**-256 < top < 2.0**256:
             for c, *beam in kept:
                 if not cmath.isfinite(c):
                     CoherentTerm(c, *beam)  # a merged weight that overflowed: refused as a term
             shift = math.frexp(top)[1]
             weights = np.ldexp(rows[0].view(float), -shift).view(complex)
-            parts = weights.view(float).tolist()
             kept = [(c, *beam) for c, (_, *beam) in zip(weights.tolist(), kept)]
         grams = _beam_grams(rows[1:].tobytes())
         raw = float(_weighted(weights, grams[0], coherence).real.sum())
@@ -510,7 +517,12 @@ class SuperpositionState:
             norm = math.ldexp(raw, 2 * shift)
         except OverflowError:  # weights beyond about 1e154
             norm = math.inf
-        if raw <= 1e-15 * sum([x * x for x in parts]):
+        try:  # cancellation is judged against the given terms' sum |c|^2, at raw's scale
+            given_sq = sum([math.ldexp(x, -shift) ** 2
+                            for t in given for x in (t.coeff.real, t.coeff.imag)])
+        except OverflowError:  # given weights 2^512 beyond the merged ones cancel
+            given_sq = math.inf
+        if raw <= 1e-15 * given_sq:
             raise ValidationError(
                 f"state norm {norm!r} vanishes; the requested superposition cancels"
             )
@@ -616,11 +628,13 @@ class SuperpositionState:
         reach = 40.0 * self.frame.w0
         return d.min() - reach, d.max() + reach
 
-    def _density(self, ax: np.ndarray, x, scale: float = 1.0) -> np.ndarray:
-        """y-reduced density sum_jk W[j, k] f_j conj(f_k) of the x-mode fields at x * scale."""
+    def _density(self, ax: np.ndarray, x, scale: float = 1.0, weights=None) -> np.ndarray:
+        """y-reduced density sum_jk W[j, k] f_j conj(f_k) of the x-mode fields at x * scale,
+        for the state's pair weights W or a stack of weights on its beams."""
         fields = self._fields(ax, x, scale)
         j, k, _ = _pairs(ax.size)
-        return _pair_contract(self.pair_weights, None, fields[j], np.conj(fields[k]))
+        weights = self.pair_weights if weights is None else weights
+        return _pair_contract(weights, None, fields[j], np.conj(fields[k]))
 
 
 def inner_product(a: SuperpositionState, b: SuperpositionState) -> complex:

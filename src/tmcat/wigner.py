@@ -141,21 +141,27 @@ def quadrature_moments(
     kept = state._memo.setdefault("moments", {})
     if theta_l in kept:
         return kept[theta_l]
-    e_m = complex(math.cos(theta_l), -math.sin(theta_l))
-    e_p = np.conj(e_m)
-    ax = state._arrays.ax
-    w = state.pair_overlaps
-    amp = ax[:, None] * e_m + np.conj(ax)[None, :] * e_p
-    total = w.sum()
-    first = (w * amp).sum()
-    second = (w * (amp * amp + 0.5)).sum()
+    total, mean, var = _moments(state.pair_overlaps, state._arrays.ax, theta_l)
     if abs(total - 1.0) > 1e-9:
         raise NumericsError(f"state norm drifted to {total!r} in moment evaluation")
-    mean = first.real
-    var = second.real - mean**2
     if theta_l in _KEPT_ANGLES:
         kept[theta_l] = mean, var
     return mean, var
+
+
+def _moments(w: np.ndarray, ax: np.ndarray, theta_l: float):
+    """Trace, mean and variance of X_theta from pair overlaps w, (m, m) or a stack
+    (S, m, m) of states on the term amplitudes ax: one value per state."""
+    e_m = complex(math.cos(theta_l), -math.sin(theta_l))
+    e_p = np.conj(e_m)
+    amp = ax[:, None] * e_m + np.conj(ax)[None, :] * e_p
+    total = w.sum(axis=(-2, -1))
+    first = (w * amp).sum(axis=(-2, -1))
+    second = (w * (amp * amp + 0.5)).sum(axis=(-2, -1))
+    mean = first.real
+    # each mean squared by C pow, as one numpy float is; the array square rounds apart
+    square = mean**2 if mean.ndim == 0 else np.array([m**2 for m in mean.tolist()])
+    return total, mean, second.real - square
 
 
 def _validate_map(m: WignerMap, weight: float) -> None:

@@ -29,7 +29,9 @@ closed-form Fresnel map of each term's Gaussian exponents it was first
 written as, beside the Gouy-angle rotation of the state that replaced it,
 and with its wavefront chirp taken at every position as given.  A state is
 also built in the two steps it first took: an unnormalized state whose
-Grams are evaluated afresh, then its normalized copy.
+Grams are evaluated afresh, then its normalized copy.  A profile sweep is
+kept as the loop over its points it was first written as, one state's
+moments and density at a time, beside the stacks the library evaluates.
 """
 
 import cmath
@@ -47,10 +49,13 @@ from tmcat import (
     ModeFrame,
     OverlapAngle,
     QubitParams,
+    SweepPoint,
     ValidationError,
     cat_coefficients,
     coherent_overlap,
+    make_qubit_state,
     make_typical_state,
+    quadrature_moments,
     rotate_phase_space,
 )
 from tmcat.states import gaussian_mode_1d
@@ -136,6 +141,22 @@ def two_step_state(terms) -> dict:
     pairs = c[:, None] * np.conj(c)[None, :]
     return {"gram": gram, "gram_y": gram_y, "norm": norm, "coeffs": c,
             "pair_overlaps": pairs * gram, "pair_weights": pairs * gram_y}
+
+
+def profile_sweep_per_state(path, d: float, frame: ModeFrame) -> list:
+    """``profile_sweep`` point by point: each state's X and P moments and its
+    position density at d/2, through the single-state calls."""
+    out = []
+    for t, phi in path:
+        state = make_qubit_state(QubitParams(T=t, phi=phi, d=d), frame)
+        _, var_x = quadrature_moments(state, 0.0)
+        mean_p, _ = quadrature_moments(state, math.pi / 2.0)
+        center = float(state.position_intensity(np.array([d / 2.0]))[0])
+        out.append(SweepPoint(
+            T=t, phi=phi, delta_x=frame.x_scale * math.sqrt(var_x),
+            mean_vx=frame.p_scale * mean_p / (HBAR * frame.k), center_intensity=center,
+        ))
+    return out
 
 
 def wigner_pair_product(state, x: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ import dispatch
 from oracles import (
     cat_overlap_matrices,
     marginal_position,
+    profile_sweep_per_state,
     psk_block_decoder_errors,
     qkd_rotation_counts,
 )
@@ -630,6 +631,16 @@ class TestQkd:
                 qkd_simulate(100, angle_bench, sigma_z, fiber)
 
 
+@st.composite
+def _sweep_paths(draw):
+    """1-12 (T, phi) points, T = 0 and 1 among them, some of them repeated."""
+    t = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    phi = st.floats(allow_nan=False, allow_infinity=False)
+    points = draw(st.lists(st.tuples(t, phi), min_size=1, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(points), max_size=12 - len(points)))
+    return draw(st.permutations(points + repeats))
+
+
 class TestSweep:
     def test_vacuum_point(self, frame, angle_w0):
         d = angle_w0.displacement(frame.w0)
@@ -679,6 +690,26 @@ class TestSweep:
     def test_empty_path_rejected(self, frame):
         with pytest.raises(ValidationError):
             profile_sweep([], 1e-4, frame)
+
+    @given(_sweep_paths(), st.one_of(st.just(0.0), st.floats(0.0, 8.0)))
+    @example([(0.5, math.pi), (0.3, 1.0)], 0.0)  # the merged beams cancel
+    @example([(1.0, 0.0), (0.3, 1.0), (0.0, 2.0), (0.3, 1.0)], 1.0)
+    @example([(0.0, 2.0), (1.0, 0.0), (0.5, 0.0)], 0.0)  # three points on one beam
+    def test_stacked_sweep_keeps_the_bits_of_each_point(self, path, d_w0):
+        # the states of one beam set are evaluated as one stack; every point
+        # equals the per-state loop bit for bit, and a point whose beams
+        # cancel is refused with the loop's exception
+        d = d_w0 * BENCH_FRAME.w0
+        try:
+            want = profile_sweep_per_state(path, d, BENCH_FRAME)
+        except ValidationError as err:
+            with pytest.raises(type(err)) as info:
+                profile_sweep(path, d, BENCH_FRAME)
+            assert str(info.value) == str(err)
+            return
+        got = profile_sweep(path, d, BENCH_FRAME)
+        assert got == want
+        assert repr(got) == repr(want)  # the same types, and -0.0 apart from 0.0
 
 
 class TestDephasedMixture:

@@ -48,8 +48,9 @@ from tmcat import (
 )
 import tmcat.states
 from tmcat.applications import BasisSet
-from tmcat.states import _pair_contract, _pairs, _skip_draws, gaussian_mode_1d
+from tmcat.states import _pair_contract, _pairs, _skip_draws, _weighted, gaussian_mode_1d
 from tmcat.virtual_lab import _intensity_2d
+from tmcat.wigner import _moments
 
 import dispatch
 from oracles import (
@@ -61,7 +62,7 @@ from oracles import (
     wigner_chord_quadrature,
     wigner_pair_product,
 )
-from strategies import superpositions
+from strategies import BENCH_FRAME, superpositions
 
 
 def test_frame_derived_quantities(frame):
@@ -646,6 +647,20 @@ def test_cancelling_weights_are_refused(frame, spec, norm):
     assert str(info.value) == f"state norm {norm!r} vanishes; the requested superposition cancels"
 
 
+def test_a_merge_that_leaves_a_rounding_residue_is_refused(frame):
+    # e^{i pi} sqrt(1/2) leaves 1.2e-16 sqrt(1/2) i of the merged weight at
+    # d = 0; cancellation is judged against the given terms' sum |c|^2, so
+    # that residue is refused as the two beams at d = 1e-300 are
+    for d in (0.0, 1e-300):
+        with pytest.raises(ValidationError, match="superposition cancels"):
+            make_qubit_state(QubitParams(T=0.5, phi=math.pi, d=d), frame)
+    with pytest.raises(ValidationError, match=re.escape("state norm 9.999999999999999e-33 ")):
+        SuperpositionState.from_terms(frame, [CoherentTerm(1, 0), CoherentTerm(-1 + 1e-16j, 0)])
+    # a merge that keeps its weight is a single degenerate term, as before
+    state = make_qubit_state(QubitParams(T=0.5, phi=0.0, d=0.0), frame)
+    assert state.degenerate and state.terms == (CoherentTerm(1.0, 0.0),)
+
+
 @given(superpositions())
 def test_intensities_integrate_to_one(state):
     w0 = state.frame.w0
@@ -930,3 +945,63 @@ def test_pure_states_keep_the_bits_of_their_pair_matrices(state):
         CoherentTerm(t.coeff * scale, t.alpha_x, t.alpha_y) for t in state.terms
     )
     assert 0.0 < state.purity and state.purity == pytest.approx(1.0, abs=1e-12)
+
+
+_WEIGHTINGS = st.lists(
+    st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False),
+             min_size=4, max_size=4),
+    min_size=1, max_size=9,
+)
+
+
+def _beams(*beams):
+    return SuperpositionState.from_terms(BENCH_FRAME, [CoherentTerm(1.0, *b) for b in beams])
+
+
+@given(superpositions(), _WEIGHTINGS,
+       st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_max=True)),
+       st.floats(-7.0, 7.0), st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=6))
+# a stack of one one-term state, where numpy rounds operands of unequal rank apart
+@example(_beams((-0.83 + 0.21j, 0.34j)), [[0.01 - 0.64j] * 4], 1.0, 0.3, [0.4])
+# four beams at one point: the pair sums, and one mean squared apart by the array square
+@example(_beams((-0.21 - 0.66j, 0j), (0.96 + 0.54j, 0.08j), (0.72 - 0.54j, 0.03j),
+                (0.9 + 0.16j, -0.08j)),
+         [[-0.46 + 0.1j, 0.91 - 0.99j, 0.57 + 0.64j, 0.77 + 0.48j],
+          [0.62 + 0.04j, 0.12 - 0.15j, -0.89 + 0.74j, 0.14 - 0.6j],
+          [0.01 - 0.03j, -0.29 - 0.31j, 0.08 + 0.25j, 0.22 - 0.08j]], 1.0, -2.8, [-1.1])
+@example(_beams((0.07 - 0.59j, 0.52j), (0.26 - 0.02j, -0.07j), (0.81 - 0.96j, -0.7j),
+                (0.12 - 0.38j, -0.62j)),
+         [[0.99 - 0.27j, -0.42 - 0.47j, -0.67 + 0.53j, 0.22 + 0.04j],
+          [-0.19 + 0.85j, -0.63 - 0.16j, -0.35 + 0.59j, -0.84 + 0.84j],
+          [0.6 + 0.86j, -0.35 - 0.06j, -0.08 + 0.58j, 0.03 - 0.45j]], 1.0, 1.9, [-0.9])
+def test_stacks_keep_the_bits_of_single_states(state, weightings, coherence, theta, xs):
+    """1-9 states on one set of 1-4 beams, stacked: their pair arrays, the
+    moment core at 0, pi/2 and theta and the BLAS-free pair contraction
+    equal each state's own calls bit for bit."""
+    states = []
+    for weights in weightings:
+        terms = [CoherentTerm(w, t.alpha_x, t.alpha_y) for w, t in zip(weights, state.terms)]
+        try:
+            states.append(SuperpositionState.from_terms(BENCH_FRAME, terms, coherence))
+        except ValidationError:
+            pass
+    assume(states)
+    c = np.array([s.coeffs() for s in states])
+    gram, gram_y = states[0]._grams
+    overlaps, weights = _weighted(c, gram, coherence), _weighted(c, gram_y, coherence)
+    ax = state.alphas_x()
+    moments = [_moments(overlaps, ax, t) for t in (0.0, math.pi / 2.0, theta)]
+    x = np.array(xs) * BENCH_FRAME.w0
+    fields = gaussian_mode_1d(ax[:, None], BENCH_FRAME.w0, x)
+    j, k, _ = _pairs(ax.size)
+    densities = _pair_contract(weights, None, fields[j], np.conj(fields[k]))
+    for i, one in enumerate(states):
+        assert overlaps[i].tobytes() == one.pair_overlaps.tobytes()
+        assert weights[i].tobytes() == one.pair_weights.tobytes()
+        for t, stacked in zip((0.0, math.pi / 2.0, theta), moments):
+            single = _moments(one.pair_overlaps, ax, t)
+            assert [np.asarray(v[i]).tobytes() for v in stacked] == \
+                [np.asarray(v).tobytes() for v in single]
+            assert (stacked[1][i], stacked[2][i]) == quadrature_moments(one, t)
+        single = _pair_contract(one.pair_weights, None, fields[j], np.conj(fields[k]))
+        assert densities[i].tobytes() == single.tobytes()
