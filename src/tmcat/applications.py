@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .propagation import FiberSpec
 from .states import (
     HBAR,
@@ -414,23 +414,30 @@ def profile_sweep(
     """
     if not path:
         raise ValidationError("sweep path must be non-empty")
-    states = [make_qubit_state(QubitParams(T=t, phi=phi, d=d), frame) for t, phi in path]
+    states, refused = [], None
+    try:
+        for t, phi in path:
+            states.append(make_qubit_state(QubitParams(T=t, phi=phi, d=d), frame))
+    except Exception as err:  # raised once the points before it pass, as point by point
+        refused = err
     groups: dict[bytes, list[int]] = {}
     for i, state in enumerate(states):
         groups.setdefault(state._arrays.ax.tobytes() + state._arrays.ay.tobytes(), []).append(i)
-    out = [None] * len(path)
+    moments = np.empty((4, len(states)), complex)  # trace, Var X, <P>, density of each point
     for members in groups.values():
-        first = states[members[0]]
-        ax, (gram, gram_y) = first._arrays.ax, first._grams
-        c = np.array([states[i]._arrays.c for i in members])
-        overlaps = _weighted(c, gram)
-        var_x, mean_p = _moments(overlaps, ax, 0.0)[2], _moments(overlaps, ax, math.pi / 2.0)[1]
-        center = first._density(ax, np.array([d / 2.0]), weights=_weighted(c, gram_y))
-        for i, var, mean, dens in zip(members, var_x, mean_p, center[:, 0]):
-            out[i] = SweepPoint(*path[i], delta_x=frame.x_scale * math.sqrt(var),
-                                mean_vx=frame.p_scale * mean / (HBAR * frame.k),
-                                center_intensity=float(dens))
-    return out
+        first, c = states[members[0]], np.array([states[i]._arrays.c for i in members])
+        ax, overlaps = first._arrays.ax, _weighted(c, first._grams[0])
+        total, _, var_x = _moments(overlaps, ax, 0.0)
+        center = first._density(ax, np.array([d / 2.0]), weights=_weighted(c, first._grams[1]))
+        moments[:, members] = total, var_x, _moments(overlaps, ax, math.pi / 2)[1], center[:, 0]
+    drifted = [total for total in moments[0] if abs(total - 1.0) > 1e-9]
+    if drifted:  # the first in path order; the trace at pi/2 is this same sum
+        raise NumericsError(f"state norm drifted to {drifted[0]!r} in moment evaluation")
+    if refused:
+        raise refused
+    return [SweepPoint(t, phi, frame.x_scale * math.sqrt(var.real),
+                       frame.p_scale * mean.real / (HBAR * frame.k), float(dens.real))
+            for (t, phi), (_, var, mean, dens) in zip(path, moments.T)]
 
 
 def dephased_mixture(d: float, frame: ModeFrame) -> SuperpositionState:

@@ -370,12 +370,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(j), _read_only(k), _read_only(np.where(j == k, 1.0, 2.0))
 
 
-def _on_stack(a, axes: int):
-    """``a`` raised to a stack's rank by ``axes`` leading length-1 axes: numpy rounds a
-    lone complex product of unequal ranks without its array loop's fused multiply-add."""
-    return np.asarray(a)[(None,) * axes]
-
-
 def _pair_contract(weights: np.ndarray, left: np.ndarray | None, *right: np.ndarray):
     """Re sum_jk W[j, k] L_jk R_jk, the one pair sum beneath every map and density.
 
@@ -400,8 +394,8 @@ def _pair_contract(weights: np.ndarray, left: np.ndarray | None, *right: np.ndar
     j, k, count = _pairs(weights.shape[-1])
     lead = weights.shape[:-2]
     pair = (weights[..., j, k] * count).reshape(lead + (-1,) + (1,) * (right[0].ndim - 1))
-    for factor in right:
-        pair = pair * _on_stack(factor, len(lead))
+    for factor in right:  # at the stack's rank, as _weighted's g
+        pair = pair * factor[(None,) * len(lead)]
     if left is None:  # in C order a stack's sums run over the pairs as one state's do
         return np.ascontiguousarray(pair).sum(axis=len(lead)).real.copy()
     m = len(left)
@@ -446,7 +440,8 @@ def _weighted(c: np.ndarray, g, coherence: float = 1.0) -> np.ndarray:
     g, the cross pairs times ``coherence`` (no mask at 1, so pure states keep their bits)."""
     if coherence != 1.0:
         g = g * np.where(np.eye(c.shape[-1], dtype=bool), 1.0, coherence)
-    return c[..., :, None] * np.conj(c)[..., None, :] * _on_stack(g, c.ndim - 1)
+    # g at the stack's rank: numpy rounds unequal-rank complex products without its FMA loop
+    return c[..., :, None] * np.conj(c)[..., None, :] * np.asarray(g)[(None,) * (c.ndim - 1)]
 
 
 @dataclass(frozen=True)
@@ -629,8 +624,7 @@ class SuperpositionState:
         return d.min() - reach, d.max() + reach
 
     def _density(self, ax: np.ndarray, x, scale: float = 1.0, weights=None) -> np.ndarray:
-        """y-reduced density sum_jk W[j, k] f_j conj(f_k) of the x-mode fields at x * scale,
-        for the state's pair weights W or a stack of weights on its beams."""
+        """y-reduced density sum_jk W[j, k] f_j conj(f_k) of fields at x * scale; W may stack."""
         fields = self._fields(ax, x, scale)
         j, k, _ = _pairs(ax.size)
         weights = self.pair_weights if weights is None else weights

@@ -18,6 +18,7 @@ from tmcat import (
     HBAR,
     OverlapAngle,
     QubitParams,
+    SimulationError,
     SuperpositionState,
     ValidationError,
     build_basis,
@@ -695,14 +696,18 @@ class TestSweep:
     @example([(0.5, math.pi), (0.3, 1.0)], 0.0)  # the merged beams cancel
     @example([(1.0, 0.0), (0.3, 1.0), (0.0, 2.0), (0.3, 1.0)], 1.0)
     @example([(0.0, 2.0), (1.0, 0.0), (0.5, 0.0)], 0.0)  # three points on one beam
+    @example([(0.5, math.pi)], 1e-6)  # nearly cancelling beams at a small d
+    @example([(0.5000000007522438, math.pi)], 3.437964925654582e-07)  # the trace drifts
+    # the drift refusal comes before a later point's own refusal, as point by point
+    @example([(0.3, 1.0), (0.5000000007522438, math.pi), (1.5, 0.0)], 3.437964925654582e-07)
     def test_stacked_sweep_keeps_the_bits_of_each_point(self, path, d_w0):
         # the states of one beam set are evaluated as one stack; every point
         # equals the per-state loop bit for bit, and a point whose beams
-        # cancel is refused with the loop's exception
+        # cancel or whose trace drifts is refused with the loop's exception
         d = d_w0 * BENCH_FRAME.w0
         try:
             want = profile_sweep_per_state(path, d, BENCH_FRAME)
-        except ValidationError as err:
+        except SimulationError as err:
             with pytest.raises(type(err)) as info:
                 profile_sweep(path, d, BENCH_FRAME)
             assert str(info.value) == str(err)
