@@ -15,25 +15,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 from .propagation import FiberSpec
 from .states import (
     HBAR,
-    CoherentTerm,
     ModeFrame,
     OverlapAngle,
     QubitParams,
     SuperpositionState,
     _check_seed,
     _generator,
-    _gram,
+    _inner_products,
     _two_beam,
     _typical_params,
     _weighted,
     make_qubit_state,
     make_typical_state,
 )
-from .wigner import _moments
+from .wigner import _check_trace, _moments
 
 BASIS_SCHEMES = ("four_cat", "twelve_state", "four_hg_reference")
 
@@ -71,27 +70,6 @@ def rotate_cat_phase(state: SuperpositionState, delta: float) -> SuperpositionSt
     return SuperpositionState.from_terms(
         state.frame, [replace(ta, coeff=even + odd), replace(tb, coeff=even - odd)]
     )
-
-
-def _term_blocks(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficient blocks of (coeffs, alphas_x, alphas_y) parts over all their terms.
-
-    blocks[i, t] is the coefficient of term t in part i, 0 for other parts;
-    the amplitudes are those of every part in turn.
-    """
-    c, ax, ay = (np.concatenate(arrays) for arrays in zip(*parts))
-    owner = np.repeat(np.arange(len(parts)), [part[0].size for part in parts])
-    blocks = np.zeros((len(parts), c.size), dtype=complex)
-    blocks[owner, np.arange(c.size)] = c
-    return blocks, ax, ay
-
-
-def _inner_products(bras, kets) -> np.ndarray:
-    """Matrix M[i, j] = <bra_i|ket_j> of two lists of term-array parts."""
-    b, bx, by = _term_blocks(bras)
-    k, kx, ky = _term_blocks(kets)
-    # _gram[p, q] = <bra term q|ket term p>, so M = conj(B) G^T K^T
-    return np.conj(b) @ _gram(kx, ky, bx, by).T @ k.T
 
 
 @dataclass(frozen=True)
@@ -430,9 +408,8 @@ def profile_sweep(
         total, _, var_x = _moments(overlaps, ax, 0.0)
         center = first._density(ax, np.array([d / 2.0]), weights=_weighted(c, first._grams[1]))
         moments[:, members] = total, var_x, _moments(overlaps, ax, math.pi / 2)[1], center[:, 0]
-    drifted = [total for total in moments[0] if abs(total - 1.0) > 1e-9]
-    if drifted:  # the first in path order; the trace at pi/2 is this same sum
-        raise NumericsError(f"state norm drifted to {drifted[0]!r} in moment evaluation")
+    for total in moments[0]:  # in path order; the trace at pi/2 is this same sum
+        _check_trace(total)
     if refused:
         raise refused
     return [SweepPoint(t, phi, frame.x_scale * math.sqrt(var.real),
@@ -449,6 +426,4 @@ def dephased_mixture(d: float, frame: ModeFrame) -> SuperpositionState:
     if not (d > 0.0):
         raise ValidationError(f"mixture displacement must be positive, got {d}")
     alpha = OverlapAngle.from_displacement(d, frame.w0).alpha
-    half = math.sqrt(0.5)
-    terms = [CoherentTerm(half, 0.0), CoherentTerm(half, alpha)]
-    return SuperpositionState.from_terms(frame, terms, coherence=0.0)
+    return _two_beam(frame, 0.5, 0.0, (0.0, 0.0), (alpha, 0.0), coherence=0.0)

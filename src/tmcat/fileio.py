@@ -14,6 +14,7 @@ import json
 import math
 import mmap
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ _CELL = "%.17g"
 _CHUNK_ROWS, _CHUNK_CELLS = 16, 4096
 # write_scaled_pgm forms its codes in float64 scratch blocks of this many cells
 _PGM_BLOCK_CELLS = 2**16
+# a PGM header field: whitespace and comments to the end of their line, then the field
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 
 
 def format_number(value) -> str:
@@ -238,18 +241,11 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
             fields: list[bytes] = []
             pos = 0
             while len(fields) < 4:
-                while pos < len(data) and data[pos : pos + 1].isspace():
-                    pos += 1
-                if pos >= len(data):
+                found = _PGM_FIELD.match(data, pos)
+                if found is None:
                     raise ValidationError(f"PGM header is truncated after {len(fields)} fields")
-                if data[pos : pos + 1] == b"#":
-                    while pos < len(data) and data[pos] != 0x0A:
-                        pos += 1
-                    continue
-                start = pos
-                while pos < len(data) and not data[pos : pos + 1].isspace():
-                    pos += 1
-                fields.append(data[start:pos])
+                fields.append(found[1])
+                pos = found.end()
             if fields[0] != b"P5":
                 raise ValidationError(f"not a binary PGM file: magic {fields[0]!r}")
             try:

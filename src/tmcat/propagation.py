@@ -192,12 +192,13 @@ class PropagatedField:
         return self.state._arrays.ax * turn, self.beam.width / self.state.frame.w0
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        """Complex x-field (valid picture when all terms share one y mode).
+        """Complex x-field; a state whose terms carry different y modes has none.
 
         The chirp reads the position bound of the turned state's fields, scaled
         by m, so far out it multiplies an exact 0 and its x^2 cannot overflow.
         """
         self.state._require_pure("the propagated field")
+        self.state._require_separable()
         x = np.asarray(x, dtype=float)
         ax, m = self._turned()
         scale = cmath.exp(0.5j * self.beam.gouy) / math.sqrt(m)
@@ -218,7 +219,13 @@ class PropagatedField:
         return float(self.state.pair_overlaps.sum().real)
 
     def centroid(self) -> float:
-        """Intensity-weighted mean position, (w(z) / sqrt(2)) <X_theta>."""
+        """Intensity-weighted mean position, (w(z) / sqrt(2)) <X_theta>.
+
+        It is held to a few ulp of w(z), not of itself: w(z) magnifies the
+        rounding of the state's own <P> by z / z_R, and that of cos(atan(z /
+        z_R)), about 1e-16, by w(z) / w0.  So a far-field centroid small
+        against w(z) keeps no digits of its own, even where <P> is exactly 0.
+        """
         mean, _ = quadrature_moments(self.state, -self.beam.gouy)
         return self.beam.width / math.sqrt(2.0) * mean
 

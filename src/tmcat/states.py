@@ -328,13 +328,6 @@ def _d_kappa(alpha, w0: float):
     return math.sqrt(2.0) * w0 * a.real, 2.0 * math.sqrt(2.0) * a.imag / w0
 
 
-def _gram(ax, ay, bx, by) -> np.ndarray:
-    """Two-axis term overlaps G[j, k] = <b_k|a_j> (coefficients not included)."""
-    return coherent_overlap(ax[:, None], bx[None, :]) * coherent_overlap(
-        ay[:, None], by[None, :]
-    )
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -517,9 +510,10 @@ class SuperpositionState:
                             for t in given for x in (t.coeff.real, t.coeff.imag)])
         except OverflowError:  # given weights 2^512 beyond the merged ones cancel
             given_sq = math.inf
-        if raw <= 1e-15 * given_sq:
+        if raw <= 1e-15 * given_sq:  # a shifted norm can over- or underflow: named relative
+            size = f"{raw / given_sq!r} of the given terms' sum |c|^2" if shift else repr(norm)
             raise ValidationError(
-                f"state norm {norm!r} vanishes; the requested superposition cancels"
+                f"state norm {size} vanishes; the requested superposition cancels"
             )
         scale = 1.0 / math.sqrt(raw)
         normalized = tuple(CoherentTerm(c * scale, *beam) for c, *beam in kept)
@@ -582,15 +576,19 @@ class SuperpositionState:
     def alphas_y(self) -> np.ndarray:
         return self._arrays.ay
 
-    def x_wavefunction(self, x: np.ndarray) -> np.ndarray:
-        """1D wavefunction along x when every term shares one y mode."""
-        self._require_pure("the x wavefunction")
-        c, ax, ay = self._arrays
+    def _require_separable(self) -> None:
+        """Refuse a state whose terms carry different y modes: it has no x field."""
+        ay = self._arrays.ay
         if not np.all(ay == ay[0]):
             raise ValidationError(
                 "state is not separable in x and y; terms carry different alpha_y"
             )
-        return np.tensordot(c, self._fields(ax, x), axes=1)
+
+    def x_wavefunction(self, x: np.ndarray) -> np.ndarray:
+        """1D wavefunction along x when every term shares one y mode."""
+        self._require_pure("the x wavefunction")
+        self._require_separable()
+        return np.tensordot(self._arrays.c, self._fields(self._arrays.ax, x), axes=1)
 
     def position_intensity(self, x: np.ndarray) -> np.ndarray:
         """y-reduced position density: integrates to 1 over x."""
@@ -631,24 +629,35 @@ class SuperpositionState:
         return _pair_contract(weights, None, fields[j], np.conj(fields[k]))
 
 
+def _term_blocks(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient blocks of (coeffs, alphas_x, alphas_y) parts over all their terms.
+
+    blocks[i, t] is the coefficient of term t in part i, 0 for other parts;
+    the amplitudes are those of every part in turn.
+    """
+    c, ax, ay = (np.concatenate(arrays) for arrays in zip(*parts))
+    owner = np.repeat(np.arange(len(parts)), [part[0].size for part in parts])
+    blocks = np.zeros((len(parts), c.size), dtype=complex)
+    blocks[owner, np.arange(c.size)] = c
+    return blocks, ax, ay
+
+
+def _inner_products(bras, kets) -> np.ndarray:
+    """Matrix M[i, j] = <bra_i|ket_j> of two lists of term-array parts."""
+    b, bx, by = _term_blocks(bras)
+    k, kx, ky = _term_blocks(kets)
+    # gram[p, q] = <bra term q|ket term p>, so M = conj(B) G^T K^T
+    gram = coherent_overlap(kx[:, None], bx[None, :]) * coherent_overlap(ky[:, None], by[None, :])
+    return np.conj(b) @ gram.T @ k.T
+
+
 def inner_product(a: SuperpositionState, b: SuperpositionState) -> complex:
     """Sesquilinear <a|b> over the shared mode frame."""
     if a.frame != b.frame:
         raise ValidationError("states live in different mode frames")
     a._require_pure("an inner product")
     b._require_pure("an inner product")
-    gram = _gram(b._arrays.ax, b._arrays.ay, a._arrays.ax, a._arrays.ay)
-    return complex(b._arrays.c @ gram @ np.conj(a._arrays.c))
-
-
-def _n_arb(T: float, phi: float, cos_theta_d: float) -> float:
-    """N_arb = 1 + 2 sqrt(T (1-T)) cos(theta_d) cos(phi), rejected when not positive."""
-    n = 1.0 + 2.0 * math.sqrt(T * (1.0 - T)) * cos_theta_d * math.cos(phi)
-    if n <= 1e-15:
-        raise ValidationError(
-            f"normalization factor {n!r} vanishes; the superposition is degenerate"
-        )
-    return n
+    return complex(_inner_products([a._arrays], [b._arrays])[0, 0])
 
 
 def normalization_factor(T: float, phi: float, angle: OverlapAngle) -> float:
@@ -659,7 +668,12 @@ def normalization_factor(T: float, phi: float, angle: OverlapAngle) -> float:
     """
     if not (0.0 <= T <= 1.0):
         raise ValidationError(f"T must lie in [0, 1], got {T}")
-    return _n_arb(T, phi, angle.cos_theta_d)
+    n = 1.0 + 2.0 * math.sqrt(T * (1.0 - T)) * angle.cos_theta_d * math.cos(phi)
+    if n <= 1e-15:
+        raise ValidationError(
+            f"normalization factor {n!r} vanishes; the superposition is degenerate"
+        )
+    return n
 
 
 def make_qubit_state(
@@ -685,7 +699,7 @@ def _two_beam_weights(T: float, phi: float) -> tuple[float, complex]:
 
 
 def _two_beam(
-    frame: ModeFrame, T: float, phi: float, a: tuple, b: tuple
+    frame: ModeFrame, T: float, phi: float, a: tuple, b: tuple, coherence: float = 1.0
 ) -> SuperpositionState:
     """Normalized sqrt(T) |a> + e^{i phi} sqrt(1-T) |b>; beams are (alpha_x, alpha_y).
 
@@ -693,7 +707,7 @@ def _two_beam(
     """
     weights = _two_beam_weights(T, phi)
     terms = [CoherentTerm(c, *beam) for c, beam in zip(weights, (a, b)) if c != 0.0]
-    return SuperpositionState.from_terms(frame, terms)
+    return SuperpositionState.from_terms(frame, terms, coherence)
 
 
 _TYPICAL_TABLE = {
@@ -765,7 +779,7 @@ def params_to_bloch(params: QubitParams, angle: OverlapAngle) -> BlochVector:
     chat = angle.cos_theta_d
     shat = angle.sin_theta_d
     root = math.sqrt(params.T * (1.0 - params.T))
-    n = _n_arb(params.T, params.phi, chat)
+    n = normalization_factor(params.T, params.phi, angle)
     x = chat + 2.0 * root * math.cos(params.phi)
     y = 2.0 * shat * root * math.sin(params.phi)
     z = shat * (2.0 * params.T - 1.0)

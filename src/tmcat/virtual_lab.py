@@ -32,7 +32,6 @@ from .states import (
     _pairs,
     _skip_draws,
     _weighted,
-    gaussian_mode_1d,
     make_qubit_state,
     make_typical_state,
     signed_phase,
@@ -214,10 +213,8 @@ def _intensity_2d(
     state: SuperpositionState, x: np.ndarray, y: np.ndarray, visibility: float
 ) -> np.ndarray:
     """The state's density at (x, y), its cross pairs scaled by visibility x coherence."""
-    w0 = state.frame.w0
     c, ax, ay = state._arrays
-    fx = gaussian_mode_1d(ax[:, None], w0, x)
-    fy = gaussian_mode_1d(ay[:, None], w0, y)
+    fx, fy = state._fields(ax, x), state._fields(ay, y)
     j, k, _ = _pairs(c.size)
     weights = _weighted(c, 1.0, visibility * state.coherence)
     rows = np.ascontiguousarray((fy[j] * np.conj(fy[k])).T)

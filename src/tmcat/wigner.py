@@ -142,11 +142,16 @@ def quadrature_moments(
     if theta_l in kept:
         return kept[theta_l]
     total, mean, var = _moments(state.pair_overlaps, state._arrays.ax, theta_l)
-    if abs(total - 1.0) > 1e-9:
-        raise NumericsError(f"state norm drifted to {total!r} in moment evaluation")
+    _check_trace(total)
     if theta_l in _KEPT_ANGLES:
         kept[theta_l] = mean, var
     return mean, var
+
+
+def _check_trace(total) -> None:
+    """Refuse a state's trace, its pair sum, that drifted more than 1e-9 from 1."""
+    if abs(total - 1.0) > 1e-9:
+        raise NumericsError(f"state norm drifted to {float(total.real)!r} in moment evaluation")
 
 
 def _moments(w: np.ndarray, ax: np.ndarray, theta_l: float):

@@ -13,7 +13,7 @@ maximum over basis rows it was first written as, and the CCD digitization
 as its float chain, with a full-frame temporary at every step, and as the
 in-place chain on the strided real view of the complex frame it first ran
 on.  Column profiles sum in float64 and scaled PGM codes take a new array
-at every step, as first written; densities are also kept without the bound
+at every step, as first written, and PGM headers are scanned byte by byte; densities are also kept without the bound
 that now moves far positions in before their squares.  The Wigner
 map of any superposition is also evaluated by quadrature of its defining
 chord integral, over mode fields and y-overlap weights written out here,
@@ -572,6 +572,45 @@ def scaled_pgm_codes(values: np.ndarray) -> np.ndarray:
     if vmax - vmin <= 0.0:
         return np.zeros(values.shape, dtype=np.uint16)
     return np.floor((values - vmin) / (vmax - vmin) * 65535.0 + 0.5).astype(np.uint16)
+
+
+def read_pgm_byte_scan(path) -> tuple[np.ndarray, int]:
+    """``read_pgm`` with the header scanned byte by byte, as first written: spaces
+    are skipped, a '#' outside a field skips to the end of its line, and a field
+    runs to the next whitespace byte."""
+    data = Path(path).read_bytes()
+    fields: list[bytes] = []
+    pos = 0
+    while len(fields) < 4:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos >= len(data):
+            raise ValidationError(f"PGM header is truncated after {len(fields)} fields")
+        if data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        fields.append(data[start:pos])
+    if fields[0] != b"P5":
+        raise ValidationError(f"not a binary PGM file: magic {fields[0]!r}")
+    try:
+        width, height, max_value = (int(f) for f in fields[1:4])
+    except ValueError:
+        raise ValidationError(f"PGM header fields {fields[1:4]!r} are not integers")
+    if width < 1 or height < 1 or not 0 < max_value < 65536:
+        raise ValidationError(f"PGM header {width}x{height}, max {max_value} invalid")
+    pos += 1  # single whitespace byte after maxval
+    dtype = ">u2" if max_value > 255 else "u1"
+    need = width * height * np.dtype(dtype).itemsize
+    if len(data) - pos < need:
+        raise ValidationError(
+            f"PGM payload holds {max(len(data) - pos, 0)} bytes, {need} expected"
+        )
+    counts = np.frombuffer(data, dtype, width * height, pos).astype(np.uint16)
+    return counts.reshape(height, width), max_value
 
 
 # every cell is written as '%.17g' of v + 0.0, which turns -0.0 into 0.0

@@ -717,6 +717,11 @@ def test_sweep_command(tmp_path, capsys):
     assert float(rows[1].split(",")[2]) == pytest.approx(0.12e-3 / 2.0, rel=1e-9)
     assert run("sweep", "--path", "1;0", "--d-over-w0", "1") == 1
     assert "E_USAGE:" in capsys.readouterr().err
+    # a trace that drifts from 1 is named by its real part, a plain float
+    assert run("sweep", "--d-over-w0", "3.437964925654582e-07",
+               "--path", "0.5000000007522438:pi", "--outdir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "E_NUMERIC: state norm drifted to 0.9990234375 in moment evaluation\n"
 
 
 def test_mdm_command(tmp_path):

@@ -248,6 +248,49 @@ def test_pgm_read_budget(tmp_path, maxval):
     assert peak <= back.nbytes + 2**16
 
 
+_PGM_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f"])
+_PGM_COMMENT = st.builds(b"#%s%s".__mod__, st.tuples(
+    st.binary(max_size=5).map(lambda body: body.replace(b"\n", b"")), st.sampled_from([b"\n", b""])))
+_PGM_FIELD = st.sampled_from([b"P5", b"P2", b"1", b"2", b"3", b"255", b"256", b"65535",
+                              b"0", b"-1", b"x", b"2#3", b"P5#"]) | st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def pgm_files(draw):
+    """Header fields with whitespace and comments before each, cut after any
+    field or ending in a comment, then a short payload."""
+    gaps = st.lists(_PGM_SPACE | _PGM_COMMENT, max_size=3).map(b"".join)
+    head = b"".join(draw(gaps) + draw(_PGM_FIELD) for _ in range(draw(st.integers(0, 4))))
+    return head + draw(gaps) + draw(st.sampled_from([b"", b"\n", b"#"])) + draw(st.binary(max_size=40))
+
+
+@given(pgm_files())
+@example(b"P5\v2\f3 255\n" + bytes(6))  # vertical tab and form feed separate fields
+@example(b"P5 2#3 1 255\n" + bytes(2))  # '#' inside a field belongs to it
+@example(b"P5 2 3 # a comment at the end")
+@example(b"P5 2 3\n#\n255 " + bytes(6))
+@example(b"")  # cut before the magic, and after each field in turn
+@example(b"P5")
+@example(b"P5 2")
+@example(b"P5 2 3")
+@example(b"P5 2 3 255")
+def test_pgm_header_reads_as_the_byte_scan(tmp_path_factory, data):
+    # the compiled field pattern reads every header as the byte-by-byte scan
+    # did: the same counts, or the same refusal
+    path = tmp_path_factory.mktemp("pgm") / "t.pgm"
+    path.write_bytes(data)
+    try:
+        want, want_max = oracles.read_pgm_byte_scan(path)
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as info:
+            read_pgm(path)
+        assert str(info.value) == str(err)
+        return
+    got, got_max = read_pgm(path)
+    assert got_max == want_max
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_pgm_validation(tmp_path):
     path = tmp_path / "t.pgm"
     with pytest.raises(ValidationError):

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tmcat import (
@@ -24,6 +24,7 @@ from tmcat import (
     TYPICAL_KINDS,
     ValidationError,
     beam_params_at,
+    build_basis,
     compose,
     gi_fiber_evolve,
     inner_product,
@@ -40,7 +41,7 @@ from tmcat import (
 )
 
 from oracles import field_unbounded_chirp, fresnel_exponent_form
-from strategies import superpositions
+from strategies import BENCH_FRAME, superpositions
 
 
 class TestBeamParams:
@@ -199,6 +200,19 @@ class TestAnalyticPropagation:
             field = propagate_analytic(state, zf * frame.z_r)
             assert field.centroid() == pytest.approx(frame.w0, rel=1e-12)
 
+    @given(superpositions(coherence=st.floats(0.0, 1.0)),
+           st.just(0.0) | st.floats(1e-150, 1e150))
+    @example(make_typical_state("cat_minus", OverlapAngle.from_alpha(1.0), BENCH_FRAME)[1], 1e150)
+    def test_far_field_centroid_is_held_to_ulps_of_the_width(self, state, zr):
+        # w(z) <X_theta> = w0 (<X> + <P> z / z_R): past z_R the rounding of the
+        # state's own <P> grows with z, so the centroid is held to a few ulp of
+        # w(z), not of itself (at most 5.1 eps w(z) in 60,000 scratch draws)
+        field = propagate_analytic(state, zr * state.frame.z_r)
+        mean_x, _ = quadrature_moments(state, 0.0)
+        mean_p, _ = quadrature_moments(state, math.pi / 2.0)
+        want = state.frame.x_scale * (mean_x + zr * mean_p)
+        assert abs(field.centroid() - want) <= 16.0 * np.finfo(float).eps * field.beam.width
+
     def test_z_scan_keeps_only_the_x_and_p_moments(self, frame, angle_w0):
         # the moments of each Gouy angle are computed, not kept: a long scan
         # leaves the state's memo as small as the X and P moments of its map
@@ -287,13 +301,18 @@ class TestAnalyticPropagation:
     @given(superpositions(), st.floats(1e-4, 3.0))
     def test_rotation_matches_the_fresnel_exponent_form(self, state, zf):
         # the Gouy-angle rotation and the closed-form Fresnel map of each
-        # term's Gaussian exponents are the same field
+        # term's Gaussian exponents are the same field; terms on different y
+        # modes have no x field, and the field is refused, as the wavefunction is
         z = zf * state.frame.z_r
         field = propagate_analytic(state, z)
         x = np.linspace(-9.0, 9.0, 401) * field.beam.width
         want_field, want_intensity = fresnel_exponent_form(state, z, x)
-        got = field.field(x)
-        assert np.max(np.abs(got - want_field)) <= 1e-13 * np.max(np.abs(want_field))
+        if np.all(state.alphas_y() == state.alphas_y()[0]):
+            got = field.field(x)
+            assert np.max(np.abs(got - want_field)) <= 1e-13 * np.max(np.abs(want_field))
+        else:
+            with pytest.raises(ValidationError, match="not separable in x and y"):
+                field.field(x)
         got = field.intensity(x)
         assert np.max(np.abs(got - want_intensity)) <= 1e-13 * np.max(want_intensity)
 
@@ -323,6 +342,16 @@ class TestAnalyticPropagation:
         assert got.tobytes() == state.position_intensity(x).tobytes()
         got = propagate_analytic(separable, 0.0).field(x)
         assert got.tobytes() == separable.x_wavefunction(x).tobytes()
+
+    def test_a_state_on_two_y_modes_has_no_field(self, frame):
+        # the four_cat y-axis even cat at alpha = 1 read |field|^2 = 3576 at
+        # x = 0, where its density is 2446: its terms carry different y modes,
+        # and the field is refused as the wavefunction is
+        cat = build_basis("four_cat", OverlapAngle.from_alpha(1.0), frame).states[2]
+        assert cat.position_intensity(np.zeros(1))[0] == pytest.approx(2446.04438623)
+        for call in (cat.x_wavefunction, propagate_analytic(cat, 0.0).field):
+            with pytest.raises(ValidationError, match="^state is not separable in x and y"):
+                call(np.zeros(1))
 
 
 class TestKernelPropagation:

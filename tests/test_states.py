@@ -647,6 +647,21 @@ def test_cancelling_weights_are_refused(frame, spec, norm):
     assert str(info.value) == f"state norm {norm!r} vanishes; the requested superposition cancels"
 
 
+@pytest.mark.parametrize("scale, ratio", [
+    (1e200, 5.027924183890532e-29),  # the norm overflowed, and read "state norm inf"
+    (1e-200, 5.007885650240038e-29),  # the norm underflowed, and read "state norm 0.0"
+])
+def test_a_shifted_norm_is_named_against_the_given_weights(frame, scale, ratio):
+    # weights beyond 2^+-256 are shifted before the pair sum, and their norm
+    # can leave the float range: a refusal names it as a fraction of the given
+    # terms' sum |c|^2, here that of a merged weight 1e-14 of the given ones
+    terms = [CoherentTerm(scale, 0.3), CoherentTerm(-scale * (1 + 1e-14), 0.3)]
+    with pytest.raises(ValidationError) as info:
+        SuperpositionState.from_terms(frame, terms)
+    assert str(info.value) == (f"state norm {ratio!r} of the given terms' sum |c|^2 "
+                               "vanishes; the requested superposition cancels")
+
+
 def test_a_merge_that_leaves_a_rounding_residue_is_refused(frame):
     # e^{i pi} sqrt(1/2) leaves 1.2e-16 sqrt(1/2) i of the merged weight at
     # d = 0; cancellation is judged against the given terms' sum |c|^2, so
