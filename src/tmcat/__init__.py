@@ -21,17 +21,17 @@ _EXPORTS = {
     "errors": "FitError NumericsError SimulationError ValidationError",
     "propagation": """BeamParams FiberSpec LensSystem PropagatedField RayMatrix
         beam_params_at compose gi_fiber_evolve kernel_step propagate_analytic
-        propagate_kernel ray_free ray_lens rotate_phase_space""",
+        propagate_kernel ray_free ray_lens""",
     "states": """C_LIGHT HBAR TYPICAL_KINDS BlochVector CoherentTerm ModeFrame
         OverlapAngle QubitParams SuperpositionState bloch_to_params cat_coefficients
         coherent_overlap inner_product make_qubit_state make_typical_state
-        normalization_factor params_to_bloch signed_phase wrap_phase""",
+        normalization_factor params_to_bloch quadrature_moments rotate_phase_space
+        signed_phase wrap_phase""",
     "virtual_lab": """LAB_FOCAL_LENGTH LAB_FRAME LAB_THETA_D CcdConfig CcdImage
         GaussianFit PlaneTag ScenarioPanel estimate_relative_phase
         fit_gaussian_profile focal_waist momentum_plane position_plane
         profile_from_image render_ccd scenario_reports""",
-    "wigner": """PhaseSpaceGrid WignerMap negativity_scan quadrature_moments
-        wigner_map wigner_of_state""",
+    "wigner": "PhaseSpaceGrid WignerMap negativity_scan wigner_map wigner_of_state",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_OWNER)

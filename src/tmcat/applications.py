@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-from .propagation import FiberSpec
 from .states import (
     HBAR,
     ModeFrame,
@@ -24,15 +24,19 @@ from .states import (
     QubitParams,
     SuperpositionState,
     _check_seed,
+    _check_trace,
     _generator,
     _inner_products,
+    _moments,
     _two_beam,
     _typical_params,
     _weighted,
     make_qubit_state,
     make_typical_state,
 )
-from .wigner import _check_trace, _moments
+
+if TYPE_CHECKING:
+    from .propagation import FiberSpec
 
 BASIS_SCHEMES = ("four_cat", "twelve_state", "four_hg_reference")
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .states import C_LIGHT, CoherentTerm, ModeFrame, SuperpositionState
-from .wigner import quadrature_moments
+from .states import C_LIGHT, ModeFrame, SuperpositionState, quadrature_moments, rotate_phase_space
 
 
 @dataclass(frozen=True)
@@ -349,24 +348,6 @@ def propagate_kernel(
             f"kernel propagation lost power: {p_in!r} -> {p_out!r}; widen the window"
         )
     return psi_out
-
-
-def rotate_phase_space(state: SuperpositionState, theta: float) -> SuperpositionState:
-    """Rotate the state in phase space: every alpha -> alpha e^{-i theta}.
-
-    This is the harmonic evolution the graded-index relay realizes; theta =
-    pi/2 maps the position distribution onto the momentum distribution.  Both
-    transverse axes rotate together, and the coherence is kept.  A global
-    phase is dropped.
-    """
-    if not math.isfinite(theta):
-        raise ValidationError(f"rotation angle theta must be finite, got {theta!r}")
-    phase = cmath.exp(-1j * theta)
-    terms = [
-        CoherentTerm(coeff=t.coeff, alpha_x=t.alpha_x * phase, alpha_y=t.alpha_y * phase)
-        for t in state.terms
-    ]
-    return SuperpositionState.from_terms(state.frame, terms, state.coherence)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Mode conventions, displaced-Gaussian states, and the qubit parametrization.
+"""Displaced-Gaussian states: modes, moments, phase-space rotation, qubit parametrization.
 
 A transverse beam mode with waist ``w0`` behaves like a quantum particle:
 the fundamental Gaussian plays the role of the vacuum and a displaced
@@ -50,7 +50,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m / s
@@ -459,8 +459,7 @@ class SuperpositionState:
     ``pair_weights`` are computed once, on first use, and are read-only.
     ``gram`` is shared by the states on the same beams, through a small
     cache of the latest beam sets.
-    ``_memo`` keeps what other modules derive from the state (its latest
-    Wigner map, its X and P moments) for the state's lifetime.  None of
+    ``_memo`` keeps the state's latest Wigner map for its lifetime.  None of
     these are fields, so equality and hashing see the terms and coherence.
     """
 
@@ -658,6 +657,65 @@ def inner_product(a: SuperpositionState, b: SuperpositionState) -> complex:
     a._require_pure("an inner product")
     b._require_pure("an inner product")
     return complex(_inner_products([a._arrays], [b._arrays])[0, 0])
+
+
+def quadrature_moments(
+    state: SuperpositionState, theta_l: float = 0.0
+) -> tuple[float, float]:
+    """Mean and variance of the rotated quadrature X_theta = X cos + P sin.
+
+    Nondimensional units: the vacuum gives (0, 1/2) for every theta_l.
+    Uses the bilinear matrix elements between displaced-Gaussian terms,
+    <beta| X_theta |alpha> = (alpha e^{-i theta} + conj(beta) e^{i theta}) <beta|alpha>,
+    <beta| X_theta^2 |alpha> = [( . )^2 + 1/2] <beta|alpha>.
+    """
+    if not math.isfinite(theta_l):
+        raise ValidationError(f"quadrature angle theta_l must be finite, got {theta_l!r}")
+    total, mean, var = _moments(state.pair_overlaps, state._arrays.ax, theta_l)
+    _check_trace(total)
+    return mean, var
+
+
+def _check_trace(total) -> None:
+    """Refuse a state's trace, its pair sum, that drifted more than 1e-9 from 1."""
+    if abs(total - 1.0) > 1e-9:
+        raise NumericsError(f"state norm drifted to {float(total.real)!r} in moment evaluation")
+
+
+def _moments(w: np.ndarray, ax: np.ndarray, theta_l: float):
+    """Trace, mean and variance of X_theta from pair overlaps w, (m, m) or a stack
+    (S, m, m) of states on the term amplitudes ax: one value per state.  X_theta
+    is taken about the first term's centre, so a term far off keeps its variance."""
+    e_m = complex(math.cos(theta_l), -math.sin(theta_l))
+    e_p = np.conj(e_m)
+    amp = ax[:, None] * e_m + np.conj(ax)[None, :] * e_p
+    center = amp[0, 0].real
+    amp -= center
+    total = w.sum(axis=(-2, -1))
+    first = (w * amp).sum(axis=(-2, -1))
+    second = (w * (amp * amp + 0.5)).sum(axis=(-2, -1))
+    shift = first.real
+    # each shift squared by C pow, as one numpy float is; the array square rounds apart
+    square = shift**2 if shift.ndim == 0 else np.array([m**2 for m in shift.tolist()])
+    return total, center + shift, second.real - square
+
+
+def rotate_phase_space(state: SuperpositionState, theta: float) -> SuperpositionState:
+    """Rotate the state in phase space: every alpha -> alpha e^{-i theta}.
+
+    This is the harmonic evolution the graded-index relay realizes; theta =
+    pi/2 maps the position distribution onto the momentum distribution.  Both
+    transverse axes rotate together, and the coherence is kept.  A global
+    phase is dropped.
+    """
+    if not math.isfinite(theta):
+        raise ValidationError(f"rotation angle theta must be finite, got {theta!r}")
+    phase = cmath.exp(-1j * theta)
+    terms = [
+        CoherentTerm(coeff=t.coeff, alpha_x=t.alpha_x * phase, alpha_y=t.alpha_y * phase)
+        for t in state.terms
+    ]
+    return SuperpositionState.from_terms(state.frame, terms, state.coherence)
 
 
 def normalization_factor(T: float, phi: float, angle: OverlapAngle) -> float:

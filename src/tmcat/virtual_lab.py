@@ -19,7 +19,6 @@ from itertools import pairwise
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .propagation import rotate_phase_space
 from .states import (
     HBAR,
     ModeFrame,
@@ -34,9 +33,10 @@ from .states import (
     _weighted,
     make_qubit_state,
     make_typical_state,
+    quadrature_moments,
+    rotate_phase_space,
     signed_phase,
 )
-from .wigner import quadrature_moments
 
 LAB_FRAME = ModeFrame(w0=0.12e-3, wavelength=780e-9)
 LAB_FOCAL_LENGTH = 0.145

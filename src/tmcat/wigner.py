@@ -1,4 +1,4 @@
-"""Wigner functions, quadrature moments, and negativity scans.
+"""Wigner functions, auto-sized maps, and negativity scans.
 
 The x-mode Wigner function of a state with y dependence traced out is
 
@@ -27,6 +27,7 @@ from .states import (
     _d_kappa,
     _pair_contract,
     _pairs,
+    quadrature_moments,
 )
 
 # map cells per block of the trapezoid integral's temporaries
@@ -120,55 +121,6 @@ def wigner_of_state(
     return np.divide(w, math.pi * HBAR, out=w)
 
 
-# the quadrature angles whose moments a state keeps: X and P
-_KEPT_ANGLES = (0.0, math.pi / 2.0)
-
-
-def quadrature_moments(
-    state: SuperpositionState, theta_l: float = 0.0
-) -> tuple[float, float]:
-    """Mean and variance of the rotated quadrature X_theta = X cos + P sin.
-
-    Nondimensional units: the vacuum gives (0, 1/2) for every theta_l.
-    Uses the bilinear matrix elements between displaced-Gaussian terms,
-    <beta| X_theta |alpha> = (alpha e^{-i theta} + conj(beta) e^{i theta}) <beta|alpha>,
-    <beta| X_theta^2 |alpha> = [( . )^2 + 1/2] <beta|alpha>.
-    Each state keeps its moments at theta_l = 0 and pi/2, the angles that
-    maps and sweeps ask again; any other angle is computed on every call.
-    """
-    if not math.isfinite(theta_l):
-        raise ValidationError(f"quadrature angle theta_l must be finite, got {theta_l!r}")
-    kept = state._memo.setdefault("moments", {})
-    if theta_l in kept:
-        return kept[theta_l]
-    total, mean, var = _moments(state.pair_overlaps, state._arrays.ax, theta_l)
-    _check_trace(total)
-    if theta_l in _KEPT_ANGLES:
-        kept[theta_l] = mean, var
-    return mean, var
-
-
-def _check_trace(total) -> None:
-    """Refuse a state's trace, its pair sum, that drifted more than 1e-9 from 1."""
-    if abs(total - 1.0) > 1e-9:
-        raise NumericsError(f"state norm drifted to {float(total.real)!r} in moment evaluation")
-
-
-def _moments(w: np.ndarray, ax: np.ndarray, theta_l: float):
-    """Trace, mean and variance of X_theta from pair overlaps w, (m, m) or a stack
-    (S, m, m) of states on the term amplitudes ax: one value per state."""
-    e_m = complex(math.cos(theta_l), -math.sin(theta_l))
-    e_p = np.conj(e_m)
-    amp = ax[:, None] * e_m + np.conj(ax)[None, :] * e_p
-    total = w.sum(axis=(-2, -1))
-    first = (w * amp).sum(axis=(-2, -1))
-    second = (w * (amp * amp + 0.5)).sum(axis=(-2, -1))
-    mean = first.real
-    # each mean squared by C pow, as one numpy float is; the array square rounds apart
-    square = mean**2 if mean.ndim == 0 else np.array([m**2 for m in mean.tolist()])
-    return total, mean, second.real - square
-
-
 def _validate_map(m: WignerMap, weight: float) -> None:
     """Refuse a map below -1/pi (-1/(pi hbar) in SI) or not integrating to 1.
 
@@ -212,7 +164,8 @@ def wigner_map(
     kept_key, kept = state._memo.get("wigner_map", (None, None))
     if kept_key == key:
         return kept
-    (mean_x, var_x), (mean_p, var_p) = (quadrature_moments(state, t) for t in _KEPT_ANGLES)
+    mean_x, var_x = quadrature_moments(state, 0.0)
+    mean_p, var_p = quadrature_moments(state, math.pi / 2.0)
     half_x = 4.0 * max(math.sqrt(var_x), math.sqrt(0.5))
     half_p = 4.0 * max(math.sqrt(var_p), math.sqrt(0.5))
     sx, sp = state.frame.x_scale, state.frame.p_scale

@@ -60,6 +60,13 @@ def test_import_loads_no_module():
     assert _loaded_after("from tmcat import ValidationError") == ["tmcat.errors"]
 
 
+@pytest.mark.parametrize("module", ["wigner", "propagation", "virtual_lab", "applications"])
+def test_physics_modules_import_only_the_state_layer(module):
+    assert _loaded_after(f"import tmcat.{module}") == sorted(
+        ["numpy", f"tmcat.{module}", "tmcat.states", "tmcat.errors"]
+    )
+
+
 def test_every_name_is_its_modules_object():
     assert tmcat.__all__ == sorted(_SURFACE) and len(set(tmcat.__all__)) == 71
     assert sorted(tmcat._EXPORTS) == sorted(_MODULES)

@@ -43,14 +43,21 @@ from tmcat import (
     quadrature_moments,
     rotate_cat_phase,
     signed_phase,
+    wigner_map,
     wigner_of_state,
     wrap_phase,
 )
 import tmcat.states
 from tmcat.applications import BasisSet
-from tmcat.states import _pair_contract, _pairs, _skip_draws, _weighted, gaussian_mode_1d
+from tmcat.states import (
+    _moments,
+    _pair_contract,
+    _pairs,
+    _skip_draws,
+    _weighted,
+    gaussian_mode_1d,
+)
 from tmcat.virtual_lab import _intensity_2d
-from tmcat.wigner import _moments
 
 import dispatch
 from oracles import (
@@ -300,6 +307,35 @@ def test_rotated_quadrature_of_vacuum_is_flat(frame, angle_w0):
         mean, var = quadrature_moments(vac, float(theta))
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert var == pytest.approx(0.5, abs=1e-12)
+
+
+# One coherent term as far out as 1e150: real, imaginary, or complex along a
+# 3-4-5 direction scaled by a power of two.  Such an amplitude has an exact
+# modulus, so its Gram diagonal is exactly 1; a general complex amplitude this
+# far out loses its norm in the Gram's exponent -|a|^2 - |b|^2 + 2 conj(b) a.
+_far_alphas = st.one_of(
+    st.builds(lambda r, unit: r * unit, st.floats(0.0, 1e150), st.sampled_from([1, -1, 1j, -1j])),
+    st.builds(lambda k, unit: math.ldexp(1.0, k) * unit, st.integers(-60, 495),
+              st.sampled_from([3 + 4j, -3 + 4j, 4 - 3j, -4 - 3j])),
+)
+
+
+@given(_far_alphas, st.sampled_from([0.0, math.pi / 2.0]) | st.floats(-10.0, 10.0))
+@example(1.23456789e8, 0.0)
+def test_one_term_keeps_its_variance_far_from_the_origin(alpha, theta):
+    # the moments are taken about the first term's centre, so its mean does
+    # not cancel the variance away
+    state = SuperpositionState.from_terms(BENCH_FRAME, [CoherentTerm(1.0, alpha)])
+    assert quadrature_moments(state, theta)[1] == 0.5
+
+
+def test_a_far_coherent_state_keeps_its_map_and_width():
+    state = SuperpositionState.from_terms(BENCH_FRAME, [CoherentTerm(1.0, 1.23456789e8)])
+    assert quadrature_moments(state, 0.0) == (246913578.0, 0.5)
+    # 1 - 2.8e-10 measured; the mean's 2.5e8 costs the grid its low digits
+    assert abs(wigner_map(state, 64).integral() - 1.0) <= 1e-9
+    field = propagate_analytic(state, 0.01)
+    assert abs(field.rms_width() - field.beam.width) <= 2.0 * np.finfo(float).eps * field.beam.width
 
 
 def test_normalization_factor_values(angle_w0):
